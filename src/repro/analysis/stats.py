@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from scipy import stats as _scipy_stats
-
 
 @dataclass(slots=True, frozen=True)
 class SampleSummary:
@@ -71,6 +69,10 @@ def confidence_interval(
     s = summarize(values)
     if s.n < 2:
         return (s.mean, s.mean)
+    # Imported here, not at module level: scipy.stats costs about a
+    # second to import and nothing else in a sweep needs it.
+    from scipy import stats as _scipy_stats
+
     half = (
         _scipy_stats.t.ppf(0.5 + confidence / 2.0, df=s.n - 1)
         * s.std

@@ -22,7 +22,6 @@ trace, and :meth:`Trace.compiled` caches it per trace instance.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.core.trace import EventType, Trace, TraceError
 
@@ -144,20 +143,65 @@ def array_columns(trace: Trace) -> ArrayColumns:
     (:mod:`repro.core.trace_io`), which stores the columns natively as
     arrays so a disk cache hit feeds the vectorized engine without a
     list round-trip.  Invalidation mirrors :meth:`Trace.compiled`:
-    keyed on the event count.
+    keyed on the event count (:meth:`Trace.cached_lowering`).
     """
-    cached: Optional[tuple[int, ArrayColumns]] = getattr(
-        trace, "_array_columns_cache", None
-    )
-    if cached is not None and cached[0] == len(trace.events):
-        return cached[1]
-    arrays = ArrayColumns.from_compiled(trace.compiled())
-    trace._array_columns_cache = (len(trace.events), arrays)
+    arrays = trace.cached_lowering("_array_columns_cache")
+    if arrays is None:
+        arrays = ArrayColumns.from_compiled(trace.compiled())
+        trace._array_columns_cache = (len(trace), arrays)
     return arrays
+
+
+def lower_columns(cols: ArrayColumns) -> CompiledTrace:
+    """The :class:`CompiledTrace` of array columns.
+
+    The one columns-to-lists lowering (disk hits and streamed traces
+    both use it): ``tolist()`` turns ``int64``/``float64`` back into
+    the exact python ints/floats :func:`compile_trace` stores, and the
+    ``argv`` tuples are assembled per event type from the columns.
+    """
+    import numpy as np
+
+    etype = cols.etype.tolist()
+    time = cols.time.tolist()
+    host = cols.host.tolist()
+    peer = cols.peer.tolist()
+    cell = cols.cell.tolist()
+    # Sends and receives are nearly every event: build all tuples in
+    # their ``(host, peer, time)`` shape, then patch the others.
+    argv: list[tuple] = list(zip(host, peer, time))
+    others = (cols.etype != SEND) & (cols.etype != RECEIVE)
+    for i in np.flatnonzero(others).tolist():
+        et = etype[i]
+        if et == DISCONNECT:
+            argv[i] = (host[i], time[i])
+        elif et == INTERNAL:
+            argv[i] = ()
+        else:  # CELL_SWITCH / RECONNECT
+            argv[i] = (host[i], time[i], cell[i])
+    return CompiledTrace(
+        n_hosts=cols.n_hosts,
+        n_mss=cols.n_mss,
+        sim_time=cols.sim_time,
+        n_events=cols.n_events,
+        n_sends=cols.n_sends,
+        n_receives=cols.n_receives,
+        etype=etype,
+        time=time,
+        host=host,
+        msg_id=cols.msg_id.tolist(),
+        peer=peer,
+        cell=cell,
+        slot=cols.slot.tolist(),
+        argv=argv,
+    )
 
 
 def compile_trace(trace: Trace) -> CompiledTrace:
     """Lower *trace* into :class:`CompiledTrace` columns.
+
+    A trace that already holds array columns (a disk hit) is lowered
+    from them by :func:`lower_columns`, without reading its events.
 
     Raises
     ------
@@ -166,6 +210,9 @@ def compile_trace(trace: Trace) -> CompiledTrace:
         same conditions :meth:`Trace.validate` rejects, caught here so
         an uncompilable trace never reaches the hot loop.
     """
+    arrays = trace.cached_lowering("_array_columns_cache")
+    if arrays is not None:
+        return lower_columns(arrays)
     n = len(trace.events)
     etype: list[int] = [0] * n
     time: list[float] = [0.0] * n

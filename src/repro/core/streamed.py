@@ -35,14 +35,13 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.core.compiled import (
-    DISCONNECT,
     FLOAT_DTYPE,
     INT_DTYPE,
-    INTERNAL,
     RECEIVE,
     SEND,
     ArrayColumns,
     CompiledTrace,
+    lower_columns,
 )
 from repro.core.trace import TraceError
 
@@ -148,58 +147,10 @@ class StreamedTrace:
         )
 
     def to_compiled(self) -> CompiledTrace:
-        """Rebuild the bit-identical ``CompiledTrace`` list form.
-
-        ``tolist()`` converts ``int64``/``float64`` back to the exact
-        python ints/floats ``compile_trace`` stored, and the ``argv``
-        tuples are reassembled per event type from the columns.
-        """
-        etype: list[int] = []
-        time: list[float] = []
-        host: list[int] = []
-        msg_id: list[int] = []
-        peer: list[int] = []
-        cell: list[int] = []
-        slot: list[int] = []
-        argv: list[tuple] = []
-        for block in self.blocks:
-            b_etype = block.etype.tolist()
-            b_time = block.time.tolist()
-            b_host = block.host.tolist()
-            b_peer = block.peer.tolist()
-            b_cell = block.cell.tolist()
-            etype.extend(b_etype)
-            time.extend(b_time)
-            host.extend(b_host)
-            msg_id.extend(block.msg_id.tolist())
-            peer.extend(b_peer)
-            cell.extend(b_cell)
-            slot.extend(block.slot.tolist())
-            for i, et in enumerate(b_etype):
-                if et == SEND or et == RECEIVE:
-                    argv.append((b_host[i], b_peer[i], b_time[i]))
-                elif et == DISCONNECT:
-                    argv.append((b_host[i], b_time[i]))
-                elif et == INTERNAL:
-                    argv.append(())
-                else:  # CELL_SWITCH / RECONNECT
-                    argv.append((b_host[i], b_time[i], b_cell[i]))
-        return CompiledTrace(
-            n_hosts=self.n_hosts,
-            n_mss=self.n_mss,
-            sim_time=self.sim_time,
-            n_events=self.n_events,
-            n_sends=self.n_sends,
-            n_receives=self.n_receives,
-            etype=etype,
-            time=time,
-            host=host,
-            msg_id=msg_id,
-            peer=peer,
-            cell=cell,
-            slot=slot,
-            argv=argv,
-        )
+        """Rebuild the bit-identical ``CompiledTrace`` list form (the
+        shared :func:`~repro.core.compiled.lower_columns` lowering of
+        :meth:`array_columns`)."""
+        return lower_columns(self.array_columns())
 
 
 class StreamingCompiler:

@@ -7,6 +7,13 @@ the protocol under study.  A :class:`Trace` captures that schedule once
 every protocol is then replayed over the *same* trace
 (:mod:`repro.core.replay`), giving pointwise-comparable checkpoint
 counts exactly like the paper's common-random-numbers simulation.
+
+A trace read back from disk is *column-backed*
+(:meth:`Trace.from_columns`): it carries the stored compiled columns
+and builds its :class:`TraceEvent` list only when something first
+reads ``events``.  The compiled lowerings start from the columns, so a
+cache hit replayed by the fused or vectorized engine never builds one
+event object.
 """
 
 from __future__ import annotations
@@ -81,31 +88,70 @@ class Trace:
     sim_time: float = 0.0
     meta: dict[str, Any] = field(default_factory=dict)
 
+    @classmethod
+    def from_columns(cls, columns, meta: dict[str, Any]) -> "Trace":
+        """A column-backed trace over *columns* (an
+        :class:`~repro.core.compiled.ArrayColumns`).
+
+        The columns become the trace's array lowering; ``events`` is
+        built from them on first access, so lowering and replay never
+        pay for event objects.
+        """
+        trace = cls.__new__(cls)
+        trace.n_hosts = columns.n_hosts
+        trace.n_mss = columns.n_mss
+        trace.sim_time = columns.sim_time
+        trace.meta = meta
+        trace._array_columns_cache = (columns.n_events, columns)
+        return trace
+
+    def __getattr__(self, name: str):
+        # Reached only when normal lookup fails: the ``events`` of a
+        # column-backed trace before anything read them.
+        cached = self.__dict__.get("_array_columns_cache")
+        if name != "events" or cached is None:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}"
+            )
+        cols = cached[1]
+        self.events = events_from_columns(
+            cols.time, cols.etype, cols.host, cols.msg_id, cols.peer, cols.cell
+        )
+        return self.events
+
     def __len__(self) -> int:
-        return len(self.events)
+        events = self.__dict__.get("events")
+        if events is None:
+            return self._array_columns_cache[1].n_events
+        return len(events)
 
     def __iter__(self) -> Iterator[TraceEvent]:
         return iter(self.events)
 
+    def cached_lowering(self, attr: str):
+        """The lowering cached under *attr*, or None when absent or
+        stale.
+
+        Lowerings are cached as ``(event count, value)`` and keyed on
+        the count: appending events invalidates them, but in-place event
+        *replacement* (which nothing in the codebase does -- traces are
+        effectively frozen once generated) would go unnoticed.
+        """
+        cached = self.__dict__.get(attr)
+        if cached is not None and cached[0] == len(self):
+            return cached[1]
+        return None
+
     # ------------------------------------------------------------------
     def compiled(self):
         """Structure-of-arrays view of this trace, compiled lazily and
-        cached on the instance (see :mod:`repro.core.compiled`).
+        cached on the instance (see :mod:`repro.core.compiled`)."""
+        from repro.core.compiled import compile_trace
 
-        The cache is keyed on ``len(self.events)``: appending events
-        triggers a recompile, but in-place event *replacement* (which
-        nothing in the codebase does -- traces are effectively frozen
-        once generated) would go unnoticed.
-        """
-        from repro.core.compiled import CompiledTrace, compile_trace
-
-        cached: Optional[tuple[int, CompiledTrace]] = getattr(
-            self, "_compiled_cache", None
-        )
-        if cached is not None and cached[0] == len(self.events):
-            return cached[1]
-        compiled = compile_trace(self)
-        self._compiled_cache = (len(self.events), compiled)
+        compiled = self.cached_lowering("_compiled_cache")
+        if compiled is None:
+            compiled = compile_trace(self)
+            self._compiled_cache = (len(self), compiled)
         return compiled
 
     # ------------------------------------------------------------------
@@ -178,7 +224,12 @@ class Trace:
 
     @property
     def n_sends(self) -> int:
-        """Number of SEND events."""
+        """Number of SEND events (read off a cached lowering when there
+        is one, so a column-backed trace builds no events)."""
+        for attr in ("_array_columns_cache", "_compiled_cache"):
+            lowered = self.cached_lowering(attr)
+            if lowered is not None:
+                return lowered.n_sends
         return self.count(EventType.SEND)
 
     @property
@@ -227,6 +278,33 @@ class Trace:
             sim_time=self.sim_time + other.sim_time,
             meta={**other.meta, **self.meta, "merged": True},
         )
+
+
+#: Event types by their integer code (a KeyError flags a bad code).
+_ETYPE_BY_CODE = {int(e): e for e in EventType}
+
+
+def events_from_columns(
+    time, etype, host, msg_id, peer, cell
+) -> list[TraceEvent]:
+    """The :class:`TraceEvent` list of six parallel numpy columns.
+
+    ``tolist()`` yields the exact python floats/ints that per-element
+    ``float()``/``int()`` would, at a fraction of the cost of touching
+    numpy scalars one by one.
+    """
+    by_code = _ETYPE_BY_CODE
+    return [
+        TraceEvent(t, by_code[e], h, m, p, c)
+        for t, e, h, m, p, c in zip(
+            time.tolist(),
+            etype.tolist(),
+            host.tolist(),
+            msg_id.tolist(),
+            peer.tolist(),
+            cell.tolist(),
+        )
+    ]
 
 
 def build_trace(

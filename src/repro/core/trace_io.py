@@ -10,6 +10,16 @@ Every file carries a SHA-256 digest over the event columns and header,
 so a truncated or bit-flipped file is detected at load time
 (:class:`TraceIntegrityError`) instead of silently replaying garbage --
 the trace cache relies on this to treat corrupt entries as misses.
+
+A format-v2 load is column-native: it decodes the stored columns,
+checks the digest and returns a column-backed trace
+(:meth:`~repro.core.trace.Trace.from_columns`) without building a
+single :class:`~repro.core.trace.TraceEvent`.  The columns are the
+trace's array lowering as they are, and :meth:`Trace.compiled` lowers
+from them; the event list is built from them only if something reads
+``trace.events`` (the reference engine, the consistency oracle,
+:meth:`Trace.validate`, ``==``), so a hit costs the ``np.load`` of the
+columns plus the digest.
 """
 
 from __future__ import annotations
@@ -24,7 +34,7 @@ from typing import Union
 import numpy as np
 
 from repro.core.compiled import FLOAT_DTYPE, INT_DTYPE, ArrayColumns
-from repro.core.trace import EventType, Trace, TraceEvent
+from repro.core.trace import EventType, Trace, events_from_columns
 
 #: Format version written into every file.  v2 stores the *compiled*
 #: columns (pinned ``int64``/``float64`` dtypes, plus the dense message
@@ -59,7 +69,7 @@ def _column_digest(header_json: str, columns) -> str:
     h = hashlib.sha256()
     h.update(header_json.encode("utf-8"))
     for arr in columns:
-        h.update(np.ascontiguousarray(arr).tobytes())
+        h.update(np.ascontiguousarray(arr).data)
     return h.hexdigest()
 
 
@@ -113,8 +123,11 @@ def load_trace(
 ) -> Trace:
     """Read a trace written by :func:`save_trace`.
 
-    Raises ``ValueError`` on unknown format versions; validates the
-    trace structurally unless ``validate=False``.  ``verify=True``
+    A format-v2 file yields a column-backed trace whose events are
+    built only when first read; a format-v1 file (no stored lowering)
+    builds them right away.  Raises ``ValueError`` on unknown format
+    versions; validates the trace structurally unless
+    ``validate=False`` (which builds the events).  ``verify=True``
     additionally recomputes the stored SHA-256 column digest and raises
     :class:`TraceIntegrityError` on mismatch (a file written before the
     digest existed raises the :class:`TraceDigestMissing` subclass so
@@ -161,63 +174,59 @@ def _load_trace_inner(path: Path, verify: bool) -> Trace:
                 f"(expected 1..{FORMAT_VERSION})"
             )
         names = _V2_COLUMNS if version >= 2 else _V1_COLUMNS
-        if verify:
-            if "digest" not in data.files:
-                raise TraceDigestMissing(
-                    f"trace file {path} has no stored digest (written "
-                    f"before checksums existed) and cannot be verified"
-                )
-            columns = tuple(data[name] for name in names)
-            stored = bytes(data["digest"]).decode("ascii")
-            computed = _column_digest(header_json, columns)
-            if stored != computed:
-                raise TraceIntegrityError(
-                    f"trace file {path} failed checksum verification "
-                    f"(stored {stored!r}, computed {computed[:16]}...)"
-                )
-        events = [
-            TraceEvent(
-                time=float(t),
-                etype=EventType(int(e)),
-                host=int(h),
-                msg_id=int(m),
-                peer=int(p),
-                cell=int(c),
+        columns = {name: data[name] for name in names}
+        stored = (
+            bytes(data["digest"]).decode("ascii")
+            if "digest" in data.files
+            else None
+        )
+    if verify:
+        if stored is None:
+            raise TraceDigestMissing(
+                f"trace file {path} has no stored digest (written "
+                f"before checksums existed) and cannot be verified"
             )
-            for t, e, h, m, p, c in zip(
-                data["time"],
-                data["etype"],
-                data["host"],
-                data["msg_id"],
-                data["peer"],
-                data["cell"],
+        computed = _column_digest(header_json, columns.values())
+        if stored != computed:
+            raise TraceIntegrityError(
+                f"trace file {path} failed checksum verification "
+                f"(stored {stored!r}, computed {computed[:16]}...)"
             )
-        ]
-        trace = Trace(
+    lengths = {len(columns[name]) for name in _V1_COLUMNS}
+    if len(lengths) > 1:
+        raise ValueError(f"event columns of unequal lengths {sorted(lengths)}")
+    etype = columns["etype"]
+    if len(etype) and (
+        etype.min() < min(EventType) or etype.max() > max(EventType)
+    ):
+        raise ValueError("unknown event type code in the etype column")
+    meta = dict(header["meta"])
+    if version < 2:
+        # No stored lowering: build the events now (the trace cache
+        # rewrites such entries at the current format).
+        return Trace(
             n_hosts=int(header["n_hosts"]),
             n_mss=int(header["n_mss"]),
-            events=events,
+            events=events_from_columns(*(columns[n] for n in _V1_COLUMNS)),
             sim_time=float(header["sim_time"]),
-            meta=dict(header["meta"]),
+            meta=meta,
         )
-        if version >= 2:
-            # The stored columns *are* the compiled arrays: seed the
-            # per-trace cache so the vectorized engine starts from them
-            # without re-lowering (or re-matching sends to receives).
-            cols = ArrayColumns(
-                n_hosts=trace.n_hosts,
-                n_mss=trace.n_mss,
-                sim_time=trace.sim_time,
-                n_events=len(events),
-                n_sends=int(header["n_sends"]),
-                n_receives=int(header["n_receives"]),
-                etype=np.asarray(data["etype"], dtype=INT_DTYPE),
-                time=np.asarray(data["time"], dtype=FLOAT_DTYPE),
-                host=np.asarray(data["host"], dtype=INT_DTYPE),
-                msg_id=np.asarray(data["msg_id"], dtype=INT_DTYPE),
-                peer=np.asarray(data["peer"], dtype=INT_DTYPE),
-                cell=np.asarray(data["cell"], dtype=INT_DTYPE),
-                slot=np.asarray(data["slot"], dtype=INT_DTYPE),
+    # The stored columns *are* the compiled arrays: the trace is backed
+    # by them, so the fused and vectorized engines lower from them (or
+    # use them as they are) and no TraceEvent is built unless asked for.
+    cols = ArrayColumns(
+        n_hosts=int(header["n_hosts"]),
+        n_mss=int(header["n_mss"]),
+        sim_time=float(header["sim_time"]),
+        n_events=len(etype),
+        n_sends=int(header["n_sends"]),
+        n_receives=int(header["n_receives"]),
+        **{
+            name: np.asarray(
+                columns[name],
+                dtype=FLOAT_DTYPE if name == "time" else INT_DTYPE,
             )
-            trace._array_columns_cache = (len(events), cols)
-    return trace
+            for name in names
+        },
+    )
+    return Trace.from_columns(cols, meta)

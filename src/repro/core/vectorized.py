@@ -378,11 +378,10 @@ class VectorizedTrace:
 def vectorized_trace(trace: Trace) -> VectorizedTrace:
     """Single-block :class:`VectorizedTrace` of *trace*, cached on the
     instance like :meth:`Trace.compiled` (keyed on the event count)."""
-    cached = getattr(trace, "_vectorized_cache", None)
-    if cached is not None and cached[0] == len(trace.events):
-        return cached[1]
-    vt = VectorizedTrace.from_traces([trace])
-    trace._vectorized_cache = (len(trace.events), vt)
+    vt = trace.cached_lowering("_vectorized_cache")
+    if vt is None:
+        vt = VectorizedTrace.from_traces([trace])
+        trace._vectorized_cache = (len(trace), vt)
     return vt
 
 

@@ -18,6 +18,11 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+# numpy loads its random package on first attribute access; load it
+# with this module, so the first trace generated does not pay for it
+# (extension modules, plus the hmac/secrets imports it pulls in).
+import numpy.random  # noqa: F401
+
 
 def _key_to_int(key: str) -> int:
     """Stable 32-bit hash of a stream name (crc32; Python's ``hash`` is

@@ -191,7 +191,7 @@ class TelemetryObserver(MetricsObserver):
             trace_source=self._trace_source,
             cache_hit=self._trace_source in ("memory", "disk"),
             n_events=len(trace) if trace is not None else 0,
-            n_sends=trace.compiled().n_sends if trace is not None else 0,
+            n_sends=trace.n_sends if trace is not None else 0,
             pid=os.getpid(),
             counters=dict(self.counters),
             n_violations=len(result.violations),

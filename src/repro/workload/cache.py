@@ -22,7 +22,11 @@ Two tiers:
 * an optional on-disk store (one ``<key>.npz`` per trace via
   :mod:`repro.core.trace_io`) shared between processes and sessions --
   this is what makes the parallel sweep's worker processes and repeated
-  CLI invocations hit instead of regenerate.
+  CLI invocations hit instead of regenerate.  A disk hit decodes the
+  stored columns and checks their digest; it returns a column-backed
+  trace that the fused and vectorized engines replay without building
+  per-event objects, so it costs milliseconds where generating the
+  trace costs hundreds.
 
 Disk writes are atomic (tmp file + :func:`os.replace`), so concurrent
 sweep workers racing on the same key at worst both generate and one
@@ -113,7 +117,9 @@ class TraceCache:
         disk tier alone).
     disk_dir:
         Directory for the persistent ``<key>.npz`` tier; created on
-        first write.  None disables the disk tier.
+        first write.  None disables the disk tier.  A hit there is
+        digest-checked and column-backed: its events are built only if
+        a caller reads ``trace.events``.
     """
 
     def __init__(

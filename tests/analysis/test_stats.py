@@ -61,3 +61,31 @@ def test_confidence_interval_wider_at_higher_confidence():
 def test_confidence_validation():
     with pytest.raises(ValueError):
         confidence_interval([1.0, 2.0], confidence=1.5)
+
+
+def test_sweep_imports_leave_scipy_unloaded():
+    """scipy.stats costs about a second to import; only
+    confidence_interval needs it, so a sweep must not pay for it."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    src = str(Path(repro.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    code = (
+        "import sys, repro.engine, repro.experiments.runner; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env=env,
+        timeout=120,
+    )
+    assert out.stdout.strip() == "[]"

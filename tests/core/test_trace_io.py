@@ -1,13 +1,25 @@
 """Tests for trace serialization (repro.core.trace_io)."""
 
+import json
+import pickle
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
 
-from repro.core.replay import replay
+from repro.core import trace as trace_mod
+from repro.core import trace_io
+from repro.core.compiled import array_columns, compile_trace
+from repro.core.replay import replay, replay_fused, replay_vectorized
 from repro.core.trace import EventType, build_trace
 from repro.core.trace_io import load_trace, save_trace
+from repro.engine import RunSpec, TelemetryObserver, execute
 from repro.protocols import QBCProtocol
-from repro.workload import WorkloadConfig, generate_trace
+from repro.protocols.base import registry
+from repro.testing.strategies import traces
+from repro.workload import TraceCache, WorkloadConfig, config_key, generate_trace
+from repro.workload import cache as cache_mod
 
 
 def test_roundtrip_preserves_everything(tmp_path):
@@ -115,3 +127,290 @@ def test_load_validates_by_default(tmp_path):
         load_trace(path)
     loaded = load_trace(path, validate=False)
     assert len(loaded) == 1
+
+
+# -- column-backed disk hits: a loaded trace is the generated one ----------
+
+PAPER_PROTOCOLS = ("TP", "BCS", "QBC")
+
+#: Generated traces covering both switch regimes and disconnections.
+GENERATED = (
+    WorkloadConfig(sim_time=400.0, seed=3, t_switch=100.0, p_switch=0.8),
+    WorkloadConfig(sim_time=400.0, seed=5, t_switch=1000.0, p_switch=1.0),
+    WorkloadConfig(
+        sim_time=400.0, seed=9, t_switch=100.0, p_switch=0.8, heterogeneity=0.5
+    ),
+)
+
+#: Every event type, INTERNAL included (the driver never records one).
+ALL_TYPES = build_trace(
+    3,
+    2,
+    [
+        (0.5, EventType.INTERNAL, 2),
+        (1.0, EventType.SEND, 0, 7, 1),
+        (2.0, EventType.CELL_SWITCH, 2, -1, 0, 1),
+        (3.0, EventType.RECEIVE, 1, 7, 0),
+        (4.0, EventType.DISCONNECT, 0),
+        (5.0, EventType.INTERNAL, 1),
+        (6.0, EventType.RECONNECT, 0, -1, -1, 1),
+    ],
+    sim_time=8.0,
+)
+
+
+def _fresh_copy(trace):
+    """*trace* without the lowerings a save caches on it."""
+    return type(trace)(
+        n_hosts=trace.n_hosts,
+        n_mss=trace.n_mss,
+        events=list(trace.events),
+        sim_time=trace.sim_time,
+        meta=dict(trace.meta),
+    )
+
+
+def _roundtrip(trace, tmp_path):
+    path = tmp_path / "t.npz"
+    save_trace(trace, path)
+    return _fresh_copy(trace), load_trace(path, validate=False, verify=True)
+
+
+def _types(compiled):
+    return {
+        name: [type(v) for v in getattr(compiled, name)]
+        for name in ("etype", "time", "host", "msg_id", "peer", "cell", "slot")
+    } | {"argv": [tuple(map(type, a)) for a in compiled.argv]}
+
+
+def _counters(trace, engine):
+    instances = [registry[n](trace.n_hosts, trace.n_mss) for n in PAPER_PROTOCOLS]
+    if engine == "reference":
+        return [replay(trace, p).protocol.counter_signature() for p in instances]
+    run = replay_fused if engine == "fused" else replay_vectorized
+    return [r.protocol.counter_signature() for r in run(trace, instances)]
+
+
+def _assert_equivalent(generated, loaded):
+    assert "events" not in vars(loaded)  # column-backed until read
+    assert len(loaded) == len(generated)
+
+    ct, ref = loaded.compiled(), compile_trace(generated)
+    assert "events" not in vars(loaded)  # lowered from the columns
+    assert ct == ref and ct.argv == ref.argv
+    assert _types(ct) == _types(ref)
+
+    cols, fresh = array_columns(loaded), array_columns(generated)
+    for name in ("time", "etype", "host", "msg_id", "peer", "cell", "slot"):
+        a, b = getattr(cols, name), getattr(fresh, name)
+        assert a.dtype == b.dtype, name
+        np.testing.assert_array_equal(a, b, err_msg=name)
+    assert (cols.n_events, cols.n_sends, cols.n_receives) == (
+        fresh.n_events,
+        fresh.n_sends,
+        fresh.n_receives,
+    )
+    assert loaded.n_sends == generated.n_sends
+
+    for engine in ("fused", "vectorized"):
+        assert _counters(loaded, engine) == _counters(generated, engine), engine
+    assert "events" not in vars(loaded)
+
+    # A pickle round-trip before the events exist still rebuilds them.
+    unpickled = pickle.loads(pickle.dumps(loaded))
+    assert unpickled == generated and unpickled.events == generated.events
+
+    assert _counters(loaded, "reference") == _counters(generated, "reference")
+    assert loaded.events == generated.events
+    assert all(
+        type(a.time) is float and type(a.etype) is EventType
+        for a in loaded.events
+    )
+    assert loaded == generated and generated == loaded
+    assert pickle.loads(pickle.dumps(loaded)) == generated
+    assert loaded.validate() is loaded
+
+
+@pytest.mark.parametrize("cfg", GENERATED, ids=lambda c: f"seed{c.seed}")
+def test_loaded_generated_trace_matches_exactly(cfg, tmp_path):
+    _assert_equivalent(*_roundtrip(generate_trace(cfg), tmp_path))
+
+
+def test_loaded_trace_with_every_event_type_matches(tmp_path):
+    generated, loaded = _roundtrip(ALL_TYPES, tmp_path)
+    _assert_equivalent(generated, loaded)
+    assert loaded.compiled().argv[:5] == [
+        (), (0, 1, 1.0), (2, 2.0, 1), (1, 0, 3.0), (0, 4.0)
+    ]
+
+
+@settings(
+    max_examples=40,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(trace=traces(max_ops=60))
+def test_loaded_hypothesis_trace_matches_exactly(trace, tmp_path):
+    _assert_equivalent(*_roundtrip(trace, tmp_path))
+
+
+def test_column_backed_trace_builds_events_once(tmp_path, monkeypatch):
+    _, loaded = _roundtrip(generate_trace(GENERATED[0]), tmp_path)
+    calls = []
+    real = trace_mod.events_from_columns
+
+    def counting(*columns):
+        calls.append(1)
+        return real(*columns)
+
+    monkeypatch.setattr(trace_mod, "events_from_columns", counting)
+    first = loaded.events
+    assert loaded.events is first and list(loaded) == first
+    assert len(calls) == 1
+    with pytest.raises(AttributeError):
+        loaded.no_such_attribute
+
+
+def _bad_etype(arrays):
+    arrays["etype"] = arrays["etype"].copy()
+    arrays["etype"][0] = 9
+
+
+def _short_host(arrays):
+    arrays["host"] = arrays["host"][:-1]
+
+
+@pytest.mark.parametrize("damage", [_bad_etype, _short_host])
+def test_undecodable_columns_are_an_integrity_error(tmp_path, damage):
+    """Unverified columns are still checked for what the events need:
+    known type codes and one length."""
+    path = tmp_path / "t.npz"
+    save_trace(ALL_TYPES, path)
+    with np.load(path) as data:
+        arrays = {k: data[k] for k in data.files if k != "digest"}
+    damage(arrays)
+    np.savez(path, **arrays)
+    with pytest.raises(trace_io.TraceIntegrityError):
+        load_trace(path, validate=False)
+
+
+# -- the engines on a real disk hit ----------------------------------------
+
+
+@pytest.fixture
+def disk_hit(tmp_path):
+    """A workload whose trace sits in a fresh disk cache only."""
+    cfg = GENERATED[0]
+    TraceCache(disk_dir=tmp_path).get_or_generate(cfg)
+    yield cfg, str(tmp_path)
+    cache_mod._shared.pop(str(Path(str(tmp_path)).resolve()), None)
+
+
+def _forbid_events(monkeypatch):
+    def fail(*columns):
+        raise AssertionError("a disk hit built its TraceEvent list")
+
+    monkeypatch.setattr(trace_mod, "events_from_columns", fail)
+
+
+def test_fused_execute_on_disk_hit_never_builds_events(disk_hit, monkeypatch):
+    cfg, cache_dir = disk_hit
+    _forbid_events(monkeypatch)
+    telemetry = TelemetryObserver()
+    result = execute(
+        RunSpec(
+            protocols=PAPER_PROTOCOLS,
+            workload=cfg,
+            engine="fused",
+            counters_only=True,
+            use_cache=True,
+            cache_dir=cache_dir,
+            observers=(telemetry,),
+        )
+    )
+    assert result.trace_source == "disk"
+    assert "events" not in vars(result.trace)
+    monkeypatch.undo()
+    expected = execute(
+        RunSpec(protocols=PAPER_PROTOCOLS, workload=cfg, engine="reference")
+    )
+    assert [o.protocol.counter_signature() for o in result.outcomes] == [
+        o.protocol.counter_signature() for o in expected.outcomes
+    ]
+    assert telemetry.record.n_events == len(expected.trace)
+    assert telemetry.record.n_sends == expected.trace.n_sends
+
+
+def test_vectorized_run_on_disk_hit_skips_list_lowering(disk_hit, monkeypatch):
+    cfg, cache_dir = disk_hit
+    _forbid_events(monkeypatch)
+    telemetry = TelemetryObserver()
+    result = execute(
+        RunSpec(
+            protocols=PAPER_PROTOCOLS,
+            workload=cfg,
+            engine="vectorized",
+            counters_only=True,
+            use_cache=True,
+            cache_dir=cache_dir,
+            observers=(telemetry,),
+        )
+    )
+    assert result.trace_source == "disk"
+    # Telemetry read the send count off the array columns.
+    assert not hasattr(result.trace, "_compiled_cache")
+    assert telemetry.record.n_sends == array_columns(result.trace).n_sends > 0
+
+
+# -- legacy files still load and upgrade -----------------------------------
+
+
+def _rewrite(path, *, version, digest):
+    """Rewrite an npz trace as format *version*, with or without a
+    (consistent) digest."""
+    with np.load(path) as data:
+        arrays = {k: data[k] for k in data.files if k != "digest"}
+    header = json.loads(bytes(arrays.pop("header")).decode("utf-8"))
+    names = trace_io._V2_COLUMNS
+    if version == 1:
+        header["format_version"] = 1
+        del header["n_sends"], header["n_receives"], arrays["slot"]
+        names = trace_io._V1_COLUMNS
+    header_json = json.dumps(header)
+    extra = {}
+    if digest:
+        value = trace_io._column_digest(header_json, [arrays[n] for n in names])
+        extra["digest"] = np.frombuffer(value.encode("ascii"), dtype=np.uint8)
+    np.savez_compressed(
+        path,
+        header=np.frombuffer(header_json.encode("utf-8"), dtype=np.uint8),
+        **arrays,
+        **extra,
+    )
+
+
+@pytest.mark.parametrize(
+    "version,digest", [(1, True), (1, False), (2, False)], ids=str
+)
+def test_legacy_files_load_and_upgrade(tmp_path, version, digest):
+    cfg = GENERATED[1]
+    original = TraceCache(disk_dir=tmp_path).get_or_generate(cfg)
+    path = tmp_path / f"{config_key(cfg)}.npz"
+    _rewrite(path, version=version, digest=digest)
+
+    direct = load_trace(path)
+    assert direct == original
+    if version == 1:  # no stored lowering: events built eagerly
+        assert "events" in vars(direct)
+        assert not hasattr(direct, "_array_columns_cache")
+    assert direct.compiled() == compile_trace(_fresh_copy(original))
+
+    reader = TraceCache(disk_dir=tmp_path)
+    loaded = reader.get_or_generate(cfg)
+    assert reader.stats()["legacy_upgrades"] == 1
+    assert reader.stats()["disk_hits"] == 1
+    assert loaded == original
+
+    again = TraceCache(disk_dir=tmp_path).get_or_generate(cfg)
+    assert "events" not in vars(again)  # upgraded: a column-backed hit
+    assert again == original

@@ -94,10 +94,13 @@ def test_any_byte_truncation_loads_exactly_the_intact_cells(
     # Map the drawn cut into [header_end, len(blob)]: header integrity
     # is a separate (non-truncation) contract tested elsewhere.
     cut = header_end + cut % (len(blob) - header_end + 1)
+    # A line is intact once its JSON is: a final line that lost only
+    # its newline loads (SweepJournal.open terminates it before the
+    # next append), so the line's last byte before "\n" is its end.
     expected = {
         key
         for end, key in _CACHE["offsets"]
-        if key is not None and end <= cut
+        if key is not None and end - 1 <= cut
     }
     path = str(tmp_path_factory.mktemp("cut") / "sweep.jsonl")
     with open(path, "wb") as fh:

@@ -207,3 +207,35 @@ def test_paper_scenarios_cover_six_figures():
     assert sorted(scenarios) == [1, 2, 3, 4, 5, 6]
     assert scenarios[1]["p_switch"] == 1.0
     assert scenarios[6]["heterogeneity"] == 0.3
+
+
+def test_first_trace_loads_no_numpy_module():
+    """numpy loads numpy.random on first use; the first trace a fresh
+    process generates must not pay for that load (a sweep's first
+    timed cell would), so importing the workload package loads it."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    src = str(Path(repro.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    code = (
+        "import sys; from repro.workload import WorkloadConfig, generate_trace; "
+        "before = set(sys.modules); "
+        "generate_trace(WorkloadConfig(sim_time=50.0, seed=1)); "
+        "print(sorted(m for m in set(sys.modules) - before "
+        "if m.split('.')[0] == 'numpy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env=env,
+        timeout=120,
+    )
+    assert out.stdout.strip() == "[]"
