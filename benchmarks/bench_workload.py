@@ -169,8 +169,14 @@ def test_generate_streamed_matches_and_records():
     """Driver-level identity on a real (small) simulation + bookkeeping."""
     cfg = WorkloadConfig(sim_time=500.0).validate()
     streamed = generate_streamed(cfg)
-    compiled = compile_trace(generate_trace(cfg))
-    assert streamed.to_compiled() == compiled
+    trace = generate_trace(cfg)
+    events = Trace(
+        n_hosts=trace.n_hosts,
+        n_mss=trace.n_mss,
+        events=list(trace.events),
+        sim_time=trace.sim_time,
+    )
+    assert streamed.to_compiled() == compile_trace(events)
     _record(
         "generate_streamed_identity",
         {"sim_time": cfg.sim_time, "n_events": streamed.n_events, "ok": True},

@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.core.recovery_online import RecoveryPlan, plan_recovery
-from repro.core.trace import EventType, TraceEvent
 from repro.protocols.base import CheckpointingProtocol
 from repro.workload.config import WorkloadConfig
 from repro.workload.driver import _Driver
@@ -105,16 +104,11 @@ class _FailureDriver(_Driver):
         self.result = FailureRunResult(protocol=protocol)
 
     # -- epoch-tagged application traffic ---------------------------------
-    def _do_send(self, host: int) -> None:
-        before = len(self.events)
-        super()._do_send(host)
-        if len(self.events) > before:  # a send actually happened
-            # tag the just-sent message with the current epoch
-            sent_ev = self.events[-1]
-            assert sent_ev.etype is EventType.SEND
-            # the Message object is reachable via the piggyback dict the
-            # driver attached; stash the epoch alongside it
-            self._epoch_of_msg[sent_ev.msg_id] = self._epoch
+    def _do_send(self, host: int):
+        msg = super()._do_send(host)
+        if msg is not None:  # a send actually happened: tag its epoch
+            self._epoch_of_msg[msg.msg_id] = self._epoch
+        return msg
 
     def _consume(self, host: int, msg) -> None:
         if self._epoch_of_msg.get(msg.msg_id, 0) != self._epoch:
@@ -157,8 +151,8 @@ class _FailureDriver(_Driver):
         self._epoch += 1
         # queued-but-unconsumed messages are part of the undone past
         for h in self.system.hosts:
-            self.result.stale_messages_dropped += len(h.inbox.items)
-            h.inbox.items.clear()
+            self.result.stale_messages_dropped += len(h.inbox)
+            h.inbox.clear()
         until = now + plan.recovery_time
         for h in range(self.config.n_hosts):
             self._resume_after[h] = max(self._resume_after[h], until)
@@ -190,8 +184,8 @@ class _FailureDriver(_Driver):
         """Run the workload with the crash process armed."""
         self._schedule_failure()
         self.run()
-        self.result.n_sends = self.n_sends
-        self.result.n_receives = self.n_receives
+        self.result.n_sends = self.compiler.n_sends
+        self.result.n_receives = self.compiler.n_receives
         self.result.sim_time = self.config.sim_time
         return self.result
 

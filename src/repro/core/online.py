@@ -228,7 +228,7 @@ class _CoordinatedDriver(_Driver):
             control_messages=self.coordination_messages,
             location_lookups=self.location_lookups,
             blocked_time=self.blocked_time,
-            n_sends=self.n_sends,
+            n_sends=self.compiler.n_sends,
             sim_time=self.config.sim_time,
         )
 

@@ -1,14 +1,10 @@
 """Streaming trace compilation: SoA blocks built incrementally.
 
-:func:`~repro.core.compiled.compile_trace` needs the whole event list
-in memory first -- a :class:`~repro.core.trace.TraceEvent` dataclass
-per event (~300 bytes with object headers) before any column exists.
-That caps trace size at RAM, which the scenario registry's large
-workloads (millions of hosts, long horizons) blow through.
-
-:class:`StreamingCompiler` accepts events one at a time, stages them in
-plain python lists and flushes a :class:`CompiledBlock` of numpy
-columns every ``block_events`` events.  Block *storage* uses the
+:class:`StreamingCompiler` is where the workload driver writes its
+trace: it accepts events one at a time as ``(time, etype, host,
+msg_id, peer, cell)`` rows, stages them in plain python lists and
+flushes a :class:`CompiledBlock` of numpy columns every
+``block_events`` events.  Block *storage* uses the
 narrowest lossless dtypes (``int8`` event types, ``int32`` host / peer
 / cell / slot ids, ``int64`` message ids, ``float64`` times -- 33
 bytes per event); the lowerings (:meth:`StreamedTrace.array_columns`,
@@ -16,17 +12,19 @@ bytes per event); the lowerings (:meth:`StreamedTrace.array_columns`,
 ``int64``/``float64``, which is exact because every stored value is an
 integer in range (numpy raises ``OverflowError`` rather than wrap if a
 feed ever exceeds a column's range).  Peak *staging* memory is
-O(``block_events``) python objects; the total output is the compact
+O(``block_events``) python values; the total output is the compact
 numpy blocks.  Slot assignment and validation are the same as
-``compile_trace`` -- the same ``open_sends`` matching, the same
-:class:`~repro.core.trace.TraceError` messages -- and
-:meth:`StreamedTrace.to_compiled` reconstructs a **bit-identical**
-:class:`~repro.core.compiled.CompiledTrace` (``argv`` tuples included),
-which CI gates against the materialized path.
+:func:`~repro.core.compiled.compile_trace` -- the same ``open_sends``
+matching, the same :class:`~repro.core.trace.TraceError` messages --
+and :meth:`StreamedTrace.to_compiled` reconstructs a **bit-identical**
+:class:`~repro.core.compiled.CompiledTrace` (``argv`` tuples included)
+of the same events held as a :class:`~repro.core.trace.TraceEvent`
+list, which the tests gate.
 
-The driver side is :func:`repro.workload.driver.generate_streamed`,
-which feeds the simulation's events here instead of growing
-``Trace.events``.
+:func:`repro.workload.driver.generate_trace` concatenates the blocks
+into the column-backed trace it returns;
+:func:`repro.workload.driver.generate_streamed` returns them as they
+are.
 """
 
 from __future__ import annotations
@@ -47,8 +45,6 @@ from repro.core.trace import TraceError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     import numpy as np
-
-    from repro.core.trace import TraceEvent
 
 #: Default events per flushed block: large enough that numpy conversion
 #: amortizes, small enough that staging stays a few MB.
@@ -164,8 +160,8 @@ class StreamingCompiler:
     Usage::
 
         compiler = StreamingCompiler(n_hosts=10, n_mss=5, sim_time=1e5)
-        for event in source:
-            compiler.feed_event(event)
+        for time, etype, host, msg_id, peer, cell in source:
+            compiler.feed(time, etype, host, msg_id, peer, cell)
         streamed = compiler.finish()
     """
 
@@ -211,15 +207,14 @@ class StreamingCompiler:
         """Compile one event (field order mirrors ``TraceEvent``)."""
         if self._finished:
             raise TraceError("StreamingCompiler already finished")
-        et = int(etype)
         slot = -1
-        if et == SEND:
+        if etype == SEND:
             if msg_id in self._open_sends:
                 raise TraceError(f"duplicate send of msg {msg_id}")
             slot = self.n_sends
             self._open_sends[msg_id] = slot
             self.n_sends += 1
-        elif et == RECEIVE:
+        elif etype == RECEIVE:
             try:
                 slot = self._open_sends.pop(msg_id)
             except KeyError:
@@ -228,7 +223,7 @@ class StreamingCompiler:
                     "was already consumed (validate() the trace first)"
                 ) from None
             self.n_receives += 1
-        self._etype.append(et)
+        self._etype.append(etype)
         self._time.append(time)
         self._host.append(host)
         self._msg_id.append(msg_id)
@@ -238,17 +233,6 @@ class StreamingCompiler:
         self.n_events += 1
         if len(self._etype) >= self.block_events:
             self._flush()
-
-    def feed_event(self, event: "TraceEvent") -> None:
-        """Compile one :class:`~repro.core.trace.TraceEvent`."""
-        self.feed(
-            event.time,
-            event.etype,
-            event.host,
-            event.msg_id,
-            event.peer,
-            event.cell,
-        )
 
     def _flush(self) -> None:
         if not self._etype:

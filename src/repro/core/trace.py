@@ -219,17 +219,17 @@ class Trace:
     # summary statistics
     # ------------------------------------------------------------------
     def count(self, etype: EventType) -> int:
-        """Number of events of the given type."""
+        """Number of events of the given type (read off the array
+        columns when the trace has them, so a column-backed trace
+        builds no events)."""
+        cols = self.cached_lowering("_array_columns_cache")
+        if cols is not None:
+            return int((cols.etype == etype).sum())
         return sum(1 for ev in self.events if ev.etype is etype)
 
     @property
     def n_sends(self) -> int:
-        """Number of SEND events (read off a cached lowering when there
-        is one, so a column-backed trace builds no events)."""
-        for attr in ("_array_columns_cache", "_compiled_cache"):
-            lowered = self.cached_lowering(attr)
-            if lowered is not None:
-                return lowered.n_sends
+        """Number of SEND events."""
         return self.count(EventType.SEND)
 
     @property

@@ -1,54 +1,18 @@
-"""Discrete-event simulation engine.
+"""Discrete-event simulation substrate.
 
-A lean, deterministic, heap-scheduled DES kernel in the style of SimPy
-(which is not available offline).  It provides:
-
-* :class:`~repro.des.core.Environment` -- the simulation clock and event
-  loop.
-* :class:`~repro.des.events.Event`, :class:`~repro.des.events.Timeout`,
-  condition events (:func:`~repro.des.events.all_of`,
-  :func:`~repro.des.events.any_of`).
-* :class:`~repro.des.process.Process` -- generator-coroutine processes
-  with interrupt support.
-* :class:`~repro.des.resources.Resource` and
-  :class:`~repro.des.resources.Store` -- shared-resource primitives used
-  by the network substrate.
+* :class:`~repro.des.core.Environment` -- the simulation clock and a
+  heap of ``(time, seq, fn)`` callbacks.  The workload driver, the
+  channels and the host inboxes schedule all their work with
+  ``call_later``.
 * :class:`~repro.des.rng.RandomStreams` -- reproducible named random
   substreams built on :class:`numpy.random.SeedSequence`.
 
-Determinism contract: events scheduled for the same simulation time fire
-in (priority, insertion-order) order, so a seeded simulation replays
+Determinism contract: callbacks due at the same simulation time run in
+the order they were scheduled, so a seeded simulation replays
 identically across runs and platforms.
 """
 
-from repro.des.core import Environment, StopSimulation
-from repro.des.events import (
-    AllOf,
-    AnyOf,
-    Event,
-    EventAlreadyTriggered,
-    Interrupt,
-    Timeout,
-    all_of,
-    any_of,
-)
-from repro.des.process import Process
-from repro.des.resources import Resource, Store
+from repro.des.core import Environment
 from repro.des.rng import RandomStreams
 
-__all__ = [
-    "AllOf",
-    "AnyOf",
-    "Environment",
-    "Event",
-    "EventAlreadyTriggered",
-    "Interrupt",
-    "Process",
-    "RandomStreams",
-    "Resource",
-    "StopSimulation",
-    "Store",
-    "Timeout",
-    "all_of",
-    "any_of",
-]
+__all__ = ["Environment", "RandomStreams"]

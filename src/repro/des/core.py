@@ -1,206 +1,60 @@
 """Simulation clock and event loop.
 
-The :class:`Environment` owns a binary-heap agenda of pending events.
-Each agenda entry is a ``(time, priority, seq, event)`` tuple; ``seq`` is
-a monotonically increasing tie-breaker, so same-time/same-priority events
-fire in insertion order.  That total order is what makes seeded runs
+The :class:`Environment` keeps a binary heap of ``(time, seq, fn)``
+callbacks.  ``seq`` grows with every :meth:`~Environment.call_later`,
+so callbacks due at the same time run in the order they were
+scheduled.  That total order is what makes seeded runs
 bit-reproducible.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
-    from repro.des.events import Event
-    from repro.des.process import Process
-
-#: Default scheduling priority.  Lower fires first at equal times.
-PRIORITY_NORMAL = 1
-#: Priority used for "urgent" bookkeeping events (e.g. process resumption).
-PRIORITY_URGENT = 0
-
-
-class StopSimulation(Exception):
-    """Raised inside a callback to halt :meth:`Environment.run` early.
-
-    The event loop catches it, leaves remaining agenda entries in place
-    (so :meth:`Environment.peek` still works) and returns the carried
-    ``value`` from :meth:`Environment.run`.
-    """
-
-    def __init__(self, value: Any = None):
-        super().__init__(value)
-        self.value = value
+from typing import Callable, Optional
 
 
 class Environment:
-    """A discrete-event simulation environment.
-
-    Parameters
-    ----------
-    initial_time:
-        Starting value of the simulation clock (default ``0.0``).
+    """A discrete-event simulation clock with a callback agenda.
 
     Examples
     --------
     >>> env = Environment()
     >>> fired = []
-    >>> t = env.timeout(5.0)
-    >>> _ = t.add_callback(lambda ev: fired.append(env.now))
+    >>> env.call_later(5.0, lambda: fired.append(env.now))
     >>> env.run()
     >>> fired
     [5.0]
     """
 
-    __slots__ = ("_now", "_queue", "_seq", "_active_process", "event_count")
+    __slots__ = ("now", "_queue", "_seq")
 
     def __init__(self, initial_time: float = 0.0):
-        self._now: float = float(initial_time)
-        self._queue: list[tuple[float, int, int, "Event"]] = []
-        self._seq: int = 0
-        self._active_process: Optional["Process"] = None
-        #: Number of events processed so far (diagnostic / benchmark aid).
-        self.event_count: int = 0
+        #: Current simulation time.
+        self.now: float = float(initial_time)
+        self._queue: list[tuple[float, int, Callable[[], object]]] = []
+        self._seq = 0
 
-    # ------------------------------------------------------------------
-    # clock & agenda
-    # ------------------------------------------------------------------
-    @property
-    def now(self) -> float:
-        """Current simulation time."""
-        return self._now
-
-    @property
-    def active_process(self) -> Optional["Process"]:
-        """The process whose generator is currently executing, if any."""
-        return self._active_process
-
-    def schedule(
-        self,
-        event: "Event",
-        delay: float = 0.0,
-        priority: int = PRIORITY_NORMAL,
-    ) -> "Event":
-        """Place *event* on the agenda ``delay`` time units from now."""
+    def call_later(self, delay: float, fn: Callable[[], object]) -> None:
+        """Run ``fn()`` *delay* time units from now (after every callback
+        already due at that time)."""
         if delay < 0:
             raise ValueError(f"negative delay {delay!r}")
         self._seq += 1
-        event._scheduled_at = self._now + delay
-        heapq.heappush(self._queue, (self._now + delay, priority, self._seq, event))
-        return event
+        heapq.heappush(self._queue, (self.now + delay, self._seq, fn))
 
-    def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if none."""
-        return self._queue[0][0] if self._queue else float("inf")
+    def run(self, until: Optional[float] = None) -> None:
+        """Run callbacks until the agenda empties, or until the next one
+        is due after *until*; the clock then reads exactly *until*.
 
-    # ------------------------------------------------------------------
-    # event factories (convenience, mirrors simpy)
-    # ------------------------------------------------------------------
-    def event(self) -> "Event":
-        """Create a fresh, untriggered :class:`Event` bound to this env."""
-        from repro.des.events import Event
-
-        return Event(self)
-
-    def timeout(self, delay: float, value: Any = None) -> "Event":
-        """Create and schedule a :class:`Timeout` firing after *delay*."""
-        from repro.des.events import Timeout
-
-        return Timeout(self, delay, value)
-
-    def process(self, generator) -> "Process":
-        """Spawn a generator-coroutine :class:`Process`."""
-        from repro.des.process import Process
-
-        return Process(self, generator)
-
-    def call_at(
-        self, when: float, fn: Callable[[], Any], priority: int = PRIORITY_NORMAL
-    ) -> "Event":
-        """Invoke ``fn()`` at absolute simulation time *when*."""
-        if when < self._now:
-            raise ValueError(f"call_at({when}) is in the past (now={self._now})")
-        return self.call_later(when - self._now, fn, priority=priority)
-
-    def call_later(
-        self, delay: float, fn: Callable[[], Any], priority: int = PRIORITY_NORMAL
-    ) -> "Event":
-        """Invoke ``fn()`` after *delay* time units.
-
-        Uses a lightweight direct-callback event: profiling showed the
-        generic Timeout + wrapper-lambda path dominating large runs
-        (~80k events per 4k simulated time units).
+        An exception raised by a callback propagates out of ``run``.
         """
-        from repro.des.events import FunctionCall
-
-        return FunctionCall(self, delay, fn, priority)
-
-    # ------------------------------------------------------------------
-    # main loop
-    # ------------------------------------------------------------------
-    def step(self) -> None:
-        """Process the single next agenda entry.
-
-        Raises
-        ------
-        IndexError
-            If the agenda is empty.
-        """
-        when, _prio, _seq, event = heapq.heappop(self._queue)
-        self._now = when
-        self.event_count += 1
-        event._fire()
-
-    def run(self, until: Optional[float] = None) -> Any:
-        """Run until the agenda empties or the clock passes *until*.
-
-        If a callback raises :class:`StopSimulation`, its carried value is
-        returned.  When *until* is given the clock is advanced exactly to
-        *until* on normal termination, so ``env.now == until`` afterwards.
-        """
-        try:
-            if until is None:
-                while self._queue:
-                    self.step()
-            else:
-                limit = float(until)
-                if limit < self._now:
-                    raise ValueError(
-                        f"until={limit} is in the past (now={self._now})"
-                    )
-                while self._queue and self._queue[0][0] <= limit:
-                    self.step()
-                self._now = limit
-        except StopSimulation as stop:
-            return stop.value
-        return None
-
-    def run_until_event(self, event: "Event") -> Any:
-        """Run until *event* has been triggered; return its value.
-
-        Raises
-        ------
-        RuntimeError
-            If the agenda empties before *event* triggers.
-        """
-        while not event.processed:
-            if not self._queue:
-                raise RuntimeError(
-                    f"agenda exhausted before {event!r} triggered"
-                )
-            self.step()
-        if event.failed:
-            raise event.value
-        return event.value
-
-    def drain(self, events: Iterable["Event"]) -> list[Any]:
-        """Run until every event in *events* triggered; return values."""
-        return [self.run_until_event(ev) for ev in events]
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"<Environment now={self._now} pending={len(self._queue)} "
-            f"processed={self.event_count}>"
-        )
+        limit = float("inf") if until is None else float(until)
+        if limit < self.now:
+            raise ValueError(f"until={limit} is in the past (now={self.now})")
+        queue = self._queue
+        pop = heapq.heappop
+        while queue and queue[0][0] <= limit:
+            self.now, _, fn = pop(queue)
+            fn()
+        if until is not None:
+            self.now = limit

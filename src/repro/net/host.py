@@ -11,10 +11,10 @@ otherwise a receive).
 from __future__ import annotations
 
 import enum
-from typing import TYPE_CHECKING, Optional
+from collections import deque
+from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.des.core import Environment
-from repro.des.resources import Store
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.message import Message
@@ -46,6 +46,7 @@ class MobileHost:
         "mss_id",
         "state",
         "inbox",
+        "_receiver",
         "sent_count",
         "received_count",
         "handoff_count",
@@ -60,7 +61,9 @@ class MobileHost:
         self.state = HostState.ACTIVE
         #: Application messages delivered over the air, awaiting an
         #: explicit receive operation.
-        self.inbox: Store = Store(env)
+        self.inbox: deque["Message"] = deque()
+        #: The callback of a blocking receive waiting on an empty inbox.
+        self._receiver: Optional[Callable[["Message"], None]] = None
         self.sent_count = 0
         self.received_count = 0
         self.handoff_count = 0
@@ -73,31 +76,45 @@ class MobileHost:
         """True while the host is reachable in some cell."""
         return self.state is HostState.ACTIVE
 
+    def deliver(self, msg: "Message") -> None:
+        """Queue *msg*, or hand it to the waiting blocking receive."""
+        self.inbox.append(msg)
+        if self._receiver is not None:
+            self._hand_over()
+
     def try_receive(self) -> Optional["Message"]:
         """Consume the oldest inbox message, or ``None`` if empty.
 
         This is the non-blocking receive operation used by the paper
         workload (see DESIGN.md "Model decisions").
         """
-        ok, msg = self.inbox.try_get()
-        if not ok:
+        if not self.inbox:
             return None
         self.received_count += 1
-        return msg
+        return self.inbox.popleft()
 
-    def receive_event(self):
-        """Blocking receive: an event that fires with the next message.
+    def receive(self, callback: Callable[["Message"], None]) -> None:
+        """Blocking receive: ``callback(msg)`` runs with the next message.
 
-        Offered for the ``block_on_empty_receive`` workload variant.
+        The message leaves the inbox as soon as it is there, but the
+        callback runs as its own agenda entry at that time, after the
+        entries already due then.  A host has at most one pending
+        receive (its application loop waits on it).  Offered for the
+        ``block_on_empty_receive`` workload variant.
         """
-        ev = self.inbox.get()
+        self._receiver = callback
+        if self.inbox:
+            self._hand_over()
 
-        def _count(event):
-            if event.ok:
-                self.received_count += 1
+    def _hand_over(self) -> None:
+        receiver, self._receiver = self._receiver, None
+        msg = self.inbox.popleft()
 
-        ev.add_callback(_count)
-        return ev
+        def consume() -> None:
+            self.received_count += 1
+            receiver(msg)
+
+        self.env.call_later(0.0, consume)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

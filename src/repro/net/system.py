@@ -24,7 +24,7 @@ suppressed at the destination like a transport layer would).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
 from repro.des.core import Environment
 from repro.des.rng import RandomStreams
@@ -113,8 +113,6 @@ class MobileSystem:
         #: runs in one process (the module-level Message counter is
         #: shared by every system and by control traffic).
         self._next_msg_id = 0
-        #: Called with (host, message) right after an inbox insertion.
-        self.on_deliver: Optional[Callable[[MobileHost, Message], None]] = None
         self.control_message_count = 0
         self.checkpoint_fetches = 0
         self.duplicates_suppressed = 0
@@ -229,9 +227,7 @@ class MobileSystem:
             self.duplicates_suppressed += 1
             return
         self._delivered[msg.dst].add(msg.msg_id)
-        host.inbox.put(msg)
-        if self.on_deliver is not None:
-            self.on_deliver(host, msg)
+        host.deliver(msg)
 
     # ------------------------------------------------------------------
     # mobility operations

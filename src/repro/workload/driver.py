@@ -27,23 +27,35 @@ Both loops consult the config's registered *workload model*
 delays, destination choice, residence scaling.  The default ``"paper"``
 model reproduces the hard-coded behaviour above bit-identically.
 
-A third entry point, :func:`generate_streamed`, runs the same
-simulation but hands each event to a
-:class:`~repro.core.streamed.StreamingCompiler` instead of growing the
-in-memory event list -- compiled SoA blocks come out the other side
-with O(block) staging memory.
+Every event goes straight into the run's
+:class:`~repro.core.streamed.StreamingCompiler` as a ``(time, etype,
+host, msg_id, peer, cell)`` row; no per-event object is built.  The
+returned trace is column-backed (:meth:`Trace.from_columns`), the same
+form a disk-cache hit has.  A third entry point,
+:func:`generate_streamed`, runs the same simulation and returns the
+compiler's flushed blocks without concatenating them, so its staging
+memory stays O(block).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import Optional
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.streamed import StreamedTrace
-
+from repro.core.compiled import (
+    CELL_SWITCH,
+    DISCONNECT,
+    RECEIVE,
+    RECONNECT,
+    SEND,
+)
 from repro.core.metrics import CheckpointStats, ProtocolRunMetrics
-from repro.core.trace import EventType, Trace, TraceEvent
+from repro.core.streamed import (
+    DEFAULT_BLOCK_EVENTS,
+    StreamedTrace,
+    StreamingCompiler,
+)
+from repro.core.trace import Trace
 from repro.des.core import Environment
 from repro.des.rng import RandomStreams
 from repro.mobility.heterogeneity import residence_means
@@ -109,7 +121,7 @@ class _Driver:
         protocol: Optional[CheckpointingProtocol] = None,
         ckpt_latency: float = 0.0,
         gc_interval: Optional[float] = None,
-        event_sink: Optional[Callable[[TraceEvent], None]] = None,
+        block_events: int = DEFAULT_BLOCK_EVENTS,
     ):
         config.validate()
         if ckpt_latency < 0:
@@ -155,15 +167,15 @@ class _Driver:
 
         self.model = make_workload(config)
         self._others_cache: dict[int, _AllOthers] = {}
-        self.events: list[TraceEvent] = []
-        #: Where emitted events go: the in-memory list by default, a
-        #: caller-supplied sink (e.g. a StreamingCompiler) otherwise.
-        self._emit = (
-            self.events.append if event_sink is None else event_sink
+        #: Every emitted event lands here as one row of trace columns.
+        self.compiler = StreamingCompiler(
+            n_hosts=config.n_hosts,
+            n_mss=config.n_mss,
+            sim_time=config.sim_time,
+            block_events=block_events,
         )
+        self._feed = self.compiler.feed
         self._app_paused = [False] * config.n_hosts
-        self.n_sends = 0
-        self.n_receives = 0
         self.gc_interval = gc_interval
         self.gc_bytes_reclaimed = 0
         #: Checkpoint-transfer pause owed per host (latency + bytes/bw).
@@ -278,23 +290,23 @@ class _Driver:
                 self._consume(host, msg)
                 self._schedule_app(host, extra=self._ckpt_pause(host))
             elif self.config.block_on_empty_receive:
-                ev = h.receive_event()
-                ev.add_callback(lambda e: self._blocked_receive_done(host, e))
+                h.receive(lambda m: self._blocked_receive_done(host, m))
             else:
                 # Empty inbox: the receive operation is a no-op.
                 self._schedule_app(host)
 
-    def _blocked_receive_done(self, host: int, event) -> None:
-        self._consume(host, event.value)
+    def _blocked_receive_done(self, host: int, msg) -> None:
+        self._consume(host, msg)
         self._schedule_app(host, extra=self._ckpt_pause(host))
 
-    def _do_send(self, host: int) -> None:
+    def _do_send(self, host: int):
+        """One send operation: the sent Message, or None for a no-op."""
         if self.config.send_to_connected_only:
             others = [
                 h for h in self.system.connected_hosts() if h != host
             ]
             if not others:
-                return  # nobody reachable: the send operation is a no-op
+                return None  # nobody reachable: the send is a no-op
         else:
             others = self._others_cache.get(host)
             if others is None:
@@ -305,7 +317,7 @@ class _Driver:
             host, others, self.rng, self.env.now
         )
         if dst is None:
-            return  # the model dropped the send: a no-op
+            return None  # the model dropped the send: a no-op
         piggyback = {}
         pg_ints = 0
         if self.protocol is not None:
@@ -314,30 +326,13 @@ class _Driver:
         msg = self.system.send_application(
             host, dst, piggyback=piggyback, piggyback_ints=pg_ints
         )
-        self.n_sends += 1
-        self._emit(
-            TraceEvent(
-                time=self.env.now,
-                etype=EventType.SEND,
-                host=host,
-                msg_id=msg.msg_id,
-                peer=dst,
-            )
-        )
+        self._feed(self.env.now, SEND, host, msg.msg_id, dst)
+        return msg
 
     def _consume(self, host: int, msg) -> None:
         if self.protocol is not None:
             self.protocol.on_receive(host, msg.piggyback["pg"], msg.src, self.env.now)
-        self.n_receives += 1
-        self._emit(
-            TraceEvent(
-                time=self.env.now,
-                etype=EventType.RECEIVE,
-                host=host,
-                msg_id=msg.msg_id,
-                peer=msg.src,
-            )
-        )
+        self._feed(self.env.now, RECEIVE, host, msg.msg_id, msg.src)
 
     # ------------------------------------------------------------------
     # mobility loop
@@ -360,24 +355,14 @@ class _Driver:
     def _do_switch(self, host: int) -> None:
         old = self.system.hosts[host].mss_id
         new = self.chooser.next_cell(host, old, self.rng)
-        self._emit(
-            TraceEvent(
-                time=self.env.now,
-                etype=EventType.CELL_SWITCH,
-                host=host,
-                peer=old,
-                cell=new,
-            )
-        )
+        self._feed(self.env.now, CELL_SWITCH, host, -1, old, new)
         if self.protocol is not None:
             self.protocol.on_cell_switch(host, self.env.now, new)
         self.system.switch_cell(host, new)
         self._enter_cell(host)
 
     def _do_disconnect(self, host: int, away_time: float) -> None:
-        self._emit(
-            TraceEvent(time=self.env.now, etype=EventType.DISCONNECT, host=host)
-        )
+        self._feed(self.env.now, DISCONNECT, host)
         if self.protocol is not None:
             self.protocol.on_disconnect(host, self.env.now)
         self.system.disconnect(host)
@@ -386,11 +371,7 @@ class _Driver:
     def _do_reconnect(self, host: int) -> None:
         self.system.reconnect(host)
         cell = self.system.hosts[host].mss_id
-        self._emit(
-            TraceEvent(
-                time=self.env.now, etype=EventType.RECONNECT, host=host, cell=cell
-            )
-        )
+        self._feed(self.env.now, RECONNECT, host, -1, -1, cell)
         if self.protocol is not None:
             self.protocol.on_reconnect(host, self.env.now, cell)
         if self._app_paused[host]:
@@ -426,14 +407,10 @@ class _Driver:
         self.env.run(until=self.config.sim_time)
 
     def run(self) -> Trace:
+        """Simulate to the horizon; return the column-backed trace."""
         self._run_sim()
-        return Trace(
-            n_hosts=self.config.n_hosts,
-            n_mss=self.config.n_mss,
-            events=self.events,
-            sim_time=self.config.sim_time,
-            meta=self.config.meta(),
-        )
+        columns = self.compiler.finish().array_columns()
+        return Trace.from_columns(columns, self.config.meta())
 
 
 def generate_trace(config: WorkloadConfig) -> Trace:
@@ -448,31 +425,18 @@ def generate_trace(config: WorkloadConfig) -> Trace:
 
 def generate_streamed(
     config: WorkloadConfig,
-    block_events: Optional[int] = None,
-) -> "StreamedTrace":
-    """Simulate the mobile system, compiling SoA blocks on the fly.
+    block_events: int = DEFAULT_BLOCK_EVENTS,
+) -> StreamedTrace:
+    """Simulate the mobile system and return its compiled blocks.
 
-    Equivalent to ``compile_trace(generate_trace(config))`` -- the
-    returned :class:`~repro.core.streamed.StreamedTrace` reconstructs a
-    bit-identical :class:`~repro.core.compiled.CompiledTrace` -- but
-    the event list is never materialized: each
-    :class:`~repro.core.trace.TraceEvent` goes straight into a
-    :class:`~repro.core.streamed.StreamingCompiler` and is dropped, so
-    peak staging memory is O(*block_events*) python objects plus the
-    compact numpy output blocks.
+    The same run as :func:`generate_trace`, minus the final
+    concatenation of the blocks into one set of columns: peak staging
+    memory is O(*block_events*) python values plus the compact numpy
+    blocks.
     """
-    from repro.core.streamed import StreamingCompiler
-
-    kwargs = {} if block_events is None else {"block_events": block_events}
-    compiler = StreamingCompiler(
-        n_hosts=config.n_hosts,
-        n_mss=config.n_mss,
-        sim_time=config.sim_time,
-        **kwargs,
-    )
-    driver = _Driver(config, event_sink=compiler.feed_event)
+    driver = _Driver(config, block_events=block_events)
     driver._run_sim()
-    return compiler.finish()
+    return driver.compiler.finish()
 
 
 def run_online(
@@ -498,12 +462,13 @@ def run_online(
         gc_interval=gc_interval,
     )
     trace = driver.run()
+    n_sends = driver.compiler.n_sends
     metrics = ProtocolRunMetrics(
         protocol=protocol.name,
         stats=CheckpointStats.from_protocol(protocol),
-        n_sends=driver.n_sends,
-        n_receives=driver.n_receives,
-        piggyback_ints_total=driver.n_sends * protocol.piggyback_ints,
+        n_sends=n_sends,
+        n_receives=driver.compiler.n_receives,
+        piggyback_ints_total=n_sends * protocol.piggyback_ints,
         sim_time=config.sim_time,
         seed=config.seed,
     )

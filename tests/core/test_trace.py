@@ -120,6 +120,22 @@ def test_counts_and_helpers():
     assert len(tr.events_for(0)) == 3
 
 
+def test_column_backed_counts_match_events_without_building_them():
+    from repro.workload import WorkloadConfig, generate_trace
+
+    trace = generate_trace(WorkloadConfig(sim_time=300.0, p_switch=0.8))
+    counts = (trace.n_sends, trace.n_receives, trace.n_basic_triggers)
+    assert "events" not in trace.__dict__
+    copy = Trace(
+        n_hosts=trace.n_hosts,
+        n_mss=trace.n_mss,
+        events=list(trace.events),
+        sim_time=trace.sim_time,
+    )
+    assert counts == (copy.n_sends, copy.n_receives, copy.n_basic_triggers)
+    assert all(c > 0 for c in counts)
+
+
 def test_merged_with_shifts_times():
     a = build_trace(2, 2, [(1.0, EventType.SEND, 0, 1, 1)], sim_time=10.0)
     b = build_trace(2, 2, [(2.0, EventType.SEND, 0, 2, 1)], sim_time=10.0)

@@ -362,6 +362,29 @@ def test_vectorized_run_on_disk_hit_skips_list_lowering(disk_hit, monkeypatch):
     assert telemetry.record.n_sends == array_columns(result.trace).n_sends > 0
 
 
+@pytest.mark.parametrize("engine", ["fused", "vectorized"])
+def test_cold_cell_never_builds_events(engine, tmp_path, monkeypatch):
+    """A cache miss generates a column-backed trace: saving it and
+    replaying it build no TraceEvent either."""
+    _forbid_events(monkeypatch)
+    try:
+        result = execute(
+            RunSpec(
+                protocols=PAPER_PROTOCOLS,
+                workload=GENERATED[0],
+                engine=engine,
+                counters_only=True,
+                use_cache=True,
+                cache_dir=str(tmp_path),
+            )
+        )
+    finally:
+        cache_mod._shared.pop(str(Path(str(tmp_path)).resolve()), None)
+    assert result.trace_source == "generated"
+    assert "events" not in vars(result.trace)
+    assert list(tmp_path.glob("*.npz"))
+
+
 # -- legacy files still load and upgrade -----------------------------------
 
 

@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.des import Environment, StopSimulation
-from repro.des.core import PRIORITY_URGENT
+from repro.des import Environment
 
 
 def test_clock_starts_at_initial_time():
@@ -11,20 +10,30 @@ def test_clock_starts_at_initial_time():
     assert Environment(initial_time=7.5).now == 7.5
 
 
-def test_timeout_advances_clock():
+def test_call_later_advances_clock():
     env = Environment()
-    env.timeout(3.0)
+    env.call_later(3.0, lambda: None)
     env.run()
     assert env.now == 3.0
 
 
 def test_run_until_stops_clock_exactly_at_until():
     env = Environment()
-    env.timeout(10.0)
+    seen = []
+    env.call_later(10.0, lambda: seen.append(env.now))
     env.run(until=4.0)
-    assert env.now == 4.0
-    # the pending timeout is still on the agenda
-    assert env.peek() == 10.0
+    assert env.now == 4.0 and seen == []
+    # the pending callback is still on the agenda
+    env.run()
+    assert seen == [10.0]
+
+
+def test_run_until_includes_callbacks_due_at_until():
+    env = Environment()
+    seen = []
+    env.call_later(4.0, lambda: seen.append(env.now))
+    env.run(until=4.0)
+    assert seen == [4.0]
 
 
 def test_run_until_in_past_raises():
@@ -35,8 +44,8 @@ def test_run_until_in_past_raises():
 
 def test_negative_delay_rejected():
     env = Environment()
-    with pytest.raises(ValueError):
-        env.schedule(env.event(), delay=-1.0)
+    with pytest.raises(ValueError, match="negative delay"):
+        env.call_later(-1.0, lambda: None)
 
 
 def test_events_fire_in_time_order():
@@ -57,62 +66,18 @@ def test_same_time_events_fire_in_insertion_order():
     assert order == list("abcd")
 
 
-def test_priority_breaks_same_time_ties():
+def test_zero_delay_runs_after_entries_already_due():
     env = Environment()
     order = []
-    env.call_later(1.0, lambda: order.append("normal"))
-    env.call_later(1.0, lambda: order.append("urgent"), priority=PRIORITY_URGENT)
+
+    def first():
+        order.append("first")
+        env.call_later(0.0, lambda: order.append("zero-delay"))
+
+    env.call_later(1.0, first)
+    env.call_later(1.0, lambda: order.append("second"))
     env.run()
-    assert order == ["urgent", "normal"]
-
-
-def test_call_at_absolute_time():
-    env = Environment(initial_time=10.0)
-    seen = []
-    env.call_at(12.5, lambda: seen.append(env.now))
-    env.run()
-    assert seen == [12.5]
-
-
-def test_call_at_in_past_raises():
-    env = Environment(initial_time=10.0)
-    with pytest.raises(ValueError):
-        env.call_at(9.0, lambda: None)
-
-
-def test_stop_simulation_returns_value_and_preserves_agenda():
-    env = Environment()
-    env.call_later(1.0, lambda: (_ for _ in ()).throw(StopSimulation("halt")))
-    env.call_later(2.0, lambda: None)
-    result = env.run()
-    assert result == "halt"
-    assert env.peek() == 2.0
-
-
-def test_run_until_event_returns_value():
-    env = Environment()
-    ev = env.timeout(4.0, value="payload")
-    assert env.run_until_event(ev) == "payload"
-    assert env.now == 4.0
-
-
-def test_run_until_event_raises_on_starved_agenda():
-    env = Environment()
-    ev = env.event()  # never triggered
-    with pytest.raises(RuntimeError, match="agenda exhausted"):
-        env.run_until_event(ev)
-
-
-def test_event_count_tracks_processed_events():
-    env = Environment()
-    for _ in range(5):
-        env.timeout(1.0)
-    env.run()
-    assert env.event_count == 5
-
-
-def test_peek_empty_agenda_is_inf():
-    assert Environment().peek() == float("inf")
+    assert order == ["first", "second", "zero-delay"]
 
 
 def test_nested_scheduling_from_callback():
@@ -131,7 +96,18 @@ def test_nested_scheduling_from_callback():
     assert times == [1.0, 3.0]
 
 
-def test_drain_runs_multiple_events():
+def test_callback_exception_propagates_out_of_run():
     env = Environment()
-    evs = [env.timeout(d, value=d) for d in (3.0, 1.0)]
-    assert env.drain(evs) == [3.0, 1.0]
+    seen = []
+
+    def boom():
+        raise KeyError("boom")
+
+    env.call_later(1.0, boom)
+    env.call_later(2.0, lambda: seen.append(env.now))
+    with pytest.raises(KeyError, match="boom"):
+        env.run()
+    assert env.now == 1.0
+    # the failing entry is consumed; the rest of the agenda survives
+    env.run()
+    assert seen == [2.0]

@@ -111,20 +111,64 @@ def test_host_try_receive_counts():
     env = Environment()
     h = MobileHost(env, 0, 0)
     assert h.try_receive() is None
-    h.inbox.put(Message(src=1, dst=0))
+    h.deliver(Message(src=1, dst=0))
     msg = h.try_receive()
     assert msg.src == 1
     assert h.received_count == 1
+    assert h.try_receive() is None
 
 
 def test_host_blocking_receive_event():
     env = Environment()
     h = MobileHost(env, 0, 0)
-    ev = h.receive_event()
-    h.inbox.put(Message(src=1, dst=0))
+    got = []
+    h.receive(got.append)
+    h.deliver(Message(src=1, dst=0))
     env.run()
-    assert ev.value.src == 1
+    assert [m.src for m in got] == [1]
     assert h.received_count == 1
+
+
+def test_blocking_receive_runs_after_entries_already_due():
+    env = Environment()
+    h = MobileHost(env, 0, 0)
+    order = []
+    h.receive(lambda m: order.append(("receive", env.now, h.received_count)))
+
+    def deliver():
+        h.deliver(Message(src=1, dst=0))
+        # taken out of the inbox at once, consumed at a later step
+        assert len(h.inbox) == 0 and h.received_count == 0
+        order.append(("delivered", env.now))
+
+    env.call_later(1.0, deliver)
+    env.call_later(1.0, lambda: order.append(("queued", env.now)))
+    env.run()
+    assert order == [
+        ("delivered", 1.0), ("queued", 1.0), ("receive", 1.0, 1)
+    ]
+
+
+def test_blocking_receive_takes_a_queued_message():
+    env = Environment()
+    h = MobileHost(env, 0, 0)
+    h.deliver(Message(src=2, dst=0))
+    got = []
+    h.receive(got.append)
+    assert len(h.inbox) == 0 and got == []
+    env.run()
+    assert [m.src for m in got] == [2]
+
+
+def test_clearing_inbox_keeps_pending_receiver():
+    env = Environment()
+    h = MobileHost(env, 0, 0)
+    got = []
+    h.receive(got.append)
+    h.inbox.clear()
+    h.deliver(Message(src=1, dst=0))
+    env.run()
+    assert [m.src for m in got] == [1]
 
 
 def test_host_state_flags():

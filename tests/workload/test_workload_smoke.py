@@ -12,6 +12,7 @@ import json
 import pytest
 
 from repro.core.compiled import compile_trace
+from repro.core.trace import Trace
 from repro.engine import RunSpec, execute
 from repro.workload.config import WorkloadConfig
 from repro.workload.driver import generate_streamed, generate_trace
@@ -67,5 +68,12 @@ def test_workload_runs_on_both_engines(name, smoke_params):
 def test_workload_streams_bit_identically(name, smoke_params):
     cfg = _smoke_config(name, smoke_params)
     streamed = generate_streamed(cfg, block_events=128)
-    compiled = compile_trace(generate_trace(cfg))
-    assert streamed.to_compiled() == compiled
+    trace = generate_trace(cfg)
+    # compile_trace's own per-event loop, over an event-backed copy
+    events = Trace(
+        n_hosts=trace.n_hosts,
+        n_mss=trace.n_mss,
+        events=list(trace.events),
+        sim_time=trace.sim_time,
+    )
+    assert streamed.to_compiled() == compile_trace(events)
