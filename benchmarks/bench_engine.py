@@ -136,7 +136,10 @@ def test_fused_replay_speedup(benchmark):
     execute(vec_spec)  # warm the per-trace vectorized lowering + closure
 
     seq_time, seq_result = _best(lambda: execute(ref_spec), rounds=7)
-    vec_time, vec_result = _best(lambda: execute(vec_spec), rounds=7)
+    # A vectorized pass is ~1 ms, so host load moves any one round by
+    # tens of percent; CI gates this number at 20%, and only a best of
+    # many rounds measures the kernels rather than the neighbours.
+    vec_time, vec_result = _best(lambda: execute(vec_spec), rounds=25)
     fused_time, fused_result = benchmark.pedantic(
         lambda: _best(lambda: execute(fused_spec), rounds=7),
         rounds=1, iterations=1,

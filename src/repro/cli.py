@@ -123,7 +123,6 @@ def _cmd_figure(args) -> int:
         heartbeat_path=args.heartbeat,
         trace_path=args.trace,
         stream_path=args.stream,
-        shards=args.shards,
         shard_listen=args.shard_listen,
         shard_size=args.shard_size,
         run_id=args.run_id,
@@ -581,8 +580,10 @@ def build_parser() -> argparse.ArgumentParser:
         "paper's uniform model)",
     )
     p.add_argument(
-        "--workers", type=int, default=0,
-        help="process-pool width over (point, seed) tasks; 0 = serial",
+        "--workers", type=int, default=0, metavar="N",
+        help="run the grid on N local shard worker processes (shard "
+        "leases, heartbeat liveness, reassignment on worker loss, "
+        "hung-cell watchdog); 0 = serial in-process",
     )
     p.add_argument(
         "--no-cache", action="store_true",
@@ -652,15 +653,10 @@ def build_parser() -> argparse.ArgumentParser:
         "records to PATH (machine-readable twin of --progress)",
     )
     p.add_argument(
-        "--shards", type=int, default=0, metavar="N",
-        help="run the grid on the sharded dispatch service with N "
-        "spawned worker processes (shard leases, heartbeat liveness, "
-        "reassignment on worker loss; value-identical to --workers)",
-    )
-    p.add_argument(
         "--shard-listen", default=None, metavar="HOST:PORT",
         help="also accept external 'repro shard-worker' processes on "
-        "HOST:PORT (authenticated via REPRO_SHARD_AUTHKEY)",
+        "HOST:PORT (authenticated via REPRO_SHARD_AUTHKEY; with "
+        "--workers 0 the sweep is listen-only)",
     )
     p.add_argument(
         "--shard-size", type=int, default=None, metavar="CELLS",
@@ -717,8 +713,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="seeds per grid point",
     )
     p.add_argument(
-        "--workers", type=int, default=0,
-        help="process-pool width over (point, seed) tasks; 0 = serial",
+        "--workers", type=int, default=0, metavar="N",
+        help="local shard worker processes over (point, seed) tasks; "
+        "0 = serial",
     )
     p.add_argument("--no-cache", action="store_true")
     p.add_argument("--cache-dir", default=None)

@@ -2,13 +2,14 @@
 
 * :mod:`repro.experiments.config` -- sweep configuration.
 * :mod:`repro.experiments.runner` -- single points and full sweeps,
-  optionally fanned out over a process pool.
+  serial or fanned out over shard worker processes.
 * :mod:`repro.experiments.figures` -- one entry per paper figure.
 * :mod:`repro.experiments.report` -- paper-style tables, gains, plots.
 * :mod:`repro.experiments.resilience` -- fault-tolerant execution:
-  per-task supervision, pool healing, the sweep journal and resumption.
-* :mod:`repro.experiments.sharded` -- multi-process sharded dispatch:
-  shard leases, heartbeat liveness, reassignment on worker loss.
+  per-task supervision, the sweep journal and resumption.
+* :mod:`repro.experiments.sharded` -- the parallel sweep dispatcher:
+  shard leases, heartbeat liveness, reassignment on worker loss, the
+  hung-cell watchdog.
 * :mod:`repro.experiments.validation` -- the paper's qualitative claims
   checked against measured sweeps.
 """

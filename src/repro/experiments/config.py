@@ -40,7 +40,7 @@ class SweepConfig:
         (:mod:`repro.workload.registry`).  :meth:`validate` folds the
         parsed name and coerced parameters into ``base`` --
         ``base.workload`` / ``base.workload_params`` -- so the model
-        rides every execution path (serial, pool, sharded wire)
+        rides every execution path (serial, sharded wire)
         identically.  ``None`` (default) leaves ``base`` alone (the
         paper model unless ``base`` already names another).  Unknown
         names raise
@@ -50,9 +50,14 @@ class SweepConfig:
         One run per seed per point; results are averaged and the
         within-4% agreement is checked.
     workers:
-        Process-pool width for the sweep; 0/1 = run serially.  The pool
-        fans out over (point, seed) tasks, so it scales past the number
-        of points.
+        Number of local shard worker processes for the sweep.  ``0``
+        (default) runs the grid serially in this process; ``N >= 1``
+        routes it through the sharded dispatch service
+        (:mod:`repro.experiments.sharded`), which spawns N workers and
+        leases them (point, seed) cells over a serialized connection
+        boundary, with heartbeat liveness, lease revocation,
+        reassignment on worker loss and a hung-cell watchdog.  Results
+        are value-identical to the serial path.
     use_cache:
         Serve traces from the content-addressed cache
         (:mod:`repro.workload.cache`) instead of regenerating them.
@@ -76,9 +81,9 @@ class SweepConfig:
         emission.
     task_timeout_s:
         Per-(point, seed) task deadline in seconds; a task that
-        exceeds it is aborted (worker-side alarm, plus a hung-worker
-        watchdog on pooled runs) and retried.  None disables the
-        deadline.
+        exceeds it is aborted (worker-side alarm, plus the
+        coordinator's hung-cell watchdog on parallel runs) and retried.
+        None disables the deadline.
     max_task_retries:
         How many times a failed task (timeout, worker crash, corrupt
         cache, protocol error) is re-dispatched before being
@@ -126,24 +131,15 @@ class SweepConfig:
         outcome (plus one per run) there as it completes, via
         :class:`~repro.engine.StreamObserver` -- a live feed of results
         where telemetry/journal files land only at task completion.
-    shards:
-        Number of shard *worker processes* the sharded dispatch service
-        (:mod:`repro.experiments.sharded`) spawns for this sweep.
-        ``0`` (default) keeps the classic in-process pool (or serial)
-        path; any positive value routes execution through the
-        coordinator: the (point, seed) grid is partitioned into shard
-        leases dispatched over a serialized connection boundary, with
-        heartbeat liveness, lease revocation and reassignment on
-        worker loss.  Results are value-identical to the in-process
-        paths.
     shard_listen:
         ``"host:port"`` the coordinator listens on for *external*
-        shard workers (``repro shard-worker``), in addition to any
-        locally spawned ``shards``.  ``None`` (default) binds an
+        shard workers (``repro shard-worker``), in addition to the
+        ``workers`` spawned locally.  ``None`` (default) binds an
         ephemeral loopback port reachable only by the spawned workers.
-        Setting it (with ``shards=0`` allowed) turns the sweep into a
-        service other machines' workers can join; the connection is
-        authenticated with the ``REPRO_SHARD_AUTHKEY`` hex key.
+        Setting it turns the sweep into a service other machines'
+        workers can join (with ``workers=0`` it is listen-only); the
+        connection is authenticated with the ``REPRO_SHARD_AUTHKEY``
+        hex key.
     shard_size:
         Cells per shard lease.  ``None`` (default) balances the grid
         at roughly four leases per worker so reassignment after a
@@ -212,7 +208,6 @@ class SweepConfig:
     trace_spans: bool = False
     trace_path: Optional[str] = None
     stream_path: Optional[str] = None
-    shards: int = 0
     shard_listen: Optional[str] = None
     shard_size: Optional[int] = None
     shard_heartbeat_s: float = 1.0
@@ -289,8 +284,6 @@ class SweepConfig:
             raise ValueError("retry_backoff_s must be >= 0")
         if not 0 <= self.retry_jitter <= 1:
             raise ValueError("retry_jitter must be in [0, 1]")
-        if self.shards < 0:
-            raise ValueError("shards must be >= 0")
         if self.shard_listen is not None:
             from repro.experiments.sharded import parse_address
 

@@ -58,7 +58,6 @@ def figure_sweep_config(
     trace_spans: bool = False,
     trace_path: Optional[str] = None,
     stream_path: Optional[str] = None,
-    shards: int = 0,
     shard_listen: Optional[str] = None,
     shard_size: Optional[int] = None,
     run_id: Optional[str] = None,
@@ -109,7 +108,6 @@ def figure_sweep_config(
         trace_spans=trace_spans,
         trace_path=trace_path,
         stream_path=stream_path,
-        shards=shards,
         shard_listen=shard_listen,
         shard_size=shard_size,
         run_id=run_id,
@@ -142,7 +140,6 @@ def run_figure(
     trace_spans: bool = False,
     trace_path: Optional[str] = None,
     stream_path: Optional[str] = None,
-    shards: int = 0,
     shard_listen: Optional[str] = None,
     shard_size: Optional[int] = None,
     run_id: Optional[str] = None,
@@ -160,7 +157,7 @@ def run_figure(
     resumable (see docs/resilience.md).  ``progress`` /
     ``heartbeat_path`` / ``trace_spans`` / ``trace_path`` /
     ``stream_path`` are the observability taps (see
-    docs/observability.md).  ``shards`` / ``shard_listen`` route the
+    docs/observability.md).  ``workers`` / ``shard_listen`` route the
     grid through the fault-tolerant sharded dispatch service
     (:mod:`repro.experiments.sharded`; see docs/resilience.md).
     ``prom_path`` / ``prom_gateway`` / ``otlp_path`` enable the fleet
@@ -189,7 +186,6 @@ def run_figure(
         trace_spans=trace_spans,
         trace_path=trace_path,
         stream_path=stream_path,
-        shards=shards,
         shard_listen=shard_listen,
         shard_size=shard_size,
         run_id=run_id,

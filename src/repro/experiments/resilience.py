@@ -1,26 +1,23 @@
 """Fault-tolerant, resumable sweep execution.
 
-The sweep engine runs large (point, seed) Monte-Carlo grids on a
-persistent process pool; this module is its crash-and-recover layer --
-the same discipline the paper's checkpointing protocols give mobile
-hosts, applied to our own long-running experiments:
+The sweep engine runs large (point, seed) Monte-Carlo grids either
+serially in-process or on local shard workers driven by the sharded
+coordinator (:mod:`repro.experiments.sharded`); this module is the
+crash-and-recover layer both share -- the same discipline the paper's
+checkpointing protocols give mobile hosts, applied to our own
+long-running experiments:
 
 * **Per-task supervision** -- every (t_switch, seed) task runs under a
   configurable deadline (worker-side alarm) and is retried with
   exponential backoff + jitter on failure.  Failures carry a structured
   taxonomy (:class:`TaskError`: ``timeout`` / ``worker-crash`` /
-  ``cache-corrupt`` / ``protocol-error``), and a task that keeps
-  failing is *quarantined*: it becomes an explicit hole in the
-  :class:`~repro.experiments.runner.SweepResult` instead of aborting
-  the grid.
-* **Pool self-healing** -- a worker crash breaks a
-  ``ProcessPoolExecutor``; the supervisor detects it, rebuilds the
-  pool, and re-dispatches every task that was in flight.  A hung-worker
-  watchdog kills workers whose task blows far past its deadline (the
-  alarm cannot fire inside C code), which routes them through the same
-  healing path; the watchdog clock starts when a task begins
-  *executing*, not when it is submitted, and in-flight siblings lost
-  to the kill are re-dispatched without spending a retry.
+  ``cache-corrupt`` / ``protocol-error`` / ``worker-lost``), and a task
+  that keeps failing is *quarantined*: it becomes an explicit hole in
+  the :class:`~repro.experiments.runner.SweepResult` instead of
+  aborting the grid.  Whole-worker faults on parallel sweeps (a dead
+  or silent worker, a cell hung past the alarm) are healed by the
+  coordinator: lease revocation, worker respawn and a hung-cell
+  watchdog.
 * **Sweep journal** -- an append-only JSONL ledger
   (:class:`SweepJournal`) of completed task results, fsynced per entry
   and created via tmp+rename, keyed by a hash of the sweep's
@@ -41,7 +38,6 @@ from __future__ import annotations
 
 import errno
 import hashlib
-import heapq
 import json
 import os
 import random
@@ -49,16 +45,14 @@ import signal
 import tempfile
 import threading
 import time
-from collections import deque
-from concurrent.futures import FIRST_COMPLETED, BrokenExecutor
-from concurrent.futures import wait as futures_wait
 from dataclasses import asdict, dataclass, field
 from typing import Any, Optional, Sequence
 
-#: The TaskError.kind vocabulary.  ``worker-lost`` is the sharded
-#: dispatch variant of ``worker-crash``: a whole shard worker vanished
-#: (process death, severed connection or missed heartbeat deadline)
-#: and the cell was reassigned -- see :mod:`repro.experiments.sharded`.
+#: The TaskError.kind vocabulary.  ``worker-crash`` is a task that
+#: tried to take its worker down (``SystemExit``, a broken pipe) and was
+#: caught; ``worker-lost`` means a whole shard worker vanished (process
+#: death, severed connection or missed heartbeat deadline) and the cell
+#: was reassigned -- see :mod:`repro.experiments.sharded`.
 TASK_ERROR_KINDS = (
     "timeout",
     "worker-crash",
@@ -71,16 +65,8 @@ TASK_ERROR_KINDS = (
 JOURNAL_VERSION = 1
 
 #: Environment variable naming a directory of chaos-injection flags
-#: (test-only; see :func:`_maybe_chaos`).
+#: (test-only; see :func:`repro.experiments.sharded._worker_chaos`).
 CHAOS_DIR_ENV = "REPRO_CHAOS_DIR"
-
-#: Supervisor poll interval while tasks are in flight, seconds.
-_TICK_S = 0.05
-
-#: Extra slack the hung-worker watchdog grants beyond the task deadline
-#: before it starts killing workers (the worker-side alarm should have
-#: fired long before this).
-_WATCHDOG_GRACE_S = 5.0
 
 
 class TaskTimeout(Exception):
@@ -370,8 +356,8 @@ class _deadline:
     """Context manager: raise :class:`TaskTimeout` after *seconds*.
 
     Uses ``SIGALRM``/``setitimer`` where available (POSIX main thread);
-    elsewhere it is a no-op and the parent-side watchdog is the only
-    defense against hangs.
+    elsewhere it is a no-op and the coordinator's hung-cell watchdog is
+    the only defense against hangs.
     """
 
     def __init__(self, seconds: Optional[float]):
@@ -396,34 +382,6 @@ class _deadline:
         return False
 
 
-def _maybe_chaos(t_switch: float, seed: int) -> None:
-    """Test-only fault injection hook for the chaos harness.
-
-    When ``REPRO_CHAOS_DIR`` names a directory, a flag file
-    ``kill-<t_switch>-<seed>`` makes this worker die hard
-    (``os._exit``, breaking the whole pool),
-    ``hang-<t_switch>-<seed>`` makes it sleep past any deadline,
-    ``fail-<t_switch>-<seed>`` raises a plain task-local error (the
-    worker survives), and ``slow-<t_switch>-<seed>`` delays the task
-    by one second while staying well within its deadline.  Each flag
-    is consumed (unlinked) before acting, so the injected fault
-    strikes exactly one attempt and the retry succeeds.  No-op outside
-    the chaos tests.
-    """
-    chaos_dir = os.environ.get(CHAOS_DIR_ENV)
-    if not chaos_dir:
-        return
-    cell = f"{t_switch:g}-{seed}"
-    if _consume_flag(os.path.join(chaos_dir, f"kill-{cell}")):
-        os._exit(1)
-    if _consume_flag(os.path.join(chaos_dir, f"hang-{cell}")):
-        time.sleep(3600.0)
-    if _consume_flag(os.path.join(chaos_dir, f"fail-{cell}")):
-        raise RuntimeError(f"chaos: injected failure on cell {cell}")
-    if _consume_flag(os.path.join(chaos_dir, f"slow-{cell}")):
-        time.sleep(1.0)
-
-
 def _consume_flag(path: str) -> bool:
     try:
         os.unlink(path)
@@ -442,37 +400,9 @@ def _classify(exc: BaseException) -> str:
         return "timeout"
     if isinstance(exc, TraceIntegrityError):
         return "cache-corrupt"
-    if isinstance(exc, (BrokenExecutor, BrokenPipeError, SystemExit)):
+    if isinstance(exc, (BrokenPipeError, SystemExit)):
         return "worker-crash"
     return "protocol-error"
-
-
-def _supervised_entry(index: int, args: tuple, timeout_s: Optional[float]):
-    """Pool entry point: run one task under its deadline.
-
-    Returns ``(index, outcome, None)`` on success or ``(index, None,
-    TaskError)`` on a failure the worker itself survived (timeouts,
-    protocol errors); a hard worker death surfaces in the parent as a
-    broken future instead.
-    """
-    t_switch, seed = args[1], args[2]
-    try:
-        _maybe_chaos(t_switch, seed)
-        with _deadline(timeout_s):
-            from repro.experiments.runner import _evaluate_task
-
-            outcome = _evaluate_task(*args)
-        return index, outcome, None
-    # SystemExit is caught here too: letting it escape would abort the
-    # pool worker's serve loop (and surface as a raw SystemExit from
-    # future.result() in the parent) for what is just a failed task.
-    except (Exception, SystemExit) as exc:
-        return index, None, TaskError(
-            kind=_classify(exc),
-            t_switch=t_switch,
-            seed=seed,
-            detail=repr(exc),
-        )
 
 
 # ----------------------------------------------------------------------
@@ -543,11 +473,16 @@ def execute(
     and resumption; the runner assembles the report into a
     :class:`~repro.experiments.runner.SweepResult`.
 
+    ``config.workers == 0`` (and no ``shard_listen``) runs the grid
+    serially in this process; otherwise the sharded coordinator
+    dispatches it to ``config.workers`` local shard workers plus any
+    external ones that join on ``shard_listen``.
+
     *fleet* (a :class:`repro.obs.fleet.FleetAggregator`, owned by the
     runner's :class:`~repro.obs.fleet.FleetPlane`) rides along to the
     sharded coordinator, which merges worker metric deltas and spans
-    into it.  Serial and pooled sweeps leave it untouched -- their
-    metrics already live in this process's registry.
+    into it.  A serial sweep leaves it untouched -- its metrics
+    already live in this process's registry.
 
     *tasks* is the point-major list of ``_evaluate_task`` argument
     tuples (``tasks[i][1]`` / ``tasks[i][2]`` are the task's t_switch
@@ -581,21 +516,14 @@ def execute(
     # Deterministic jitter per sweep: retries are reproducible and
     # tests can reason about delays.
     rng = random.Random(int(config_hash[:8], 16))
-    sharded = bool(
-        getattr(config, "shards", 0) or getattr(config, "shard_listen", None)
-    )
     try:
         with _SignalDrain() as drain:
-            if sharded and pending:
+            if pending and (config.workers or config.shard_listen):
                 from repro.experiments.sharded import run_sharded
 
                 run_sharded(
                     config, pending, report, journal, drain, rng, reporter,
                     fleet=fleet,
-                )
-            elif config.workers > 1 and pending:
-                _run_pooled(
-                    config, pending, report, journal, drain, rng, reporter
                 )
             elif pending:
                 _run_serial(
@@ -649,200 +577,10 @@ def _run_serial(config, pending, report, journal, drain, rng, reporter) -> None:
                     reporter.task_quarantined()
                     break
                 if drain.triggered:
-                    # Draining with retries left: like the pooled path,
+                    # Draining with retries left: like the sharded path,
                     # leave the cell as a plain hole a resumed run will
                     # re-execute, not a quarantined error.
                     break
                 report.retries += 1
                 reporter.task_retry()
                 time.sleep(_backoff(config, attempts, rng))
-
-
-def _run_pooled(config, pending, report, journal, drain, rng, reporter) -> None:
-    from repro.experiments import runner as _runner
-    from repro.obs.metrics import registry as _metrics_registry
-
-    queue = deque(pending)
-    waiting: list[tuple[float, int, _TaskSpec]] = []  # (due, tie, spec)
-    tie = 0
-    attempts: dict[int, int] = {}
-    inflight: dict = {}  # future -> spec
-    # Watchdog deadlines, keyed by future, armed only once the future is
-    # observed ``running()`` -- never at submission, where a task still
-    # queued behind its siblings would be charged for their runtime and
-    # a deep backlog would read as a pool full of hung workers.
-    deadlines: dict = {}  # future -> watchdog deadline (monotonic)
-    hung_killed: set = set()  # futures whose own hang triggered a kill
-    collateral: set = set()  # healthy in-flight futures doomed by it
-    watchdog_budget = (
-        config.task_timeout_s * 1.5 + _WATCHDOG_GRACE_S
-        if config.task_timeout_s
-        else None
-    )
-    pool = _runner._get_pool(config.workers)
-
-    def fail(spec: _TaskSpec, error: TaskError) -> None:
-        nonlocal tie
-        error.attempts = attempts[spec.index]
-        if attempts[spec.index] > config.max_task_retries:
-            report.errors.append(error)  # quarantined: explicit hole
-            reporter.task_quarantined()
-        elif drain.triggered:
-            pass  # draining: leave the cell for a resumed run
-        else:
-            report.retries += 1
-            reporter.task_retry()
-            due = time.monotonic() + _backoff(
-                config, attempts[spec.index], rng
-            )
-            tie += 1
-            heapq.heappush(waiting, (due, tie, spec))
-
-    while queue or waiting or inflight:
-        if drain.triggered:
-            # Drain: abandon queued and waiting work, let in-flight
-            # tasks finish (they journal), then return.
-            queue.clear()
-            waiting.clear()
-            if not inflight:
-                return
-        now = time.monotonic()
-        while waiting and waiting[0][0] <= now:
-            queue.append(heapq.heappop(waiting)[2])
-        # -- dispatch ---------------------------------------------------
-        # Cap in-flight work at the pool width so a submitted task
-        # starts executing (almost) immediately: that makes running()
-        # a faithful "began executing" signal for the watchdog below,
-        # and keeps the drain path from waiting on a deep backlog.
-        while (
-            queue
-            and not drain.triggered
-            and len(inflight) < config.workers
-        ):
-            spec = queue.popleft()
-            attempts[spec.index] = attempts.get(spec.index, 0) + 1
-            try:
-                future = pool.submit(
-                    _supervised_entry,
-                    spec.index,
-                    spec.args,
-                    config.task_timeout_s,
-                )
-            except (BrokenExecutor, RuntimeError):
-                # The pool died between tasks: heal it and re-dispatch.
-                attempts[spec.index] -= 1
-                queue.appendleft(spec)
-                pool = _runner._get_pool(config.workers)
-                _metrics_registry().counter(
-                    "repro_sweep_pool_rebuilds_total"
-                ).inc()
-                deadlines.clear()
-                continue
-            inflight[future] = spec
-        if not inflight:
-            if waiting and not drain.triggered:
-                time.sleep(
-                    min(_TICK_S, max(0.0, waiting[0][0] - time.monotonic()))
-                )
-            continue
-        # -- collect ----------------------------------------------------
-        done, _ = futures_wait(
-            set(inflight), timeout=_TICK_S, return_when=FIRST_COMPLETED
-        )
-        pool_broke = False
-        for future in done:
-            spec = inflight.pop(future)
-            deadlines.pop(future, None)
-            was_hung = future in hung_killed
-            hung_killed.discard(future)
-            was_collateral = future in collateral
-            collateral.discard(future)
-            crashed = False
-            try:
-                _, outcome, error = future.result()
-            except KeyboardInterrupt:
-                raise
-            except BaseException as exc:
-                # The worker died (os._exit, SIGKILL, OOM): the future
-                # breaks, and usually the whole executor with it.  The
-                # wide catch matters: a worker that raised SystemExit
-                # (or a cancelled future) re-raises a *non-Exception*
-                # BaseException from result(), and must route through
-                # the same fail path instead of crashing the supervisor.
-                crashed = True
-                pool_broke = True
-                outcome = None
-                if was_hung:
-                    error = TaskError(
-                        kind="timeout",
-                        t_switch=spec.t_switch,
-                        seed=spec.seed,
-                        detail=f"hung worker killed by watchdog: {exc!r}",
-                    )
-                else:
-                    error = TaskError(
-                        kind="worker-crash",
-                        t_switch=spec.t_switch,
-                        seed=spec.seed,
-                        detail=repr(exc),
-                    )
-            if error is None:
-                _complete(
-                    spec,
-                    outcome,
-                    attempts[spec.index],
-                    report,
-                    journal,
-                    reporter,
-                )
-            elif crashed and was_collateral and not drain.triggered:
-                # This future died only because the watchdog shot the
-                # pool out from under a hung sibling: re-dispatch it
-                # without charging the task an attempt or a retry.
-                attempts[spec.index] -= 1
-                queue.append(spec)
-            else:
-                fail(spec, error)
-        # -- heal -------------------------------------------------------
-        if pool_broke or getattr(pool, "_broken", False):
-            pool = _runner._get_pool(config.workers)
-            _metrics_registry().counter(
-                "repro_sweep_pool_rebuilds_total"
-            ).inc()
-            # Every armed deadline belongs to a future of the dead
-            # pool; drop them so a stale one can never trigger a kill
-            # against the fresh pool's workers.
-            deadlines.clear()
-        # -- hung-worker watchdog --------------------------------------
-        if watchdog_budget is not None and inflight:
-            now = time.monotonic()
-            for future in inflight:
-                if future not in deadlines and future.running():
-                    deadlines[future] = now + watchdog_budget
-            hung = [f for f, dl in deadlines.items() if dl <= now]
-            if hung:
-                # The worker-side alarm failed to fire (blocked in C
-                # code or alarm-less platform).  Killing any worker
-                # breaks the standard-library pool as a unit, so the
-                # innocent in-flight futures are marked collateral:
-                # their re-dispatch above is free of retry accounting.
-                for f in hung:
-                    deadlines.pop(f, None)
-                    hung_killed.add(f)
-                for f in inflight:
-                    if f not in hung_killed:
-                        collateral.add(f)
-                _metrics_registry().counter(
-                    "repro_sweep_watchdog_kills_total"
-                ).inc(len(hung))
-                _kill_pool_workers(pool)
-
-
-def _kill_pool_workers(pool) -> None:
-    """Forcefully terminate a pool's worker processes (watchdog path)."""
-    processes = getattr(pool, "_processes", None) or {}
-    for process in list(processes.values()):
-        try:
-            process.terminate()
-        except (OSError, AttributeError):  # already gone
-            pass

@@ -10,18 +10,15 @@ identical schedules).  A *point* aggregates the tasks of one
 ``t_switch`` value; a *sweep* runs all points of a figure.
 
 Parallelism is (point, seed)-granular: a figure with 7 points and 3
-seeds exposes 21 independent tasks, so the pool scales past the number
-of points and the slowest point no longer serializes its seeds.  The
-pool is persistent across sweeps within a process (spawning workers
-costs more than a small sweep), tasks stream back via
-``imap_unordered``, and results are reassembled deterministically --
+seeds exposes 21 independent tasks, so parallel sweeps scale past the
+number of points and the slowest point no longer serializes its seeds.
+``SweepConfig.workers = 0`` runs the grid serially in this process;
+``workers = N`` hands it to the sharded sweep service
+(:mod:`repro.experiments.sharded`), which spawns N local shard workers
+and leases them cells over a wire protocol with heartbeat liveness and
+exactly-once journaling.  Results are reassembled deterministically --
 points in config order, runs seed-major then protocol -- so the output
-is bit-identical to the serial path.  With ``SweepConfig.shards`` (or
-``shard_listen``) set, dispatch instead goes through the sharded sweep
-service (:mod:`repro.experiments.sharded`): shard leases to worker
-processes over a wire protocol, heartbeat liveness and exactly-once
-journaling -- same bit-identical results, fault-tolerant to whole
-worker loss.
+is bit-identical to the serial path.
 
 Protocol instances run in counters-only mode
 (``log_checkpoints = False``): figure curves need nothing but counts,
@@ -35,21 +32,18 @@ invariant audit of :mod:`repro.obs.audit` on each task -- see
 docs/simulation-model.md, "Auditing & telemetry".
 
 Execution is supervised by :mod:`repro.experiments.resilience`: tasks
-run under per-task deadlines with retry/backoff, a broken pool is
-rebuilt and its in-flight tasks re-dispatched, completed tasks can be
-journaled for crash-safe resumption, and SIGINT/SIGTERM drain the
+run under per-task deadlines with retry/backoff, lost or hung shard
+workers are replaced and their cells re-dispatched, completed tasks can
+be journaled for crash-safe resumption, and SIGINT/SIGTERM drain the
 sweep into a partial result instead of losing it -- see
 docs/resilience.md.
 """
 
 from __future__ import annotations
 
-import atexit
 import csv
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from multiprocessing import get_context
 from typing import Optional, Sequence
 
 from repro.analysis.stats import SampleSummary, summarize
@@ -279,47 +273,6 @@ def _evaluate_task(
     return t_switch, seed, runs, telemetry_obs.record, list(result.violations)
 
 
-#: Persistent worker pool, reused across sweeps in this process.
-_pool: Optional[ProcessPoolExecutor] = None
-_pool_size = 0
-
-
-def _pool_is_broken(pool: ProcessPoolExecutor) -> bool:
-    """True when *pool* can no longer accept work (a worker died or it
-    was shut down) and must be replaced, not reused."""
-    return bool(getattr(pool, "_broken", False)) or bool(
-        getattr(pool, "_shutdown_thread", None)
-    )
-
-
-def _get_pool(workers: int) -> ProcessPoolExecutor:
-    """Return the process pool, recreating it when the width changes or
-    the cached executor has broken (a dead worker poisons a
-    ``ProcessPoolExecutor`` permanently -- reusing it would fail every
-    subsequent sweep)."""
-    global _pool, _pool_size
-    if _pool is not None and (_pool_size != workers or _pool_is_broken(_pool)):
-        shutdown_pool()
-    if _pool is None:
-        _pool = ProcessPoolExecutor(
-            max_workers=workers, mp_context=get_context("spawn")
-        )
-        _pool_size = workers
-    return _pool
-
-
-def shutdown_pool() -> None:
-    """Terminate the persistent sweep pool (no-op when none exists)."""
-    global _pool, _pool_size
-    if _pool is not None:
-        _pool.shutdown(wait=False, cancel_futures=True)
-        _pool = None
-        _pool_size = 0
-
-
-atexit.register(shutdown_pool)
-
-
 def _assemble(
     config: SweepConfig,
     outcomes: Sequence[tuple[float, int, list[RunOutcome], TaskTelemetry, list]],
@@ -395,13 +348,15 @@ def run_point(config: SweepConfig, t_switch: float) -> PointResult:
 
 
 def run_sweep(config: SweepConfig) -> SweepResult:
-    """Run the whole sweep; uses the persistent process pool when
-    ``workers > 1``, fanning out over (point, seed) tasks.
+    """Run the whole sweep: serially when ``workers == 0``, else on
+    ``workers`` local shard workers fanning out over (point, seed)
+    tasks.
 
     Execution goes through the resilience supervisor
     (:func:`repro.experiments.resilience.execute`): per-task deadlines
-    and retries, pool healing, journaling/resumption and graceful
-    signal draining all apply according to the config's knobs.  A task
+    and retries, worker respawn and the hung-cell watchdog,
+    journaling/resumption and graceful signal draining all apply
+    according to the config's knobs.  A task
     that exhausts its retries becomes a hole in the result (see
     :attr:`SweepResult.errors`), never an aborted sweep.
 

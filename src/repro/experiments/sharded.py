@@ -1,14 +1,13 @@
-"""Sharded sweep service: fault-tolerant multi-worker dispatch.
+"""Sharded sweep service: the parallel sweep dispatcher.
 
-The resilient sweep supervisor (:mod:`repro.experiments.resilience`)
-heals an *in-process* pool; this module takes the same (point, seed)
-grid across a real process/network boundary -- the ROADMAP's "from one
-box to a fleet" step.  A **coordinator** partitions the grid into
-*shards* (small batches of cells), leases them to **worker processes**
-over :mod:`multiprocessing.connection` and streams per-cell outcomes
-back as they complete.  The paper's own subject matter -- coordinator
-failure, lost participants, log-based exactly-once recovery -- is the
-design brief for the service itself:
+Every parallel sweep (``SweepConfig.workers >= 1``, or ``shard_listen``
+for external workers) runs here; the serial in-process loop lives in
+:mod:`repro.experiments.resilience`.  A **coordinator** partitions the
+(point, seed) grid into *shards* (small batches of cells), leases them
+to **worker processes** over :mod:`multiprocessing.connection` and
+streams per-cell outcomes back as they complete.  The paper's own
+subject matter -- coordinator failure, lost participants, log-based
+exactly-once recovery -- is the design brief for the service itself:
 
 * **Length-prefixed, version-tagged frames.**  Every message crosses
   the (authenticated) connection as one frame: an 8-byte header
@@ -26,23 +25,30 @@ design brief for the service itself:
   results from a revoked lease are *fenced*: accepted only if the cell
   is still incomplete, dropped as duplicates otherwise -- the journal
   never records a cell twice.
+* **Hung-cell watchdog.**  The worker-side alarm cannot fire inside C
+  code or outside the task body, and a hung worker's heartbeat pump
+  keeps it looking alive.  So when ``task_timeout_s`` is set, a leased
+  cell that reports no result within ``1.5 * task_timeout_s`` plus a
+  grace period -- timed from its grant or from that worker's previous
+  cell result -- gets its worker stopped: a local worker is
+  terminated, an external one has its lease revoked and its
+  connection closed.  The hung cell is retried as a ``timeout``; the
+  lease's cells that never started go back to the queue uncharged.
 * **Exactly-once resume.**  Workers only report; the coordinator is
   the single journal writer (the fsynced
-  :class:`~repro.experiments.resilience.SweepJournal`, now guarded by
-  an advisory lock so two coordinators cannot share a ledger).  A
-  crashed sharded sweep resumes exactly like a pooled one.
+  :class:`~repro.experiments.resilience.SweepJournal`, guarded by an
+  advisory lock so two coordinators cannot share a ledger).  A crashed
+  sharded sweep resumes exactly like a serial one.
 * **Graceful degradation.**  Locally spawned workers that die are
   respawned (bounded budget); when a shard dies permanently the sweep
   continues on the survivors; when *no* worker can ever come back the
   remaining cells become quarantined ``worker-lost`` holes instead of
   a hang.  SIGINT/SIGTERM drain in-flight cells and leave the rest as
   resumable holes.
-* **Whole-worker chaos.**  ``REPRO_CHAOS_DIR`` flag files extend the
-  PR 3 harness to the sharded path: ``kill-worker-<t>-<seed>`` makes a
-  worker die hard mid-shard, ``drop-conn-<t>-<seed>`` severs its
-  connection, ``stall-heartbeat-<t>-<seed>`` freezes it past the lease
-  deadline (exercising fencing + reconnect).  The chaos tests assert
-  the final sweep is value-identical to a clean serial run.
+* **Chaos hooks.**  ``REPRO_CHAOS_DIR`` flag files inject every fault
+  the chaos tests need on a per-cell basis; see :func:`_worker_chaos`.
+  The chaos tests assert the final sweep is value-identical to a clean
+  serial run.
 
 Per-shard operational counters land in the process-local metrics
 registry (:mod:`repro.obs.metrics`): ``repro_shard_leases_granted_total``,
@@ -50,11 +56,12 @@ registry (:mod:`repro.obs.metrics`): ``repro_shard_leases_granted_total``,
 ``repro_shard_cells_reassigned_total``, ``repro_shard_heartbeats_total``,
 ``repro_shard_reconnects_total``, ``repro_shard_worker_respawns_total``,
 ``repro_shard_stale_results_total``,
-``repro_shard_duplicates_dropped_total`` and the
+``repro_shard_duplicates_dropped_total``,
+``repro_sweep_watchdog_kills_total`` and the
 ``repro_shard_workers_alive`` gauge.
 
 Entry points: :func:`run_sharded` (called by the resilience supervisor
-when ``SweepConfig.shards`` / ``shard_listen`` is set) and
+when ``SweepConfig.workers`` / ``shard_listen`` is set) and
 :func:`worker_main` (the ``repro shard-worker`` subcommand, for
 workers joining from other processes or machines).
 """
@@ -121,6 +128,11 @@ _REGISTER_GRACE_S = 10.0
 
 #: Respawn budget per locally spawned worker slot.
 _RESPAWNS_PER_SLOT = 2
+
+#: Extra slack the hung-cell watchdog grants beyond ``1.5 *
+#: task_timeout_s`` before it stops a worker (the worker-side alarm
+#: should have fired long before this).
+_WATCHDOG_GRACE_S = 5.0
 
 #: Bounded wait for the workers' final obs-delta flush at shutdown.
 #: Healthy workers answer in milliseconds; this only bites when one
@@ -283,24 +295,46 @@ def _worker_chaos(
     t_switch: float, seed: int, conn: Connection, pump: _HeartbeatPump,
     stall_s: float,
 ) -> None:
-    """Sharded chaos hooks (test-only; see module docstring).
+    """Per-cell fault injection for the chaos tests.
 
-    ``kill-worker-<cell>`` dies hard (whole process), ``drop-conn-<cell>``
-    severs the connection while the worker lives on (its sends then
-    fail), ``stall-heartbeat-<cell>`` freezes worker *and* pump past the
-    coordinator's lease deadline, then resumes -- the classic GC-pause /
-    network-partition shape that lease fencing exists for.  Flags are
-    consumed, so each strikes exactly one attempt.
+    When ``REPRO_CHAOS_DIR`` names a directory, a flag file
+    ``<fault>-<t_switch>-<seed>`` strikes that cell's next attempt:
+
+    * ``kill-`` -- the worker process dies hard (``os._exit``);
+    * ``hang-`` -- the worker sleeps for an hour outside the task's
+      alarm, so only the coordinator's watchdog can recover the cell;
+    * ``fail-`` -- the task raises a plain error (the worker survives);
+    * ``slow-`` -- the task is delayed by one second, well within any
+      sane deadline;
+    * ``drop-conn-`` -- the connection is severed while the worker
+      lives on (its sends then fail);
+    * ``stall-heartbeat-`` -- worker *and* pump freeze past the lease
+      deadline, then resume: the GC-pause / network-partition shape
+      that lease fencing exists for.
+
+    Flags are consumed (unlinked) before acting, so each strikes
+    exactly one attempt and the retry succeeds.  No-op outside the
+    chaos tests.
     """
     chaos_dir = os.environ.get(CHAOS_DIR_ENV)
     if not chaos_dir:
         return
     cell = f"{t_switch:g}-{seed}"
-    if _consume_flag(os.path.join(chaos_dir, f"kill-worker-{cell}")):
+
+    def armed(fault: str) -> bool:
+        return _consume_flag(os.path.join(chaos_dir, f"{fault}-{cell}"))
+
+    if armed("kill"):
         os._exit(1)
-    if _consume_flag(os.path.join(chaos_dir, f"drop-conn-{cell}")):
+    if armed("hang"):
+        time.sleep(3600.0)
+    if armed("fail"):
+        raise RuntimeError(f"chaos: injected failure on cell {cell}")
+    if armed("slow"):
+        time.sleep(1.0)
+    if armed("drop-conn"):
         conn.close()
-    if _consume_flag(os.path.join(chaos_dir, f"stall-heartbeat-{cell}")):
+    if armed("stall-heartbeat"):
         pump.pause()
         time.sleep(stall_s)
         pump.unpause()
@@ -419,8 +453,8 @@ def worker_main(
                     stopped = _drain_control(conn)
                     if stopped or pump.dead.is_set():
                         break
-                    _worker_chaos(t_switch, seed, conn, pump, stall_s)
                     try:
+                        _worker_chaos(t_switch, seed, conn, pump, stall_s)
                         with _deadline(timeout_s):
                             outcome = _evaluate_task(
                                 spec.workload,
@@ -530,6 +564,10 @@ class _WorkerState:
     process: Any = None  # mp.Process for locally spawned workers
     pid: Optional[int] = None  # remote os.getpid() (clock-sync key)
     last_seen: float = 0.0
+    #: When the worker's current cell started, as far as the
+    #: coordinator can tell: the lease grant or the worker's previous
+    #: cell result.  The hung-cell watchdog times from here.
+    cell_started: float = 0.0
     lease: Optional[_Lease] = None
     busy: bool = False  # holds (or is still chewing a revoked) shard
     suspect: bool = False  # missed its liveness deadline
@@ -563,7 +601,7 @@ class _Coordinator:
         self.leases: dict[int, _Lease] = {}
         self.next_worker_id = 0
         self.next_shard_id = 0
-        self.respawn_budget = _RESPAWNS_PER_SLOT * max(0, config.shards)
+        self.respawn_budget = _RESPAWNS_PER_SLOT * config.workers
         self.authkey = _authkey()
         self.drain_sent = False
         self._accept_lock = threading.Lock()
@@ -581,7 +619,7 @@ class _Coordinator:
         else:
             # ~4 leases per worker: big enough to amortize framing,
             # small enough that a lost worker forfeits little work.
-            slots = max(1, config.shards or 1)
+            slots = max(1, config.workers)
             self.shard_size = max(1, -(-n_cells // (slots * 4)))
         self.sizer = None
         if getattr(config, "adaptive_shard_size", False):
@@ -621,7 +659,7 @@ class _Coordinator:
             target=self._accept_loop, name="shard-accept", daemon=True
         )
         self._accept_thread.start()
-        for _ in range(self.config.shards):
+        for _ in range(self.config.workers):
             self._spawn_worker()
 
     @property
@@ -758,7 +796,7 @@ class _Coordinator:
             self.sizer.observe(getattr(outcome[3], "wall_time_s", None))
 
     def _fail_cell(self, spec, error: TaskError) -> None:
-        """Shared retry/quarantine semantics (mirrors the pooled path)."""
+        """Shared retry/quarantine semantics (mirrors the serial path)."""
         error.attempts = self.attempts.get(spec.index, 1)
         if error.attempts > self.config.max_task_retries:
             self.report.errors.append(error)
@@ -815,10 +853,17 @@ class _Coordinator:
         self.leases[shard_id] = lease
         worker.lease = lease
         worker.busy = True
+        worker.cell_started = time.monotonic()
         self._metrics().counter("repro_shard_leases_granted_total").inc()
         return True
 
-    def _revoke(self, lease: _Lease, reason: str) -> None:
+    def _revoke(self, lease: _Lease, reason: str, hung=None) -> None:
+        """Take *lease* back and reassign its incomplete cells.
+
+        Every incomplete cell is charged a ``worker-lost`` retry --
+        except when the watchdog names the *hung* cell: that one is
+        charged a ``timeout``, and the cells queued behind it, which
+        never started, go back to the queue uncharged."""
         metrics = self._metrics()
         metrics.counter(
             "repro_shard_leases_revoked_total", reason=reason
@@ -830,9 +875,13 @@ class _Coordinator:
         for spec in lease.specs:
             if spec.index in lease.done or not self._cell_open(spec):
                 continue
+            if hung is not None and spec is not hung:
+                self.attempts[spec.index] -= 1
+                self.queue.append(spec)
+                continue
             metrics.counter("repro_shard_cells_reassigned_total").inc()
             self._fail_cell(spec, TaskError(
-                kind="worker-lost",
+                kind="timeout" if hung is not None else "worker-lost",
                 t_switch=spec.t_switch,
                 seed=spec.seed,
                 detail=(
@@ -840,6 +889,25 @@ class _Coordinator:
                     f"({reason}); cell reassigned"
                 ),
             ))
+
+    def _watchdog(self, now: float) -> None:
+        """Stop every leased worker whose current cell overran the
+        watchdog budget (see the module docstring)."""
+        if not self.config.task_timeout_s:
+            return
+        budget = 1.5 * self.config.task_timeout_s + _WATCHDOG_GRACE_S
+        for worker in list(self.workers.values()):
+            lease = worker.lease
+            if lease is None or now - worker.cell_started <= budget:
+                continue
+            hung = next(
+                (s for s in lease.specs if s.index not in lease.done), None
+            )
+            self._metrics().counter(
+                "repro_sweep_watchdog_kills_total"
+            ).inc()
+            self._revoke(lease, "watchdog", hung=hung)
+            self._lose_worker(worker, reason="watchdog")
 
     def _lose_worker(self, worker: _WorkerState, reason: str) -> None:
         """Connection-level loss: revoke, forget, maybe respawn."""
@@ -904,6 +972,7 @@ class _Coordinator:
                 ).inc()
             else:
                 lease.done.add(spec.index)
+                worker.cell_started = now
             if kind == "outcome":
                 if self.report.outcomes[spec.index] is not None:
                     self._metrics().counter(
@@ -991,6 +1060,7 @@ class _Coordinator:
                     ):
                         worker.suspect = True
                         self._revoke(worker.lease, "heartbeat-timeout")
+                self._watchdog(now)
                 # Dispatch to idle, trusted workers.
                 if not self.drain.triggered:
                     for worker in list(self.workers.values()):
@@ -1141,10 +1211,10 @@ def run_sharded(config, pending, report, journal, drain, rng, reporter,
                 fleet=None):
     """Sharded leg of :func:`repro.experiments.resilience.execute`.
 
-    Same contract as ``_run_pooled``: mutate *report* in place
+    Same contract as ``_run_serial``: mutate *report* in place
     (outcomes, errors, retries), journal every completion, respect the
     drain flag.  The caller owns journal/resume/signal setup, so a
-    sharded sweep resumes and drains exactly like a pooled one.
+    sharded sweep resumes and drains exactly like a serial one.
 
     *fleet* (a :class:`repro.obs.fleet.FleetAggregator`) enables the
     observability plane: workers ship metric deltas on the heartbeat

@@ -1,7 +1,7 @@
 """Invariant audit: continuously prove the fast paths stay paper-correct.
 
 The engine went fast in three steps (fused replay, compiled traces,
-counters-only protocols, a parallel sweep pool), and each step is a
+counters-only protocols, parallel shard workers), and each step is a
 chance to silently break the properties the paper's argument rests on:
 recovery lines must admit no orphan message (Section 3), checkpoint
 indices must grow monotonically, and every engine must produce the same
@@ -59,7 +59,7 @@ class AuditViolation(Exception):
     An :class:`Exception` so strict callers can ``raise`` it directly,
     but normally collected into lists by the audit entry points.  All
     fields are carried positionally in ``args`` so instances pickle
-    cleanly through the sweep worker pool.
+    cleanly over the shard wire.
     """
 
     def __init__(
@@ -377,8 +377,8 @@ def run_audit_grid(config) -> AuditGridResult:
 
     Forces ``audit=True`` on a copy of the sweep config and runs it
     through the standard sweep engine, so the audit exercises exactly
-    the production path (cache, pool, fused replay) it is meant to
-    police.
+    the production path (cache, shard workers, fused replay) it is
+    meant to police.
     """
     from dataclasses import replace
 

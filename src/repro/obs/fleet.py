@@ -397,7 +397,7 @@ class FleetPlane:
 
     Owned by :func:`repro.experiments.runner.run_sweep` when any fleet
     knob is set.  The aggregator is handed to the shard coordinator
-    (serial and pooled sweeps leave it empty -- the local registry
+    (serial sweeps leave it empty -- the local registry
     carries everything there); a daemon thread refreshes the Prometheus
     textfile every ``refresh_s``; :meth:`finalize` writes the final
     exposition, pushes to a gateway when configured, and emits one

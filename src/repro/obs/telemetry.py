@@ -4,8 +4,8 @@ Every sweep task -- one ``(t_switch, seed)`` pair -- produces one
 :class:`TaskTelemetry` record: how long the task took, where its trace
 came from (memory cache, disk cache, fresh generation), how big the
 trace was, which worker process ran it, and the checkpoint counters of
-every protocol evaluated on it.  The records ride back through the
-process pool with the run outcomes and are reassembled in deterministic
+every protocol evaluated on it.  The records ride back from the shard
+workers with the run outcomes and are reassembled in deterministic
 (point, seed) order, so two identical sweeps produce identically
 ordered telemetry (the wall times differ, the structure does not).
 
@@ -16,7 +16,7 @@ needs no schema migration when fields are added.
 
 :func:`summarize` aggregates a record list into the operational
 headline numbers: total busy time, worker utilization (busy time over
-pool capacity), and the cache-tier breakdown that tells whether a sweep
+worker capacity), and the cache-tier breakdown that tells whether a sweep
 was generation-bound or replay-bound.
 """
 
@@ -83,7 +83,7 @@ class TelemetrySummary:
     sweep_wall_s: float
     #: Pool width the sweep ran with (1 = serial).
     workers: int
-    #: total busy / (sweep wall x workers); 1.0 = perfectly packed pool.
+    #: total busy / (sweep wall x workers); 1.0 = perfectly packed workers.
     utilization: float
     #: trace_source -> task count.
     trace_sources: dict[str, int] = field(default_factory=dict)

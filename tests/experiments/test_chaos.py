@@ -1,30 +1,29 @@
 """Chaos tests: the sweep engine under injected faults.
 
-These kill real worker processes mid-sweep, hang tasks past their
-deadline and corrupt on-disk cache entries, then assert the final
+These kill real shard worker processes mid-sweep, hang tasks past
+their deadline and corrupt on-disk cache entries, then assert the final
 ``SweepResult`` is value-identical to a fault-free run -- the
-acceptance bar for the resilience layer.  Fault injection uses the
-``REPRO_CHAOS_DIR`` flag-file hook consumed by the worker entry
-(:func:`repro.experiments.resilience._maybe_chaos`); each flag strikes
+acceptance bar for the resilience layer.  Every parallel sweep here
+(``workers=2``) runs through the sharded coordinator.  Fault injection
+uses the ``REPRO_CHAOS_DIR`` flag-file hook consumed by the worker loop
+(:func:`repro.experiments.sharded._worker_chaos`); each flag strikes
 exactly one attempt, so the retry path must heal the sweep.
 """
 
 import json
-import os
 import signal
 import time
-from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
 from repro.experiments import SweepConfig, run_sweep
-from repro.experiments import runner as runner_mod
+from repro.experiments import sharded
 from repro.experiments.resilience import (
     CHAOS_DIR_ENV,
     SweepJournal,
     sweep_config_hash,
 )
-from repro.experiments.runner import _get_pool, shutdown_pool
+from repro.obs.metrics import registry
 from repro.workload import WorkloadConfig
 
 pytestmark = pytest.mark.timeout(300)
@@ -45,26 +44,6 @@ def sweep_config(**overrides):
 
 def _values(result):
     return [[r for r in p.runs] for p in result.points]
-
-
-@pytest.fixture(autouse=True)
-def fresh_pool():
-    """Chaos flags ride on os.environ, which workers inherit at spawn:
-    every test must start (and leave behind) a clean pool."""
-    shutdown_pool()
-    yield
-    shutdown_pool()
-
-
-# ----------------------------------------------------------------------
-# picklable helpers for pool-level tests (spawn imports this module)
-# ----------------------------------------------------------------------
-def _die_hard():  # pragma: no cover - dies before returning
-    os._exit(1)
-
-
-def _ping(x):  # pragma: no cover - runs in a worker
-    return x + 1
 
 
 # ----------------------------------------------------------------------
@@ -117,8 +96,8 @@ def test_journal_resume_reexecutes_only_missing_cells(tmp_path, monkeypatch):
 
     # First run: zero retries, so one task-local fault on cell (800, 0)
     # quarantines it and leaves exactly one hole.  (A kill- flag would
-    # break the whole pool and take the other in-flight cells down with
-    # it -- worker-crash blast radius is covered by the test above.)
+    # take the worker's whole lease down with it -- worker-loss blast
+    # radius is covered by the test above.)
     (chaos_dir / "fail-800-0").touch()
     monkeypatch.setenv(CHAOS_DIR_ENV, str(chaos_dir))
     first = run_sweep(sweep_config(
@@ -158,8 +137,10 @@ def test_journal_resume_reexecutes_only_missing_cells(tmp_path, monkeypatch):
     not hasattr(signal, "SIGALRM"), reason="needs POSIX alarms in workers"
 )
 def test_hung_worker_times_out_and_recovers(tmp_path, monkeypatch):
-    """A task hanging past its deadline is aborted by the worker-side
-    alarm, retried, and the sweep still converges."""
+    """A worker hanging outside the task's alarm (its heartbeat pump
+    still beating) is stopped by the coordinator's hung-cell watchdog;
+    the cell is retried as a timeout on a respawned worker and the
+    sweep still converges."""
     chaos_dir = tmp_path / "chaos"
     chaos_dir.mkdir()
     cache_dir = str(tmp_path / "cache")
@@ -167,6 +148,7 @@ def test_hung_worker_times_out_and_recovers(tmp_path, monkeypatch):
 
     (chaos_dir / "hang-100-1").touch()
     monkeypatch.setenv(CHAOS_DIR_ENV, str(chaos_dir))
+    registry().reset()
     started = time.perf_counter()
     result = run_sweep(sweep_config(
         cache_dir=cache_dir, task_timeout_s=1.0, max_task_retries=2
@@ -175,6 +157,8 @@ def test_hung_worker_times_out_and_recovers(tmp_path, monkeypatch):
     assert result.complete
     assert result.task_retries >= 1
     assert _values(result) == _values(baseline)
+    assert registry().counter("repro_sweep_watchdog_kills_total").value >= 1
+    assert registry().counter("repro_shard_worker_respawns_total").value >= 1
     (record,) = [
         r for r in result.telemetry if (r.t_switch, r.seed) == (100.0, 1)
     ]
@@ -184,13 +168,12 @@ def test_hung_worker_times_out_and_recovers(tmp_path, monkeypatch):
 def test_backlog_deeper_than_watchdog_budget_is_not_killed(
     tmp_path, monkeypatch
 ):
-    """Regression: the watchdog clock must start when a task begins
-    executing, not at submission.  With deadlines armed at submit time,
-    any backlog deeper than the watchdog budget read as a pool full of
-    hung workers -- every worker was killed repeatedly and healthy
-    tasks burned their retries into quarantine."""
-    from repro.experiments import resilience
-
+    """Regression: the watchdog clock must start when a cell is granted
+    or when the worker reports its previous cell, never when a whole
+    shard is leased.  Timed per lease (or per submission), any backlog
+    deeper than the watchdog budget reads as a fleet of hung workers:
+    every worker is stopped repeatedly and healthy cells burn their
+    retries into quarantine."""
     chaos_dir = tmp_path / "chaos"
     chaos_dir.mkdir()
     cache_dir = str(tmp_path / "cache")
@@ -199,56 +182,18 @@ def test_backlog_deeper_than_watchdog_budget_is_not_killed(
 
     # Every task dawdles 1s inside a 2s deadline; with two workers and
     # a zeroed grace the per-worker backlog (~4s+) far exceeds the 3s
-    # watchdog budget, so submission-time deadlines would all blow.
+    # watchdog budget, so lease-time deadlines would all blow.  Leases
+    # of four cells make each worker's whole backlog one lease.
     for seed in grid["seeds"]:
         (chaos_dir / f"slow-100-{seed}").touch()
     monkeypatch.setenv(CHAOS_DIR_ENV, str(chaos_dir))
-    monkeypatch.setattr(resilience, "_WATCHDOG_GRACE_S", 0.0)
-    # Warm the pool first so worker spawn/import time is not on any
-    # task's watchdog clock.
-    pool = _get_pool(2)
-    assert pool.submit(_ping, 1).result(timeout=60) == 2
+    monkeypatch.setattr(sharded, "_WATCHDOG_GRACE_S", 0.0)
 
     result = run_sweep(sweep_config(
-        cache_dir=cache_dir, task_timeout_s=2.0, **grid
+        cache_dir=cache_dir, task_timeout_s=2.0, shard_size=4, **grid
     ))
     assert result.complete
     assert not result.errors
     assert result.task_retries == 0  # no spurious watchdog kills
     assert _values(result) == _values(baseline)
     assert not list(chaos_dir.iterdir())  # every slow- flag really fired
-
-
-# ----------------------------------------------------------------------
-# broken-pool regression (satellite): _get_pool must not hand back a
-# poisoned executor
-# ----------------------------------------------------------------------
-def test_get_pool_detects_and_replaces_broken_executor():
-    pool = _get_pool(2)
-    future = pool.submit(_die_hard)
-    with pytest.raises(BrokenProcessPool):
-        future.result(timeout=60)
-    # The executor is now permanently broken...
-    with pytest.raises(BrokenProcessPool):
-        pool.submit(_ping, 1)
-    # ...but _get_pool notices and hands back a working replacement.
-    healed = _get_pool(2)
-    assert healed is not pool
-    assert healed.submit(_ping, 41).result(timeout=60) == 42
-
-
-def test_get_pool_reuses_healthy_executor():
-    pool = _get_pool(2)
-    assert pool.submit(_ping, 1).result(timeout=60) == 2
-    assert _get_pool(2) is pool
-    assert _get_pool(3) is not pool  # width change still recreates
-
-
-def test_sweep_completes_after_externally_broken_pool(tmp_path):
-    """A sweep right after some earlier code broke the shared pool must
-    transparently rebuild it (the old bug: cached forever-broken pool)."""
-    pool = _get_pool(2)
-    with pytest.raises(BrokenProcessPool):
-        pool.submit(_die_hard).result(timeout=60)
-    result = run_sweep(sweep_config(cache_dir=str(tmp_path / "cache")))
-    assert result.complete

@@ -3,8 +3,9 @@
 sweep journal, resumption and graceful draining.
 
 Everything here exercises the serial supervisor (deterministic,
-in-process, monkeypatchable); the pooled paths -- worker kills, pool
-healing, hung-worker watchdog -- live in test_chaos.py.
+in-process, monkeypatchable); the parallel paths -- worker kills,
+respawn, the hung-cell watchdog -- live in test_chaos.py and the
+test_sharded*.py suites.
 """
 
 import json
@@ -335,23 +336,6 @@ def test_system_exit_in_task_is_quarantined_not_fatal(monkeypatch):
     (error,) = result.errors
     assert error.kind == "worker-crash"
     assert (error.t_switch, error.seed) == (100.0, 0)
-
-
-def test_supervised_entry_survives_system_exit(monkeypatch):
-    """The worker entry point converts SystemExit into a TaskError so
-    the pool worker's serve loop is never aborted by a failed task."""
-    from repro.experiments.resilience import _supervised_entry
-
-    def exiting(*args):
-        raise SystemExit(2)
-
-    monkeypatch.setattr(runner_mod, "_evaluate_task", exiting)
-    index, outcome, error = _supervised_entry(
-        7, (None, 100.0, 3, (), False, None, False), None
-    )
-    assert index == 7 and outcome is None
-    assert error.kind == "worker-crash"
-    assert (error.t_switch, error.seed) == (100.0, 3)
 
 
 def test_task_error_serialization():

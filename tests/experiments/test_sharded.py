@@ -7,18 +7,23 @@ Whole-worker fault injection lives in test_sharded_chaos.py.
 
 import json
 import multiprocessing
+import socket
+import threading
 
 import pytest
 
 from repro.experiments import SweepConfig, SweepJournal, run_sweep
+from repro.experiments import runner as runner_mod
 from repro.experiments.resilience import sweep_config_hash
 from repro.experiments.sharded import (
+    AUTHKEY_ENV,
     PROTOCOL_VERSION,
     FrameError,
     VersionMismatch,
     parse_address,
     recv_frame,
     send_frame,
+    worker_main,
 )
 from repro.obs.metrics import registry
 from repro.workload import WorkloadConfig
@@ -31,7 +36,7 @@ GRID = dict(t_switch_values=(100.0, 800.0), seeds=(0, 1))
 def sweep_config(**overrides):
     kw = dict(
         base=WorkloadConfig(p_switch=0.8, sim_time=200.0),
-        shards=2,
+        workers=2,
         retry_backoff_s=0.01,
         shard_heartbeat_s=0.2,
         shard_lease_timeout_s=2.0,
@@ -130,7 +135,7 @@ def test_parse_address_rejects(bad):
 @pytest.mark.parametrize(
     "bad",
     [
-        {"shards": -1},
+        {"workers": -1},
         {"shard_listen": "no-port"},
         {"shard_size": 0},
         {"shard_heartbeat_s": 0.0},
@@ -146,7 +151,7 @@ def test_shard_knobs_are_validated(bad):
 # fault-free end-to-end dispatch
 # ----------------------------------------------------------------------
 def test_sharded_sweep_is_value_identical_to_serial():
-    serial = run_sweep(sweep_config(shards=0, workers=0))
+    serial = run_sweep(sweep_config(workers=0))
     registry().reset()
     # A fast pump so even this short grid observes heartbeat traffic.
     sharded = run_sweep(sweep_config(shard_heartbeat_s=0.02))
@@ -254,10 +259,10 @@ def test_late_results_from_revoked_lease_are_fenced():
 
 
 def test_sharded_external_only_with_no_worker_quarantines(monkeypatch):
-    """A listen-only service (shards=0) that never sees a worker must
+    """A listen-only service (workers=0) that never sees a worker must
     degrade to explicit worker-lost holes, not hang."""
     cfg = sweep_config(
-        shards=0,
+        workers=0,
         shard_listen="127.0.0.1:0",
         shard_lease_timeout_s=0.5,
         shard_heartbeat_s=0.1,
@@ -265,3 +270,79 @@ def test_sharded_external_only_with_no_worker_quarantines(monkeypatch):
     result = run_sweep(cfg)
     assert result.n_holes == 4
     assert all(e.kind == "worker-lost" for e in result.errors)
+
+
+@pytest.mark.parametrize("retries", [0, 1])
+def test_system_exit_on_shard_worker_is_a_task_error(monkeypatch, retries):
+    """A task raising SystemExit on a shard worker is reported as a
+    ``worker-crash`` task error -- retried while the budget lasts, then
+    quarantined -- and the worker's serve loop survives it: the one
+    worker of this sweep goes on to finish every other cell and exits
+    cleanly on the coordinator's shutdown."""
+    real = runner_mod._evaluate_task
+    # With a retry budget the cell fails once; without, every time.
+    exits_left = [1 if retries else 99]
+
+    def exiting(base, t_switch, seed, *rest, **kw):
+        if (t_switch, seed) == (800.0, 1) and exits_left[0] > 0:
+            exits_left[0] -= 1
+            raise SystemExit(2)
+        return real(base, t_switch, seed, *rest, **kw)
+
+    monkeypatch.setattr(runner_mod, "_evaluate_task", exiting)
+    monkeypatch.setenv(AUTHKEY_ENV, "ab" * 16)
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+    codes = []
+    # An in-process worker thread, so the patched task body is the one
+    # it runs; workers=0 makes the coordinator listen-only.
+    worker = threading.Thread(
+        target=lambda: codes.append(
+            worker_main(("127.0.0.1", port), bytes.fromhex("ab" * 16))
+        ),
+        daemon=True,
+    )
+    worker.start()
+    result = run_sweep(sweep_config(
+        workers=0,
+        shard_listen=f"127.0.0.1:{port}",
+        max_task_retries=retries,
+    ))
+    worker.join(timeout=30)
+    assert codes == [0]  # drained by the coordinator, never crashed
+    done = {(p.t_switch, r.seed) for p in result.points for r in p.runs}
+    if retries:
+        assert result.complete
+        assert result.task_retries == 1
+        (record,) = [
+            r for r in result.telemetry if (r.t_switch, r.seed) == (800.0, 1)
+        ]
+        assert record.attempts == 2
+    else:
+        assert result.n_holes == 1
+        (error,) = result.errors
+        assert error.kind == "worker-crash"
+        assert (error.t_switch, error.seed) == (800.0, 1)
+        assert "SystemExit" in error.detail
+        assert done == {(100.0, 0), (100.0, 1), (800.0, 0)}
+
+
+def test_parallel_sweep_telemetry_counts_every_lane(tmp_path, monkeypatch):
+    """``workers=2`` is the lane count the telemetry summary divides
+    busy time by, and both worker processes report busy time."""
+    from repro.experiments.resilience import CHAOS_DIR_ENV
+
+    # One second per cell: neither worker can drain the grid before
+    # the other has registered.
+    chaos_dir = tmp_path / "chaos"
+    chaos_dir.mkdir()
+    for t in GRID["t_switch_values"]:
+        for seed in GRID["seeds"]:
+            (chaos_dir / f"slow-{t:g}-{seed}").touch()
+    monkeypatch.setenv(CHAOS_DIR_ENV, str(chaos_dir))
+    result = run_sweep(sweep_config(workers=2, shard_size=1))
+    assert result.complete
+    summary = result.telemetry_summary()
+    assert summary.workers == 2
+    assert len(summary.busy_by_pid) == 2

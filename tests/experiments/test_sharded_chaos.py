@@ -9,7 +9,7 @@ acceptance bar for the sharded dispatch service.
 
 Fault injection uses the same ``REPRO_CHAOS_DIR`` flag-file hook as
 test_chaos.py, with the sharded-path flags consumed by the worker loop
-(:func:`repro.experiments.sharded._worker_chaos`): ``kill-worker-*``,
+(:func:`repro.experiments.sharded._worker_chaos`): ``kill-*``,
 ``drop-conn-*`` and ``stall-heartbeat-*``.  Each flag strikes exactly
 one attempt.
 """
@@ -33,7 +33,7 @@ N_CELLS = len(GRID["t_switch_values"]) * len(GRID["seeds"])
 def sweep_config(**overrides):
     kw = dict(
         base=WorkloadConfig(p_switch=0.8, sim_time=200.0),
-        shards=2,
+        workers=2,
         retry_backoff_s=0.01,
         shard_size=1,  # one cell per lease: a lost worker loses little
         shard_heartbeat_s=0.1,
@@ -74,11 +74,11 @@ def test_killed_worker_mid_sweep_converges(
     is reassigned as a worker-lost retry, a replacement is respawned,
     and the sweep converges value-identical with no duplicate journal
     entries."""
-    baseline = run_sweep(sweep_config(shards=0, workers=0))
+    baseline = run_sweep(sweep_config(workers=0))
 
     chaos_dir = tmp_path / "chaos"
     chaos_dir.mkdir()
-    (chaos_dir / "kill-worker-100-0").touch()
+    (chaos_dir / "kill-100-0").touch()
     monkeypatch.setenv(CHAOS_DIR_ENV, str(chaos_dir))
     journal = str(tmp_path / "sweep.jsonl")
 
@@ -106,7 +106,7 @@ def test_severed_connection_mid_sweep_converges(
     """A worker whose connection is severed (the worker itself stays
     alive for a moment) is treated as lost: lease revoked, cell
     reassigned, sweep value-identical."""
-    baseline = run_sweep(sweep_config(shards=0, workers=0))
+    baseline = run_sweep(sweep_config(workers=0))
 
     chaos_dir = tmp_path / "chaos"
     chaos_dir.mkdir()
@@ -135,7 +135,7 @@ def test_stalled_heartbeat_revokes_lease_and_fences_late_results(
     shape) has its lease revoked and the cell reassigned; when it wakes
     up and reports anyway, the late result is fenced -- accepted at most
     once, never journaled twice."""
-    baseline = run_sweep(sweep_config(shards=0, workers=0))
+    baseline = run_sweep(sweep_config(workers=0))
 
     chaos_dir = tmp_path / "chaos"
     chaos_dir.mkdir()
@@ -176,7 +176,7 @@ def test_repeated_worker_loss_exhausts_budget_into_explicit_holes(
     monkeypatch.setenv(CHAOS_DIR_ENV, str(chaos_dir))
 
     def rearm(*args):
-        (chaos_dir / "kill-worker-100-0").touch()
+        (chaos_dir / "kill-100-0").touch()
 
     rearm()
     # Re-arm the kill flag every time it is consumed so every retry of
@@ -184,14 +184,14 @@ def test_repeated_worker_loss_exhausts_budget_into_explicit_holes(
     # side is useless (workers consume it), so pre-arm enough copies by
     # watching the journal-free sweep retry budget: attempts = 1 + max
     # retries.
-    cfg = sweep_config(max_task_retries=1, shards=1)
+    cfg = sweep_config(max_task_retries=1, workers=1)
     import threading
 
     stop = threading.Event()
 
     def rearmer():
         while not stop.is_set():
-            if not (chaos_dir / "kill-worker-100-0").exists():
+            if not (chaos_dir / "kill-100-0").exists():
                 rearm()
             stop.wait(0.02)
 

@@ -24,7 +24,7 @@ GRID = dict(t_switch_values=(100.0, 800.0), seeds=(0, 1))
 def sweep_config(**overrides):
     kw = dict(
         base=WorkloadConfig(p_switch=0.8, sim_time=200.0),
-        shards=2,
+        workers=2,
         retry_backoff_s=0.01,
         shard_heartbeat_s=0.2,
         shard_lease_timeout_s=2.0,

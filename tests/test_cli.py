@@ -407,14 +407,14 @@ def test_shard_worker_unreachable_coordinator_exits_1(capsys, monkeypatch):
     assert "could not reach coordinator" in capsys.readouterr().err
 
 
-def test_figure_shards_flag_runs_sharded_sweep(capsys):
+def test_figure_workers_flag_runs_sharded_sweep(capsys):
     rc = main(
         [
             "figure", "2",
             "--sim-time", "300",
             "--seeds", "0", "1",
             "--sweep", "100", "800",
-            "--shards", "2",
+            "--workers", "2",
             "--no-progress",
         ]
     )
@@ -452,7 +452,7 @@ def test_figure_fleet_flags_write_exporter_artifacts(tmp_path, capsys):
     rc = main([
         "figure", "1", "--sim-time", "300", "--seeds", "0",
         "--sweep", "100", "800", "--no-cache", "--no-progress",
-        "--shards", "2",
+        "--workers", "2",
         "--prom", str(prom), "--otlp", str(otlp),
         "--run-id", "cli-fleet",
     ])
