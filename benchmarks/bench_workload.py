@@ -5,9 +5,10 @@ compilation does not require the whole event list in memory; this bench
 *gates* that claim.  Both pipelines consume the same synthetic
 1M-event schedule:
 
-* **materialized** -- build the full ``TraceEvent`` list, then
-  ``compile_trace`` it (the classic path: peak = event objects + the
-  compiled python-list columns);
+* **materialized** -- build the full ``TraceEvent`` list, then lower
+  it into python-list columns with :func:`_materialized_compile` (the
+  classic path, kept here as the reference: peak = event objects + the
+  list columns);
 * **streaming** -- feed events one at a time into a
   :class:`~repro.core.streamed.StreamingCompiler` (peak = one staging
   block + the numpy slabs, 56 bytes/event).
@@ -26,9 +27,18 @@ import json
 import os
 import tracemalloc
 
-from repro.core.compiled import compile_trace
+import numpy as np
+
+from repro.core.compiled import (
+    DISCONNECT,
+    INTERNAL,
+    RECEIVE,
+    SEND,
+    array_columns,
+    compile_trace,
+)
 from repro.core.streamed import StreamingCompiler
-from repro.core.trace import EventType, Trace, TraceEvent
+from repro.core.trace import EventType, Trace, TraceError, TraceEvent
 from repro.workload.config import WorkloadConfig
 from repro.workload.driver import generate_streamed, generate_trace
 
@@ -84,8 +94,72 @@ def _synthetic_events(n: int):
             i += 1
 
 
+def _materialized_compile(events: list[TraceEvent]) -> dict:
+    """The classic events-to-lists lowering, one pass over the event
+    list: the six event columns, the dense send ``slot`` column and the
+    fused engine's ``argv`` tuples as python lists, plus the send and
+    receive counts.  The library compiles events through a
+    ``StreamingCompiler`` instead; this is the reference it replaced,
+    kept as the gate's denominator (and checked against the library in
+    :func:`test_generate_streamed_matches_and_records`)."""
+    n = len(events)
+    etype: list[int] = [0] * n
+    time: list[float] = [0.0] * n
+    host: list[int] = [0] * n
+    msg_id: list[int] = [0] * n
+    peer: list[int] = [0] * n
+    cell: list[int] = [0] * n
+    slot: list[int] = [-1] * n
+    argv: list[tuple] = [()] * n
+    open_sends: dict[int, int] = {}
+    n_sends = 0
+    n_receives = 0
+    for i, ev in enumerate(events):
+        et = int(ev.etype)
+        etype[i] = et
+        time[i] = ev.time
+        host[i] = ev.host
+        msg_id[i] = ev.msg_id
+        peer[i] = ev.peer
+        cell[i] = ev.cell
+        if et == SEND:
+            if ev.msg_id in open_sends:
+                raise TraceError(f"duplicate send of msg {ev.msg_id}")
+            open_sends[ev.msg_id] = n_sends
+            slot[i] = n_sends
+            n_sends += 1
+            argv[i] = (ev.host, ev.peer, ev.time)
+        elif et == RECEIVE:
+            try:
+                slot[i] = open_sends.pop(ev.msg_id)
+            except KeyError:
+                raise TraceError(
+                    f"receive of msg {ev.msg_id} that was never sent or "
+                    "was already consumed"
+                ) from None
+            n_receives += 1
+            argv[i] = (ev.host, ev.peer, ev.time)
+        elif et == DISCONNECT:
+            argv[i] = (ev.host, ev.time)
+        elif et != INTERNAL:  # CELL_SWITCH / RECONNECT
+            argv[i] = (ev.host, ev.time, ev.cell)
+    return {
+        "n_events": n,
+        "n_sends": n_sends,
+        "n_receives": n_receives,
+        "etype": etype,
+        "time": time,
+        "host": host,
+        "msg_id": msg_id,
+        "peer": peer,
+        "cell": cell,
+        "slot": slot,
+        "argv": argv,
+    }
+
+
 def _materialized_peak(n: int) -> tuple[int, int]:
-    """(peak bytes, n_events) of the event-list + compile_trace path."""
+    """(peak bytes, n_events) of the event-list + list-lowering path."""
     tracemalloc.start()
     try:
         events = [
@@ -94,13 +168,9 @@ def _materialized_peak(n: int) -> tuple[int, int]:
             )
             for t, et, h, m, p, c in _synthetic_events(n)
         ]
-        trace = Trace(
-            n_hosts=N_HOSTS, n_mss=N_MSS, sim_time=events[-1].time + 1.0,
-            events=events,
-        )
-        compiled = compile_trace(trace)
+        compiled = _materialized_compile(events)
         _, peak = tracemalloc.get_traced_memory()
-        return peak, compiled.n_events
+        return peak, compiled["n_events"]
     finally:
         tracemalloc.stop()
 
@@ -166,17 +236,28 @@ def test_streaming_throughput(benchmark):
 
 
 def test_generate_streamed_matches_and_records():
-    """Driver-level identity on a real (small) simulation + bookkeeping."""
+    """Driver-level identity on a real (small) simulation: the streamed
+    columns and the fused lowering equal the materialized reference
+    over the generated trace's events; plus bookkeeping."""
     cfg = WorkloadConfig(sim_time=500.0).validate()
     streamed = generate_streamed(cfg)
     trace = generate_trace(cfg)
+    reference = _materialized_compile(trace.events)
+    cols = streamed.array_columns()
+    for name in ("etype", "time", "host", "msg_id", "peer", "cell", "slot"):
+        np.testing.assert_array_equal(
+            getattr(cols, name), reference[name], err_msg=name
+        )
     events = Trace(
         n_hosts=trace.n_hosts,
         n_mss=trace.n_mss,
         events=list(trace.events),
         sim_time=trace.sim_time,
     )
-    assert streamed.to_compiled() == compile_trace(events)
+    for lowered in (compile_trace(trace), compile_trace(events)):
+        for name in ("n_events", "n_sends", "n_receives", "etype", "slot", "argv"):
+            assert getattr(lowered, name) == reference[name], name
+    assert array_columns(events).n_sends == streamed.n_sends
     _record(
         "generate_streamed_identity",
         {"sim_time": cfg.sim_time, "n_events": streamed.n_events, "ok": True},

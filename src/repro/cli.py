@@ -306,10 +306,16 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_replay(args) -> int:
-    from repro.core.trace_io import load_trace
+    from repro.core.trace_io import TraceIntegrityError, load_trace
     from repro.engine import RunSpec, execute
 
-    trace = load_trace(args.trace)
+    try:
+        trace = load_trace(args.trace)
+    except TraceIntegrityError as exc:
+        # Damaged, or written in a trace format this version no longer
+        # reads: the message names the problem; regenerate the file.
+        print(exc, file=sys.stderr)
+        return EXIT_USAGE
     result = execute(
         RunSpec(protocols=args.protocols, trace=trace, engine=args.engine)
     )

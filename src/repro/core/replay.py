@@ -14,15 +14,17 @@ Two engines share the contract:
 * :func:`replay` -- the reference implementation: one protocol, one
   pass over the raw :class:`~repro.core.trace.TraceEvent` list.
 * :func:`replay_fused` -- the production engine: N fresh protocol
-  instances driven over one *compiled* trace
-  (:mod:`repro.core.compiled`) in a single pass, with a flat
-  slot-indexed piggyback store per protocol instead of a hash table.
+  instances driven over one *compiled* trace (the dispatch program
+  :mod:`repro.core.compiled` lowers from the trace's columns) in a
+  single pass, with a flat slot-indexed piggyback store per protocol
+  instead of a hash table.
   The equivalence suite asserts both produce bit-identical checkpoint
   sequences for every registered protocol.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -84,6 +86,48 @@ def _audit_instance(protocol: CheckpointingProtocol, seed) -> None:
     violations = check_protocol_invariants(protocol, seed=seed)
     if violations:
         raise violations[0]
+
+
+def _audit_against_reference(
+    trace: Trace,
+    protocols: Sequence[CheckpointingProtocol],
+    references: Sequence[CheckpointingProtocol],
+    seed: Optional[int],
+    engine: str,
+) -> None:
+    """The *engine*-vs-reference tripwire: check every instance's
+    invariants, replay its pristine clone through :func:`replay` and
+    raise the first counter divergence as an
+    :class:`~repro.obs.audit.AuditViolation`."""
+    from repro.obs.audit import FUSED_DIVERGENCE, AuditViolation
+
+    for p, ref in zip(protocols, references):
+        _audit_instance(p, seed)
+        replay(trace, ref, seed=seed)
+        p_sig, ref_sig = p.counter_signature(), ref.counter_signature()
+        if p_sig != ref_sig:
+            diff = {
+                key: (ref_sig[key], p_sig[key])
+                for key in ref_sig
+                if ref_sig[key] != p_sig[key]
+            }
+            raise AuditViolation(
+                FUSED_DIVERGENCE,
+                p.name,
+                f"{engine} vs reference counters differ: {diff}",
+                seed=seed,
+            )
+
+
+def _require_kernel(protocol: CheckpointingProtocol) -> None:
+    """Reject a protocol that ships no vectorized kernel."""
+    if not (protocol.vectorizable and protocol.fusable):
+        from repro.core.vectorized import VectorizationError
+
+        raise VectorizationError(
+            f"protocol {protocol.name} has no vectorized kernel; "
+            "use replay_fused"
+        )
 
 
 def replay(
@@ -175,13 +219,9 @@ def replay_fused(
     """
     for protocol in protocols:
         _check_replayable(trace, protocol)
-    references: list[CheckpointingProtocol] = []
-    if audit:
-        import copy
-
-        # Pristine pre-run clones preserve constructor parameters the
-        # registry cannot reproduce (periods, initial cells, ...).
-        references = [copy.deepcopy(p) for p in protocols]
+    # Pristine pre-run clones preserve constructor parameters the
+    # registry cannot reproduce (periods, initial cells, ...).
+    references = [copy.deepcopy(p) for p in protocols] if audit else []
     ct = trace.compiled()
     # One piggyback store per protocol: the "in-flight table", laid out
     # as a list indexed by the send's compile-time slot.
@@ -222,24 +262,7 @@ def replay_fused(
         # INTERNAL events carry no protocol action.
 
     if audit:
-        from repro.obs.audit import FUSED_DIVERGENCE, AuditViolation
-
-        for p, ref in zip(protocols, references):
-            _audit_instance(p, seed)
-            replay(trace, ref, seed=seed)
-            p_sig, ref_sig = p.counter_signature(), ref.counter_signature()
-            if p_sig != ref_sig:
-                diff = {
-                    key: (ref_sig[key], p_sig[key])
-                    for key in ref_sig
-                    if ref_sig[key] != p_sig[key]
-                }
-                raise AuditViolation(
-                    FUSED_DIVERGENCE,
-                    p.name,
-                    f"fused vs reference counters differ: {diff}",
-                    seed=seed,
-                )
+        _audit_against_reference(trace, protocols, references, seed, "fused")
 
     return [
         ReplayResult(
@@ -270,45 +293,21 @@ def replay_vectorized(
     :class:`~repro.obs.audit.AuditViolation` on any counter divergence
     (the same tripwire as :func:`replay_fused`).
     """
-    from repro.core.vectorized import VectorizationError
+    from repro.core.vectorized import vectorized_trace
 
     for protocol in protocols:
         _check_replayable(trace, protocol)
-        if not (protocol.vectorizable and protocol.fusable):
-            raise VectorizationError(
-                f"protocol {protocol.name} has no vectorized kernel; "
-                "use replay_fused"
-            )
-    references: list[CheckpointingProtocol] = []
-    if audit:
-        import copy
-
-        references = [copy.deepcopy(p) for p in protocols]
-    from repro.core.vectorized import vectorized_trace
+        _require_kernel(protocol)
+    references = [copy.deepcopy(p) for p in protocols] if audit else []
 
     vt = vectorized_trace(trace)
     for protocol in protocols:
         type(protocol).vectorized_replay(vt, [protocol])
 
     if audit:
-        from repro.obs.audit import FUSED_DIVERGENCE, AuditViolation
-
-        for p, ref in zip(protocols, references):
-            _audit_instance(p, seed)
-            replay(trace, ref, seed=seed)
-            p_sig, ref_sig = p.counter_signature(), ref.counter_signature()
-            if p_sig != ref_sig:
-                diff = {
-                    key: (ref_sig[key], p_sig[key])
-                    for key in ref_sig
-                    if ref_sig[key] != p_sig[key]
-                }
-                raise AuditViolation(
-                    FUSED_DIVERGENCE,
-                    p.name,
-                    f"vectorized vs reference counters differ: {diff}",
-                    seed=seed,
-                )
+        _audit_against_reference(
+            trace, protocols, references, seed, "vectorized"
+        )
 
     vt0 = vt.blocks[0]
     return [
@@ -336,17 +335,13 @@ def replay_vectorized_batch(
     across the batch.  Per-result seeds come from each trace's
     ``meta["seed"]`` unless *seed* overrides them all.
     """
-    from repro.core.vectorized import VectorizationError, VectorizedTrace
+    from repro.core.vectorized import VectorizedTrace
 
     grid = [[factory() for _ in traces] for factory in factories]
     for instances in grid:
         for trace, protocol in zip(traces, instances):
             _check_replayable(trace, protocol)
-            if not (protocol.vectorizable and protocol.fusable):
-                raise VectorizationError(
-                    f"protocol {protocol.name} has no vectorized kernel; "
-                    "use replay_fused"
-                )
+            _require_kernel(protocol)
     vt = VectorizedTrace.from_traces(traces)
     for instances in grid:
         type(instances[0]).vectorized_replay(vt, instances)

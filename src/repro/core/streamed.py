@@ -1,25 +1,22 @@
 """Streaming trace compilation: SoA blocks built incrementally.
 
-:class:`StreamingCompiler` is where the workload driver writes its
-trace: it accepts events one at a time as ``(time, etype, host,
-msg_id, peer, cell)`` rows, stages them in plain python lists and
-flushes a :class:`CompiledBlock` of numpy columns every
-``block_events`` events.  Block *storage* uses the
-narrowest lossless dtypes (``int8`` event types, ``int32`` host / peer
-/ cell / slot ids, ``int64`` message ids, ``float64`` times -- 33
-bytes per event); the lowerings (:meth:`StreamedTrace.array_columns`,
-:meth:`StreamedTrace.to_compiled`) widen back to the engine's pinned
+:class:`StreamingCompiler` is the one place events become columns.
+The workload driver writes every trace through it, and
+:func:`~repro.core.compiled.array_columns` feeds an event-backed
+trace's :class:`~repro.core.trace.TraceEvent` list through it.  It
+accepts events one at a time as ``(time, etype, host, msg_id, peer,
+cell)`` rows, assigns send slots (validating the send/receive
+matching), stages the rows in plain python lists and flushes a
+:class:`CompiledBlock` of numpy columns every ``block_events`` events.
+Block *storage* uses the narrowest lossless dtypes (``int8`` event
+types, ``int32`` host / peer / cell / slot ids, ``int64`` message ids,
+``float64`` times -- 33 bytes per event);
+:meth:`StreamedTrace.array_columns` widens back to the engine's pinned
 ``int64``/``float64``, which is exact because every stored value is an
 integer in range (numpy raises ``OverflowError`` rather than wrap if a
 feed ever exceeds a column's range).  Peak *staging* memory is
 O(``block_events``) python values; the total output is the compact
-numpy blocks.  Slot assignment and validation are the same as
-:func:`~repro.core.compiled.compile_trace` -- the same ``open_sends``
-matching, the same :class:`~repro.core.trace.TraceError` messages --
-and :meth:`StreamedTrace.to_compiled` reconstructs a **bit-identical**
-:class:`~repro.core.compiled.CompiledTrace` (``argv`` tuples included)
-of the same events held as a :class:`~repro.core.trace.TraceEvent`
-list, which the tests gate.
+numpy blocks.
 
 :func:`repro.workload.driver.generate_trace` concatenates the blocks
 into the column-backed trace it returns;
@@ -38,8 +35,6 @@ from repro.core.compiled import (
     RECEIVE,
     SEND,
     ArrayColumns,
-    CompiledTrace,
-    lower_columns,
 )
 from repro.core.trace import TraceError
 
@@ -90,14 +85,10 @@ class CompiledBlock:
 
 @dataclass(slots=True, frozen=True)
 class StreamedTrace:
-    """A block-compiled trace: the streaming twin of ``CompiledTrace``.
-
-    Holds the flushed :class:`CompiledBlock` slabs plus the totals the
-    compiled form carries.  :meth:`to_compiled` rebuilds the exact
-    :class:`~repro.core.compiled.CompiledTrace` the materialized
-    pipeline produces; :meth:`array_columns` concatenates the blocks
-    into the vectorized engine's
-    :class:`~repro.core.compiled.ArrayColumns` lowering directly.
+    """A block-compiled trace: the flushed :class:`CompiledBlock`
+    slabs plus the trace totals.  :meth:`array_columns` concatenates
+    the blocks into the :class:`~repro.core.compiled.ArrayColumns`
+    every other lowering starts from.
     """
 
     n_hosts: int
@@ -142,20 +133,13 @@ class StreamedTrace:
             **columns,
         )
 
-    def to_compiled(self) -> CompiledTrace:
-        """Rebuild the bit-identical ``CompiledTrace`` list form (the
-        shared :func:`~repro.core.compiled.lower_columns` lowering of
-        :meth:`array_columns`)."""
-        return lower_columns(self.array_columns())
-
 
 class StreamingCompiler:
-    """Incremental ``compile_trace``: feed events, flush SoA blocks.
+    """The events-to-columns compiler: feed events, flush SoA blocks.
 
-    Same slot assignment and validation as the materialized compiler:
-    a duplicate send or an unmatched receive raises
-    :class:`~repro.core.trace.TraceError` with the identical message,
-    at feed time (so a broken generator fails as early as possible).
+    A duplicate send or an unmatched receive raises
+    :class:`~repro.core.trace.TraceError` at feed time (so a broken
+    generator fails as early as possible).
 
     Usage::
 
@@ -261,8 +245,8 @@ class StreamingCompiler:
     def finish(self) -> StreamedTrace:
         """Flush the tail block and seal the compiler.
 
-        Sends still in flight at the horizon are fine (they are in the
-        materialized compile too); further feeds raise ``TraceError``.
+        Sends still in flight at the horizon are fine (their slots
+        simply have no receive); further feeds raise ``TraceError``.
         """
         self._flush()
         self._finished = True

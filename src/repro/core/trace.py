@@ -8,11 +8,11 @@ every protocol is then replayed over the *same* trace
 (:mod:`repro.core.replay`), giving pointwise-comparable checkpoint
 counts exactly like the paper's common-random-numbers simulation.
 
-A trace read back from disk is *column-backed*
-(:meth:`Trace.from_columns`): it carries the stored compiled columns
-and builds its :class:`TraceEvent` list only when something first
-reads ``events``.  The compiled lowerings start from the columns, so a
-cache hit replayed by the fused or vectorized engine never builds one
+A generated or disk-loaded trace is *column-backed*
+(:meth:`Trace.from_columns`): it carries the compiled columns and
+builds its :class:`TraceEvent` list only when something first reads
+``events``.  The compiled lowerings start from the columns, so such a
+trace replayed by the fused or vectorized engine never builds one
 event object.
 """
 
@@ -144,8 +144,9 @@ class Trace:
 
     # ------------------------------------------------------------------
     def compiled(self):
-        """Structure-of-arrays view of this trace, compiled lazily and
-        cached on the instance (see :mod:`repro.core.compiled`)."""
+        """The fused engine's dispatch program for this trace, lowered
+        lazily from its columns and cached on the instance (see
+        :mod:`repro.core.compiled`)."""
         from repro.core.compiled import compile_trace
 
         compiled = self.cached_lowering("_compiled_cache")

@@ -11,8 +11,8 @@ so a truncated or bit-flipped file is detected at load time
 (:class:`TraceIntegrityError`) instead of silently replaying garbage --
 the trace cache relies on this to treat corrupt entries as misses.
 
-A format-v2 load is column-native: it decodes the stored columns,
-checks the digest and returns a column-backed trace
+A load is column-native: it decodes the stored columns, checks the
+digest and returns a column-backed trace
 (:meth:`~repro.core.trace.Trace.from_columns`) without building a
 single :class:`~repro.core.trace.TraceEvent`.  The columns are the
 trace's array lowering as they are, and :meth:`Trace.compiled` lowers
@@ -20,6 +20,11 @@ from them; the event list is built from them only if something reads
 ``trace.events`` (the reference engine, the consistency oracle,
 :meth:`Trace.validate`, ``==``), so a hit costs the ``np.load`` of the
 columns plus the digest.
+
+Only the current format is read.  An older file (format v1, which
+stored no ``slot`` column, or a file written before the digest
+existed) raises :class:`TraceIntegrityError` naming its version; the
+trace cache treats it like any corrupt entry and regenerates it.
 """
 
 from __future__ import annotations
@@ -34,14 +39,17 @@ from typing import Union
 import numpy as np
 
 from repro.core.compiled import FLOAT_DTYPE, INT_DTYPE, ArrayColumns
-from repro.core.trace import EventType, Trace, events_from_columns
+from repro.core.trace import EventType, Trace
 
-#: Format version written into every file.  v2 stores the *compiled*
-#: columns (pinned ``int64``/``float64`` dtypes, plus the dense message
-#: ``slot`` column and the send/receive counts in the header) so a load
-#: feeds the vectorized engine natively -- no list round-trip, no
-#: re-matching of sends to receives.  v1 files are still read.
+#: Format version written into every file, and the only one read.  It
+#: stores the *compiled* columns (pinned ``int64``/``float64`` dtypes,
+#: plus the dense message ``slot`` column and the send/receive counts
+#: in the header) so a load feeds the engines natively -- no list
+#: round-trip, no re-matching of sends to receives.
 FORMAT_VERSION = 2
+
+#: Stored column names, in digest order.
+_COLUMNS = ("time", "etype", "host", "msg_id", "peer", "cell", "slot")
 
 
 class TraceIntegrityError(ValueError):
@@ -51,16 +59,6 @@ class TraceIntegrityError(ValueError):
     or otherwise not the bytes :func:`save_trace` wrote.  Subclasses
     ``ValueError`` so pre-existing ``except ValueError`` handlers keep
     working.
-    """
-
-
-class TraceDigestMissing(TraceIntegrityError):
-    """A stored trace carries no column digest (pre-digest legacy file).
-
-    Raised by ``load_trace(verify=True)`` when the file has no
-    ``digest`` array at all -- distinct from a checksum *mismatch* so
-    callers (the trace cache) can fall back to a structural validation
-    instead of condemning every legacy file as corrupt.
     """
 
 
@@ -94,27 +92,13 @@ def save_trace(trace: Trace, path: Union[str, Path]) -> None:
         "meta": trace.meta,
     }
     header_json = json.dumps(header)
-    columns = (
-        cols.time,
-        cols.etype,
-        cols.host,
-        cols.msg_id,
-        cols.peer,
-        cols.cell,
-        cols.slot,
-    )
-    digest = _column_digest(header_json, columns)
+    columns = {name: getattr(cols, name) for name in _COLUMNS}
+    digest = _column_digest(header_json, columns.values())
     np.savez_compressed(
         str(path),
         header=np.frombuffer(header_json.encode("utf-8"), dtype=np.uint8),
         digest=np.frombuffer(digest.encode("ascii"), dtype=np.uint8),
-        time=cols.time,
-        etype=cols.etype,
-        host=cols.host,
-        msg_id=cols.msg_id,
-        peer=cols.peer,
-        cell=cols.cell,
-        slot=cols.slot,
+        **columns,
     )
 
 
@@ -123,17 +107,14 @@ def load_trace(
 ) -> Trace:
     """Read a trace written by :func:`save_trace`.
 
-    A format-v2 file yields a column-backed trace whose events are
-    built only when first read; a format-v1 file (no stored lowering)
-    builds them right away.  Raises ``ValueError`` on unknown format
-    versions; validates the trace structurally unless
-    ``validate=False`` (which builds the events).  ``verify=True``
+    Yields a column-backed trace whose events are built only when
+    first read.  Validates the trace structurally unless
+    ``validate=False`` (validation builds the events).  ``verify=True``
     additionally recomputes the stored SHA-256 column digest and raises
-    :class:`TraceIntegrityError` on mismatch (a file written before the
-    digest existed raises the :class:`TraceDigestMissing` subclass so
-    callers can tell "legacy" from "damaged"); any undecodable file --
-    truncated zip, garbage bytes, missing arrays -- is reported as a
-    :class:`TraceIntegrityError` as well.
+    :class:`TraceIntegrityError` on mismatch.  Any file that is not a
+    current-format trace -- another format version, no stored digest,
+    a truncated zip, garbage bytes, missing arrays -- is reported as a
+    :class:`TraceIntegrityError` as well (a ``ValueError``).
     """
     path = Path(path)
     if not path.exists() and path.with_suffix(path.suffix + ".npz").exists():
@@ -158,41 +139,31 @@ def load_trace(
     return trace.validate() if validate else trace
 
 
-#: Column names per format version (digest order).
-_V1_COLUMNS = ("time", "etype", "host", "msg_id", "peer", "cell")
-_V2_COLUMNS = ("time", "etype", "host", "msg_id", "peer", "cell", "slot")
-
-
 def _load_trace_inner(path: Path, verify: bool) -> Trace:
     with np.load(path) as data:
         header_json = bytes(data["header"]).decode("utf-8")
         header = json.loads(header_json)
         version = header.get("format_version")
-        if version not in (1, FORMAT_VERSION):
-            raise ValueError(
-                f"unsupported trace format version {version!r} "
-                f"(expected 1..{FORMAT_VERSION})"
+        if version != FORMAT_VERSION:
+            raise TraceIntegrityError(
+                f"trace file {path} has unsupported format version "
+                f"{version!r} (only version {FORMAT_VERSION} is read)"
             )
-        names = _V2_COLUMNS if version >= 2 else _V1_COLUMNS
-        columns = {name: data[name] for name in names}
-        stored = (
-            bytes(data["digest"]).decode("ascii")
-            if "digest" in data.files
-            else None
-        )
+        if "digest" not in data.files:
+            raise TraceIntegrityError(
+                f"trace file {path} is format version {version} without "
+                f"a stored digest (written before checksums existed)"
+            )
+        columns = {name: data[name] for name in _COLUMNS}
+        stored = bytes(data["digest"]).decode("ascii")
     if verify:
-        if stored is None:
-            raise TraceDigestMissing(
-                f"trace file {path} has no stored digest (written "
-                f"before checksums existed) and cannot be verified"
-            )
         computed = _column_digest(header_json, columns.values())
         if stored != computed:
             raise TraceIntegrityError(
                 f"trace file {path} failed checksum verification "
                 f"(stored {stored!r}, computed {computed[:16]}...)"
             )
-    lengths = {len(columns[name]) for name in _V1_COLUMNS}
+    lengths = {len(columns[name]) for name in _COLUMNS if name != "slot"}
     if len(lengths) > 1:
         raise ValueError(f"event columns of unequal lengths {sorted(lengths)}")
     etype = columns["etype"]
@@ -200,17 +171,6 @@ def _load_trace_inner(path: Path, verify: bool) -> Trace:
         etype.min() < min(EventType) or etype.max() > max(EventType)
     ):
         raise ValueError("unknown event type code in the etype column")
-    meta = dict(header["meta"])
-    if version < 2:
-        # No stored lowering: build the events now (the trace cache
-        # rewrites such entries at the current format).
-        return Trace(
-            n_hosts=int(header["n_hosts"]),
-            n_mss=int(header["n_mss"]),
-            events=events_from_columns(*(columns[n] for n in _V1_COLUMNS)),
-            sim_time=float(header["sim_time"]),
-            meta=meta,
-        )
     # The stored columns *are* the compiled arrays: the trace is backed
     # by them, so the fused and vectorized engines lower from them (or
     # use them as they are) and no TraceEvent is built unless asked for.
@@ -223,10 +183,9 @@ def _load_trace_inner(path: Path, verify: bool) -> Trace:
         n_receives=int(header["n_receives"]),
         **{
             name: np.asarray(
-                columns[name],
-                dtype=FLOAT_DTYPE if name == "time" else INT_DTYPE,
+                column, dtype=FLOAT_DTYPE if name == "time" else INT_DTYPE
             )
-            for name in names
+            for name, column in columns.items()
         },
     )
-    return Trace.from_columns(cols, meta)
+    return Trace.from_columns(cols, dict(header["meta"]))

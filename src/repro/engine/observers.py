@@ -145,7 +145,7 @@ class TelemetryObserver(MetricsObserver):
         self._started: Optional[float] = None
         self._trace = None
         self._trace_source = "provided"
-        self._cache_before: Optional[tuple[int, int]] = None
+        self._cache_before: Optional[int] = None
         self._cache = None
 
     def on_run_start(self, plan) -> None:
@@ -157,16 +157,13 @@ class TelemetryObserver(MetricsObserver):
             )
         super().on_run_start(plan)
         if plan.spec.use_cache:
-            # Snapshot the shared cache's health counters so the record
-            # carries the deltas *this task* caused (corrupt evictions,
-            # legacy upgrades), not the process's lifetime totals.
+            # Snapshot the shared cache's health counter so the record
+            # carries the corrupt evictions *this task* caused, not the
+            # process's lifetime total.
             from repro.workload.cache import shared_cache
 
             self._cache = shared_cache(plan.spec.cache_dir)
-            self._cache_before = (
-                self._cache.corrupt_evictions,
-                self._cache.legacy_upgrades,
-            )
+            self._cache_before = self._cache.corrupt_evictions
         self._started = time.perf_counter()
         if self.seed is None:
             self.seed = plan.spec.seed
@@ -180,10 +177,9 @@ class TelemetryObserver(MetricsObserver):
 
         wall = time.perf_counter() - (self._started or time.perf_counter())
         trace = self._trace
-        corrupt = legacy = 0
+        corrupt = 0
         if self._cache is not None and self._cache_before is not None:
-            corrupt = self._cache.corrupt_evictions - self._cache_before[0]
-            legacy = self._cache.legacy_upgrades - self._cache_before[1]
+            corrupt = self._cache.corrupt_evictions - self._cache_before
         self.record = TaskTelemetry(
             t_switch=self.t_switch,
             seed=self.seed if self.seed is not None else -1,
@@ -196,7 +192,6 @@ class TelemetryObserver(MetricsObserver):
             counters=dict(self.counters),
             n_violations=len(result.violations),
             cache_corrupt_evictions=max(0, corrupt),
-            cache_legacy_upgrades=max(0, legacy),
         )
 
 

@@ -120,8 +120,9 @@ class ExecutionReport:
     outcomes: list
     #: Quarantined tasks (terminal failures), dispatch order.
     errors: list[TaskError] = field(default_factory=list)
-    #: Tasks served from the resume journal instead of re-executed.
-    resumed: int = 0
+    #: ``(t_switch, seed)`` cells served from the resume journal
+    #: instead of re-executed.
+    resumed_cells: set = field(default_factory=set)
     #: Re-dispatches that happened across the sweep.
     retries: int = 0
     #: True when SIGINT/SIGTERM drained the sweep early.
@@ -332,7 +333,7 @@ class SweepJournal:
                     t = float(obj["t_switch"])
                     seed = int(obj["seed"])
                     runs = [RunOutcome(**r) for r in obj["runs"]]
-                    telemetry = TaskTelemetry(**obj["telemetry"])
+                    telemetry = TaskTelemetry.from_json_dict(obj["telemetry"])
                     violations = [
                         AuditViolation(**v) for v in obj["violations"]
                     ]
@@ -505,7 +506,7 @@ def execute(
             hit = entries.get((spec.t_switch, spec.seed))
             if hit is not None:
                 report.outcomes[spec.index] = hit
-                report.resumed += 1
+                report.resumed_cells.add((spec.t_switch, spec.seed))
                 reporter.task_done(resumed=True)
 
     journal = None

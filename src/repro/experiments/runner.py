@@ -139,8 +139,9 @@ class SweepResult:
     #: Quarantined tasks (terminal :class:`TaskError` records); each is
     #: an explicit hole in the grid rather than an aborted sweep.
     errors: list = field(default_factory=list)
-    #: Tasks served from a resume journal instead of re-executed.
-    resumed_tasks: int = 0
+    #: ``(t_switch, seed)`` cells served from a resume journal instead
+    #: of re-executed.
+    resumed_cells: frozenset = frozenset()
     #: Re-dispatches (retries) that happened across the sweep.
     task_retries: int = 0
     #: True when the sweep was drained early by SIGINT/SIGTERM; the
@@ -151,6 +152,11 @@ class SweepResult:
     def telemetry(self) -> list[TaskTelemetry]:
         """All task telemetry records, (point, seed)-ordered."""
         return [rec for point in self.points for rec in point.telemetry]
+
+    @property
+    def resumed_tasks(self) -> int:
+        """Tasks served from a resume journal instead of re-executed."""
+        return len(self.resumed_cells)
 
     @property
     def n_holes(self) -> int:
@@ -164,13 +170,17 @@ class SweepResult:
         return self.n_holes == 0 and not self.interrupted
 
     def telemetry_summary(self) -> TelemetrySummary:
-        """Aggregate telemetry (busy time, utilization, cache tiers)."""
+        """Aggregate telemetry (busy time, utilization, cache tiers).
+
+        Busy time and utilization count only the cells this run
+        executed: a resumed cell's record carries the wall time of the
+        run that journaled it."""
         return summarize_telemetry(
             self.telemetry,
             sweep_wall_s=self.sweep_wall_s,
             workers=max(1, self.config.workers),
             n_quarantined=len(self.errors),
-            n_resumed=self.resumed_tasks,
+            resumed=self.resumed_cells,
         )
 
     def curve(self, protocol: str) -> list[tuple[float, float]]:
@@ -399,7 +409,7 @@ def run_sweep(config: SweepConfig) -> SweepResult:
         raise
     result = _assemble(config, report.outcomes)
     result.errors = report.errors
-    result.resumed_tasks = report.resumed
+    result.resumed_cells = frozenset(report.resumed_cells)
     result.task_retries = report.retries
     result.interrupted = report.interrupted
     result.sweep_wall_s = time.perf_counter() - started

@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import asdict, dataclass, field
-from typing import Any, Iterable, Optional, Sequence
+from typing import Any, Collection, Iterable, Optional, Sequence
 
 #: Where a task's trace came from (``TaskTelemetry.trace_source``).
 TRACE_SOURCES = ("memory", "disk", "generated", "uncached")
@@ -58,11 +58,10 @@ class TaskTelemetry:
     #: Dispatch attempts the supervisor needed for this task (1 = first
     #: try succeeded; >1 means timeouts/crashes forced retries).
     attempts: int = 1
-    #: Cache health deltas this task observed: disk entries evicted as
-    #: corrupt / pre-digest entries upgraded in place while serving
-    #: this task's trace (0 when the cache is off or healthy).
+    #: Cache health delta this task observed: disk entries evicted as
+    #: corrupt (damaged or an older trace format) while serving this
+    #: task's trace (0 when the cache is off or healthy).
     cache_corrupt_evictions: int = 0
-    cache_legacy_upgrades: int = 0
     #: Phase spans recorded by a :class:`~repro.obs.tracing.Tracer`
     #: during this task (plain span dicts; empty unless tracing is on).
     spans: list[dict[str, Any]] = field(default_factory=list)
@@ -71,13 +70,21 @@ class TaskTelemetry:
         """Plain-JSON form (one telemetry JSONL line)."""
         return asdict(self)
 
+    @classmethod
+    def from_json_dict(cls, payload: dict[str, Any]) -> "TaskTelemetry":
+        """Inverse of :meth:`as_json_dict`; keys this class does not
+        define (fields of older or newer writers) are ignored."""
+        names = cls.__dataclass_fields__
+        return cls(**{k: v for k, v in payload.items() if k in names})
+
 
 @dataclass(slots=True)
 class TelemetrySummary:
     """Aggregate view of one sweep's telemetry records."""
 
     n_tasks: int
-    #: Sum of per-task wall times (total busy time across workers).
+    #: Sum of the wall times of the tasks this run executed (total busy
+    #: time across workers; journal-resumed tasks are not counted).
     total_task_wall_s: float
     #: Wall time of the whole sweep as seen by the caller.
     sweep_wall_s: float
@@ -87,7 +94,7 @@ class TelemetrySummary:
     utilization: float
     #: trace_source -> task count.
     trace_sources: dict[str, int] = field(default_factory=dict)
-    #: pid -> busy seconds (worker load balance).
+    #: pid -> busy seconds of executed tasks (worker load balance).
     busy_by_pid: dict[int, float] = field(default_factory=dict)
     n_violations: int = 0
     #: Re-dispatches across successful tasks (sum of attempts - 1).
@@ -96,10 +103,9 @@ class TelemetrySummary:
     n_quarantined: int = 0
     #: Tasks served from a resume journal instead of executed.
     n_resumed: int = 0
-    #: Cache health across the sweep's tasks (sums of the per-task
-    #: deltas): corrupt entries evicted, legacy entries upgraded.
+    #: Cache health across the sweep's tasks (sum of the per-task
+    #: corrupt-eviction deltas).
     cache_corrupt_evictions: int = 0
-    cache_legacy_upgrades: int = 0
 
     def __str__(self) -> str:
         src = " ".join(
@@ -115,11 +121,10 @@ class TelemetrySummary:
                 f"resumed: {self.n_resumed}"
             )
         cache_health = ""
-        if self.cache_corrupt_evictions or self.cache_legacy_upgrades:
+        if self.cache_corrupt_evictions:
             cache_health = (
                 f"; cache health: "
-                f"corrupt_evictions={self.cache_corrupt_evictions}, "
-                f"legacy_upgrades={self.cache_legacy_upgrades}"
+                f"corrupt_evictions={self.cache_corrupt_evictions}"
             )
         return (
             f"{self.n_tasks} tasks in {self.sweep_wall_s:.2f}s wall "
@@ -137,21 +142,26 @@ def summarize(
     sweep_wall_s: float = 0.0,
     workers: int = 1,
     n_quarantined: int = 0,
-    n_resumed: int = 0,
+    resumed: Collection[tuple[float, int]] = (),
 ) -> TelemetrySummary:
     """Aggregate *records* into a :class:`TelemetrySummary`.
 
     ``workers`` counts execution lanes, so serial runs pass 1 (the
     sweep configs' ``workers=0`` convention is normalised by callers).
-    ``n_quarantined`` / ``n_resumed`` come from the sweep supervisor --
-    quarantined tasks have no telemetry record to count from.
+    ``n_quarantined`` and the ``(t_switch, seed)`` cells in *resumed*
+    come from the sweep supervisor -- quarantined tasks have no
+    telemetry record to count from, and a resumed cell's record holds
+    the wall time of the run that journaled it, so it counts towards
+    the task and source tallies but not towards busy time.
     """
     workers = max(1, workers)
-    total = sum(r.wall_time_s for r in records)
+    executed = [r for r in records if (r.t_switch, r.seed) not in resumed]
+    total = sum(r.wall_time_s for r in executed)
     sources: dict[str, int] = {}
-    busy: dict[int, float] = {}
     for r in records:
         sources[r.trace_source] = sources.get(r.trace_source, 0) + 1
+    busy: dict[int, float] = {}
+    for r in executed:
         busy[r.pid] = busy.get(r.pid, 0.0) + r.wall_time_s
     utilization = (
         total / (sweep_wall_s * workers) if sweep_wall_s > 0 else 0.0
@@ -167,11 +177,10 @@ def summarize(
         n_violations=sum(r.n_violations for r in records),
         n_retries=sum(max(0, r.attempts - 1) for r in records),
         n_quarantined=n_quarantined,
-        n_resumed=n_resumed,
+        n_resumed=len(resumed),
         cache_corrupt_evictions=sum(
             r.cache_corrupt_evictions for r in records
         ),
-        cache_legacy_upgrades=sum(r.cache_legacy_upgrades for r in records),
     )
 
 
@@ -225,12 +234,11 @@ def telemetry_table(records: Sequence[TaskTelemetry]) -> str:
         counters = " ".join(
             f"{name}={c.get('n_total', 0)}" for name, c in r.counters.items()
         )
-        if r.cache_corrupt_evictions or r.cache_legacy_upgrades:
+        if r.cache_corrupt_evictions:
             # Cache-health incidents are rare; flag them in-row so an
             # operator reading the table sees them without jq.
             counters += (
-                f"  [cache: corrupt_evictions={r.cache_corrupt_evictions}"
-                f" legacy_upgrades={r.cache_legacy_upgrades}]"
+                f"  [cache: corrupt_evictions={r.cache_corrupt_evictions}]"
             )
         lines.append(
             f"{r.t_switch:>9g} {r.seed:>5} {r.wall_time_s:>8.3f} "

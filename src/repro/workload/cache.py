@@ -26,7 +26,9 @@ Two tiers:
   stored columns and checks their digest; it returns a column-backed
   trace that the fused and vectorized engines replay without building
   per-event objects, so it costs milliseconds where generating the
-  trace costs hundreds.
+  trace costs hundreds.  An entry that fails the check -- damaged, or
+  written in an older trace format -- is evicted and regenerated, so
+  a stale entry costs one miss.
 
 Disk writes are atomic (tmp file + :func:`os.replace`), so concurrent
 sweep workers racing on the same key at worst both generate and one
@@ -138,12 +140,9 @@ class TraceCache:
         self.disk_hits = 0
         #: Required a fresh generate_trace call.
         self.misses = 0
-        #: Disk entries that failed checksum/decode and were evicted.
+        #: Disk entries that failed checksum/decode (damaged files and
+        #: older trace formats alike) and were evicted.
         self.corrupt_evictions = 0
-        #: Outdated-but-readable disk entries rewritten in place at the
-        #: current format: pre-digest files (after a structural
-        #: validation) and format-v1 files lacking native array columns.
-        self.legacy_upgrades = 0
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -166,9 +165,6 @@ class TraceCache:
         path = self._disk_path(key)
         if path is None or path.exists():
             return
-        self._write_atomic(key, path, trace)
-
-    def _write_atomic(self, key: str, path: Path, trace: Trace) -> None:
         # Import locally-late so monkeypatched savers are honoured and
         # numpy stays off the import path of cache-less runs.
         from repro.core import trace_io
@@ -196,44 +192,9 @@ class TraceCache:
             # The stored trace was validated at generation time; skip
             # the O(events) structural re-check but verify the column
             # checksum so a truncated/bit-flipped file cannot replay.
-            trace = trace_io.load_trace(path, validate=False, verify=True)
-        except trace_io.TraceDigestMissing:
-            return self._load_legacy(key, path)
+            return trace_io.load_trace(path, validate=False, verify=True)
         except trace_io.TraceIntegrityError:
             return self._evict_corrupt(path)
-        if getattr(trace, "_array_columns_cache", None) is None:
-            # A format-v1 entry: readable, but it holds no native array
-            # columns, so every hit would re-lower lists.  Rewrite it in
-            # place at the current format (same best-effort contract as
-            # the pre-digest upgrade) so later hits feed the vectorized
-            # engine directly.
-            self.legacy_upgrades += 1
-            _metric_event("legacy_upgrade")
-            try:
-                self._write_atomic(key, path, trace)
-            except OSError:
-                pass
-        return trace
-
-    def _load_legacy(self, key: str, path: Path) -> Optional[Trace]:
-        """A pre-digest cache entry: accept it after a structural
-        validation (the only check those files ever had) and rewrite it
-        in place with a checksum so every later load verifies cheaply.
-        Evicting it instead would silently regenerate a whole existing
-        cache on upgrade."""
-        from repro.core import trace_io
-
-        try:
-            trace = trace_io.load_trace(path, validate=True, verify=False)
-        except (trace_io.TraceIntegrityError, ValueError):
-            return self._evict_corrupt(path)
-        self.legacy_upgrades += 1
-        _metric_event("legacy_upgrade")
-        try:
-            self._write_atomic(key, path, trace)
-        except OSError:
-            pass  # the upgrade is best-effort; the trace itself is good
-        return trace
 
     def _evict_corrupt(self, path: Path) -> None:
         # A corrupt entry is a miss: evict it so the regenerated
@@ -281,17 +242,15 @@ class TraceCache:
         self._memory.clear()
         self.hits = self.disk_hits = self.misses = 0
         self.corrupt_evictions = 0
-        self.legacy_upgrades = 0
 
     def stats(self) -> dict[str, int]:
         """Counter snapshot: hits / disk_hits / misses / corrupt /
-        legacy / entries."""
+        entries."""
         return {
             "hits": self.hits,
             "disk_hits": self.disk_hits,
             "misses": self.misses,
             "corrupt_evictions": self.corrupt_evictions,
-            "legacy_upgrades": self.legacy_upgrades,
             "entries": len(self._memory),
         }
 

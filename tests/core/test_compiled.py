@@ -9,6 +9,7 @@ from repro.core.compiled import (
     RECONNECT,
     SEND,
     CompiledTrace,
+    array_columns,
     compile_trace,
 )
 from repro.core.trace import Trace, TraceError, TraceEvent, EventType, build_trace
@@ -42,12 +43,15 @@ def test_columns_match_events():
     ct = compile_trace(trace)
     assert isinstance(ct, CompiledTrace)
     assert len(ct) == len(trace.events) == ct.n_events
-    assert ct.n_hosts == 2 and ct.n_mss == 2
     assert ct.etype == [CELL_SWITCH, SEND, RECEIVE, DISCONNECT, RECONNECT]
-    assert ct.time == [1.0, 2.0, 3.0, 4.0, 5.0]
-    assert ct.host == [0, 0, 1, 1, 1]
     assert all(isinstance(e, int) and not isinstance(e, EventType)
                for e in ct.etype)
+    cols = array_columns(trace)
+    assert cols.n_hosts == 2 and cols.n_mss == 2
+    assert cols.etype.tolist() == ct.etype
+    assert cols.time.tolist() == [1.0, 2.0, 3.0, 4.0, 5.0]
+    assert cols.host.tolist() == [0, 0, 1, 1, 1]
+    assert cols.cell.tolist() == [1, -1, -1, -1, 0]
 
 
 def test_slot_mapping_links_send_and_receive():
@@ -66,8 +70,8 @@ def test_argv_packs_hook_arguments():
 
 
 def _raw_trace(events):
-    # Bypass build_trace's validation: compile_trace must catch these
-    # on its own for traces loaded with validate=False.
+    # Bypass build_trace's validation: the events-to-columns compiler
+    # must catch these on its own for unvalidated traces.
     return Trace(
         n_hosts=2,
         n_mss=2,
@@ -81,27 +85,44 @@ def _raw_trace(events):
 
 def test_receive_without_send_rejected():
     trace = _raw_trace([(1.0, R, 1, 99, 0)])
-    with pytest.raises(TraceError, match="never sent"):
-        compile_trace(trace)
+    for lower in (array_columns, compile_trace):
+        with pytest.raises(
+            TraceError,
+            match="receive of msg 99 that was never sent or was already "
+            "consumed",
+        ):
+            lower(trace)
 
 
 def test_duplicate_send_rejected():
     trace = _raw_trace([(1.0, S, 0, 10, 1), (2.0, S, 0, 10, 1)])
-    with pytest.raises(TraceError, match="duplicate send"):
-        compile_trace(trace)
+    for lower in (array_columns, compile_trace):
+        with pytest.raises(TraceError, match="duplicate send of msg 10"):
+            lower(trace)
+
+
+def test_double_consumed_receive_rejected():
+    trace = _raw_trace(
+        [(1.0, S, 0, 10, 1), (2.0, R, 1, 10, 0), (3.0, R, 1, 10, 0)]
+    )
+    with pytest.raises(TraceError, match="msg 10 that was never sent or was"):
+        array_columns(trace)
 
 
 def test_compiled_accessor_caches_per_trace():
     trace = sample_trace()
-    first = trace.compiled()
-    assert trace.compiled() is first
+    first, cols = trace.compiled(), array_columns(trace)
+    assert trace.compiled() is first and array_columns(trace) is cols
     trace.events.append(trace.events[-1])
-    assert trace.compiled() is not first  # event count changed: recompile
+    # Event count changed: both lowerings are rebuilt.
+    assert trace.compiled() is not first and array_columns(trace) is not cols
+    assert trace.compiled().n_events == len(cols) + 1
 
 
 def test_generated_trace_compiles_consistently():
     trace = generate_trace(WorkloadConfig(sim_time=500.0, seed=3))
     ct = trace.compiled()
+    msg_id = array_columns(trace).msg_id.tolist()
     assert ct.n_sends == trace.n_sends
     sends = [i for i, e in enumerate(ct.etype) if e == SEND]
     assert sorted(ct.slot[i] for i in sends) == list(range(ct.n_sends))
@@ -110,6 +131,6 @@ def test_generated_trace_compiles_consistently():
             slot = ct.slot[i]
             senders = [
                 j for j in sends
-                if ct.slot[j] == slot and ct.msg_id[j] == ct.msg_id[i]
+                if ct.slot[j] == slot and msg_id[j] == msg_id[i]
             ]
             assert len(senders) == 1

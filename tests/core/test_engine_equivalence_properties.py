@@ -5,9 +5,11 @@ pipeline -- generation, compilation, both replay engines -- and assert
 the refactoring theorems the sweep engine rests on:
 
 * compiling a trace loses nothing: every column of
-  :class:`~repro.core.compiled.CompiledTrace` round-trips the event
+  :class:`~repro.core.compiled.ArrayColumns` round-trips the event
   list, send slots are dense and receives resolve to their matching
-  send's slot, and ``argv`` packs exactly the hook arguments;
+  send's slot, and the fused engine's ``argv`` packs exactly the hook
+  arguments -- on generated (column-backed) traces and on
+  strategy-built (event-backed) ones;
 * the fused engine is bit-identical to the reference engine: for every
   paper protocol, :func:`replay` and :func:`replay_fused` produce equal
   :meth:`counter_signature` dicts -- including in the counters-only
@@ -18,16 +20,24 @@ the refactoring theorems the sweep engine rests on:
   lines.
 """
 
+import numpy as np
 from hypothesis import given, settings
 
-from repro.core.compiled import RECEIVE, SEND
+from repro.core.compiled import (
+    DISCONNECT,
+    FLOAT_DTYPE,
+    INTERNAL,
+    RECEIVE,
+    SEND,
+    array_columns,
+)
 from repro.core.replay import replay, replay_fused, replay_vectorized
 from repro.protocols.base import registry
 from repro.workload import generate_trace
 
 # The workload strategy and figure corners are shared with the
 # conformance kit -- see repro.testing.strategies.
-from repro.testing.strategies import FIGURE_CORNERS, workload_configs
+from repro.testing.strategies import FIGURE_CORNERS, traces, workload_configs
 
 PAPER_PROTOCOLS = ("TP", "BCS", "QBC")
 
@@ -39,40 +49,68 @@ VECTORIZABLE = sorted(
 )
 
 
+def _assert_columns_round_trip(trace):
+    """The reference lowering, written out per event: every
+    :class:`ArrayColumns` field against the :class:`TraceEvent` list,
+    ``slot`` against a msg_id -> send-ordinal dict kept here, and the
+    fused ``argv`` tuples against the events."""
+    cols = array_columns(trace)
+    c = trace.compiled()
+    assert len(cols) == len(c) == len(trace.events)
+    assert (cols.n_hosts, cols.n_mss, cols.sim_time) == (
+        trace.n_hosts, trace.n_mss, trace.sim_time
+    )
+    assert cols.time.dtype == np.dtype(FLOAT_DTYPE)
+    columns = {
+        name: getattr(cols, name).tolist()
+        for name in ("etype", "time", "host", "msg_id", "peer", "cell", "slot")
+    }
+    assert columns["etype"] == c.etype and columns["slot"] == c.slot
+
+    ordinal_of_msg = {}
+    n_receives = 0
+    for i, ev in enumerate(trace.events):
+        et = int(ev.etype)
+        assert columns["etype"][i] == et
+        assert columns["time"][i] == ev.time
+        assert columns["host"][i] == ev.host
+        assert columns["msg_id"][i] == ev.msg_id
+        assert columns["peer"][i] == ev.peer
+        assert columns["cell"][i] == ev.cell
+        if et == SEND:
+            # Send slots are the dense ordinals 0..n_sends-1 in order.
+            ordinal_of_msg[ev.msg_id] = len(ordinal_of_msg)
+            assert columns["slot"][i] == ordinal_of_msg[ev.msg_id]
+            assert c.argv[i] == (ev.host, ev.peer, ev.time)
+        elif et == RECEIVE:
+            n_receives += 1
+            assert columns["slot"][i] == ordinal_of_msg[ev.msg_id]
+            assert c.argv[i] == (ev.host, ev.peer, ev.time)
+        else:
+            assert columns["slot"][i] == -1
+            if et == DISCONNECT:
+                assert c.argv[i] == (ev.host, ev.time)
+            elif et == INTERNAL:
+                assert c.argv[i] == ()
+            else:
+                assert c.argv[i] == (ev.host, ev.time, ev.cell)
+    assert cols.n_sends == c.n_sends == len(ordinal_of_msg)
+    assert cols.n_receives == c.n_receives == n_receives
+
+
 @settings(max_examples=30, deadline=None)
 @given(cfg=workload_configs())
 def test_compiled_trace_round_trips_the_event_list(cfg):
     trace = generate_trace(cfg)
-    c = trace.compiled()
-    assert len(c) == len(trace)
-    assert (c.n_hosts, c.n_mss, c.sim_time) == (
-        trace.n_hosts, trace.n_mss, trace.sim_time
-    )
+    assert "events" not in vars(trace)  # column-backed from the driver
+    _assert_columns_round_trip(trace)
 
-    send_slots = []
-    slot_of_msg = {}
-    n_receives = 0
-    for i, ev in enumerate(trace.events):
-        et = int(ev.etype)
-        assert c.etype[i] == et
-        assert c.time[i] == ev.time
-        assert c.host[i] == ev.host
-        assert c.msg_id[i] == ev.msg_id
-        assert c.peer[i] == ev.peer
-        assert c.cell[i] == ev.cell
-        if et == SEND:
-            slot_of_msg[ev.msg_id] = c.slot[i]
-            send_slots.append(c.slot[i])
-            assert c.argv[i] == (ev.host, ev.peer, ev.time)
-        elif et == RECEIVE:
-            n_receives += 1
-            assert c.slot[i] == slot_of_msg[ev.msg_id]
-            assert c.argv[i] == (ev.host, ev.peer, ev.time)
-        else:
-            assert c.slot[i] == -1
-    # Send slots are the dense ordinals 0..n_sends-1 in send order.
-    assert send_slots == list(range(c.n_sends))
-    assert n_receives == c.n_receives
+
+@settings(max_examples=50, deadline=None)
+@given(trace=traces())
+def test_event_backed_trace_compiles_to_the_event_list(trace):
+    assert "_array_columns_cache" not in vars(trace)  # built from events
+    _assert_columns_round_trip(trace)
 
 
 @settings(max_examples=30, deadline=None)

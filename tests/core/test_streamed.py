@@ -1,8 +1,11 @@
-"""Streaming trace compilation: bit-identity with ``compile_trace``.
+"""Streaming trace compilation: blocks, dtypes and bit-identity.
 
-The driver writes every trace through a ``StreamingCompiler``, so the
-reference side of these checks is ``compile_trace``'s per-event loop
-over an event-backed copy of the generated trace.
+The driver writes every trace through a ``StreamingCompiler`` as it
+simulates.  The identity checks below compare those columns with the
+columns of an event-backed copy of the generated trace, which
+``array_columns`` compiles from its ``TraceEvent`` list after the fact
+(the per-event reference of both is
+``tests/core/test_engine_equivalence_properties.py``).
 """
 
 import numpy as np
@@ -12,7 +15,9 @@ from repro.core.compiled import (
     FLOAT_DTYPE,
     INT_DTYPE,
     SEND,
+    array_columns,
     compile_trace,
+    lower_columns,
 )
 from repro.core.streamed import (
     DEFAULT_BLOCK_EVENTS,
@@ -24,28 +29,32 @@ from repro.workload.config import WorkloadConfig
 from repro.workload.driver import generate_streamed, generate_trace
 
 
-def _compiled_from_events(trace: Trace):
-    """``compile_trace`` of an event-backed copy of *trace*."""
-    copy = Trace(
+_COLUMNS = ("etype", "time", "host", "msg_id", "peer", "cell", "slot")
+
+
+def _event_backed(trace: Trace) -> Trace:
+    """An event-backed copy of *trace* (no columns attached)."""
+    return Trace(
         n_hosts=trace.n_hosts,
         n_mss=trace.n_mss,
         events=list(trace.events),
         sim_time=trace.sim_time,
         meta=trace.meta,
     )
-    return compile_trace(copy)
 
 
-def _assert_identical(streamed: StreamedTrace, compiled) -> None:
-    rebuilt = streamed.to_compiled()
-    assert rebuilt == compiled
+def _assert_identical(streamed: StreamedTrace, trace: Trace) -> None:
+    cols, ref = streamed.array_columns(), array_columns(trace)
     # Field-by-field, so a failure names the diverging column.
     for name in (
-        "n_hosts", "n_mss", "sim_time", "n_events", "n_sends",
-        "n_receives", "etype", "time", "host", "msg_id", "peer",
-        "cell", "slot", "argv",
+        "n_hosts", "n_mss", "sim_time", "n_events", "n_sends", "n_receives",
     ):
-        assert getattr(rebuilt, name) == getattr(compiled, name), name
+        assert getattr(cols, name) == getattr(ref, name), name
+    for name in _COLUMNS:
+        a, b = getattr(cols, name), getattr(ref, name)
+        assert a.dtype == b.dtype, name
+        np.testing.assert_array_equal(a, b, err_msg=name)
+    assert lower_columns(cols) == compile_trace(trace)
 
 
 def _paper_cfgs():
@@ -58,8 +67,7 @@ def _paper_cfgs():
 def test_streamed_equals_materialized_paper(cfg):
     cfg = cfg.validate()
     streamed = generate_streamed(cfg, block_events=257)
-    compiled = _compiled_from_events(generate_trace(cfg))
-    _assert_identical(streamed, compiled)
+    _assert_identical(streamed, _event_backed(generate_trace(cfg)))
 
 
 @pytest.mark.parametrize(
@@ -76,18 +84,18 @@ def test_streamed_equals_materialized_models(workload, params):
         sim_time=200.0, workload=workload, workload_params=params
     ).validate()
     streamed = generate_streamed(cfg, block_events=100)
-    compiled = _compiled_from_events(generate_trace(cfg))
-    _assert_identical(streamed, compiled)
+    _assert_identical(streamed, _event_backed(generate_trace(cfg)))
 
 
 def test_block_boundaries_do_not_change_content():
     cfg = WorkloadConfig(sim_time=200.0).validate()
-    reference = generate_streamed(cfg, block_events=10_000_000).to_compiled()
+    reference = generate_streamed(cfg, block_events=10_000_000).array_columns()
     for block_events in (1, 7, 64, 1000):
-        assert (
-            generate_streamed(cfg, block_events=block_events).to_compiled()
-            == reference
-        )
+        cols = generate_streamed(cfg, block_events=block_events).array_columns()
+        for name in _COLUMNS:
+            np.testing.assert_array_equal(
+                getattr(cols, name), getattr(reference, name), err_msg=name
+            )
 
 
 def test_blocks_respect_block_events():
@@ -131,14 +139,12 @@ def test_array_columns_matches_compiled_lowering():
     cfg = WorkloadConfig(sim_time=200.0).validate()
     streamed = generate_streamed(cfg, block_events=128)
     direct = streamed.array_columns()
-    from repro.core.compiled import ArrayColumns
-
-    via_compiled = ArrayColumns.from_compiled(streamed.to_compiled())
-    for name in ("etype", "time", "host", "msg_id", "peer", "cell", "slot"):
-        np.testing.assert_array_equal(
-            getattr(direct, name), getattr(via_compiled, name), err_msg=name
-        )
-    assert direct.n_sends == via_compiled.n_sends
+    lowered = lower_columns(direct)
+    assert lowered.etype == direct.etype.tolist()
+    assert lowered.slot == direct.slot.tolist()
+    assert (lowered.n_events, lowered.n_sends, lowered.n_receives) == (
+        streamed.n_events, streamed.n_sends, streamed.n_receives
+    )
     assert direct.n_events == streamed.n_events
 
 
@@ -147,7 +153,7 @@ def test_empty_stream():
     assert len(streamed) == 0
     assert streamed.blocks == ()
     assert streamed.array_columns().n_events == 0
-    assert streamed.to_compiled().n_events == 0
+    assert lower_columns(streamed.array_columns()).n_events == 0
 
 
 def test_duplicate_send_raises_like_compile_trace():

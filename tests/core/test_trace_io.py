@@ -90,7 +90,7 @@ def test_unknown_format_version_rejected(tmp_path):
 
 
 def test_missing_digest_raises_digest_missing_on_verify(tmp_path):
-    from repro.core.trace_io import TraceDigestMissing, TraceIntegrityError
+    from repro.core.trace_io import TraceIntegrityError
 
     cfg = WorkloadConfig(sim_time=200.0, seed=1)
     trace = generate_trace(cfg)
@@ -99,12 +99,14 @@ def test_missing_digest_raises_digest_missing_on_verify(tmp_path):
     with np.load(path) as data:
         arrays = {k: data[k] for k in data.files if k != "digest"}
     np.savez(path, **arrays)  # a file from before checksums existed
-    with pytest.raises(TraceDigestMissing):
-        load_trace(path, verify=True)
-    assert issubclass(TraceDigestMissing, TraceIntegrityError)
-    # Without verification the legacy file still loads fine.
-    loaded = load_trace(path)
-    assert len(loaded) == len(trace)
+    # The digest is part of the format: such a file is not read at all,
+    # verified or not, and the error names the version it claims.
+    for verify in (True, False):
+        with pytest.raises(
+            TraceIntegrityError,
+            match="format version 2 without a stored digest",
+        ):
+            load_trace(path, verify=verify)
 
 
 def test_load_validates_by_default(tmp_path):
@@ -179,7 +181,7 @@ def _roundtrip(trace, tmp_path):
 def _types(compiled):
     return {
         name: [type(v) for v in getattr(compiled, name)]
-        for name in ("etype", "time", "host", "msg_id", "peer", "cell", "slot")
+        for name in ("etype", "slot")
     } | {"argv": [tuple(map(type, a)) for a in compiled.argv]}
 
 
@@ -385,7 +387,10 @@ def test_cold_cell_never_builds_events(engine, tmp_path, monkeypatch):
     assert list(tmp_path.glob("*.npz"))
 
 
-# -- legacy files still load and upgrade -----------------------------------
+# -- legacy files are evicted and regenerated ------------------------------
+
+#: The columns format v1 stored (no ``slot``; digest order).
+_V1_COLUMNS = ("time", "etype", "host", "msg_id", "peer", "cell")
 
 
 def _rewrite(path, *, version, digest):
@@ -394,11 +399,11 @@ def _rewrite(path, *, version, digest):
     with np.load(path) as data:
         arrays = {k: data[k] for k in data.files if k != "digest"}
     header = json.loads(bytes(arrays.pop("header")).decode("utf-8"))
-    names = trace_io._V2_COLUMNS
+    names = trace_io._COLUMNS
     if version == 1:
         header["format_version"] = 1
         del header["n_sends"], header["n_receives"], arrays["slot"]
-        names = trace_io._V1_COLUMNS
+        names = _V1_COLUMNS
     header_json = json.dumps(header)
     extra = {}
     if digest:
@@ -415,25 +420,29 @@ def _rewrite(path, *, version, digest):
 @pytest.mark.parametrize(
     "version,digest", [(1, True), (1, False), (2, False)], ids=str
 )
-def test_legacy_files_load_and_upgrade(tmp_path, version, digest):
+def test_legacy_files_are_evicted_and_regenerated(tmp_path, version, digest):
     cfg = GENERATED[1]
     original = TraceCache(disk_dir=tmp_path).get_or_generate(cfg)
     path = tmp_path / f"{config_key(cfg)}.npz"
     _rewrite(path, version=version, digest=digest)
 
-    direct = load_trace(path)
-    assert direct == original
-    if version == 1:  # no stored lowering: events built eagerly
-        assert "events" in vars(direct)
-        assert not hasattr(direct, "_array_columns_cache")
-    assert direct.compiled() == compile_trace(_fresh_copy(original))
+    with pytest.raises(trace_io.TraceIntegrityError, match="format version"):
+        load_trace(path)
 
     reader = TraceCache(disk_dir=tmp_path)
-    loaded = reader.get_or_generate(cfg)
-    assert reader.stats()["legacy_upgrades"] == 1
-    assert reader.stats()["disk_hits"] == 1
-    assert loaded == original
+    regenerated = reader.get_or_generate(cfg)
+    stats = reader.stats()
+    assert (stats["corrupt_evictions"], stats["misses"]) == (1, 1)
+    assert stats["disk_hits"] == 0
+    assert regenerated == original
 
-    again = TraceCache(disk_dir=tmp_path).get_or_generate(cfg)
-    assert "events" not in vars(again)  # upgraded: a column-backed hit
+    with np.load(path) as data:  # rewritten at the current format
+        header = json.loads(bytes(data["header"]).decode("utf-8"))
+        assert header["format_version"] == trace_io.FORMAT_VERSION
+        assert "digest" in data.files
+    after = TraceCache(disk_dir=tmp_path)
+    again = after.get_or_generate(cfg)
+    assert after.stats()["disk_hits"] == 1
+    assert after.stats()["corrupt_evictions"] == 0
+    assert "events" not in vars(again)  # a column-backed hit
     assert again == original

@@ -5,8 +5,8 @@ Covers the pieces the equivalence suites take for granted:
 * compiled columns are lowered at pinned platform-independent dtypes
   (``int64`` / ``float64``) and cached per trace;
 * the npz cache tier stores those columns natively -- a disk hit seeds
-  the per-trace array cache, and a format-v1 entry is upgraded in place
-  on first read;
+  the per-trace array cache, and a format-v1 entry is evicted and
+  rewritten in place at the current format on first read;
 * the batch entry points (``replay_vectorized_batch`` over raw traces,
   ``execute_batch`` over engine specs) match their sequential
   counterparts result for result;
@@ -121,7 +121,10 @@ def _rewrite_as_v1(path):
     del header["n_sends"], header["n_receives"]
     del arrays["slot"], arrays["digest"]
     header_json = json.dumps(header)
-    columns = tuple(arrays[name] for name in trace_io._V1_COLUMNS)
+    columns = tuple(
+        arrays[name]
+        for name in ("time", "etype", "host", "msg_id", "peer", "cell")
+    )
     digest = trace_io._column_digest(header_json, columns)
     np.savez_compressed(
         path,
@@ -137,17 +140,19 @@ def test_v1_cache_entry_is_upgraded_in_place(tmp_path):
     path = tmp_path / f"{config_key(cfg())}.npz"
     _rewrite_as_v1(path)
 
+    # A v1 entry is not read: it is evicted and regenerated...
     reader = TraceCache(disk_dir=tmp_path)
     loaded = reader.get_or_generate(cfg())
-    assert reader.stats()["disk_hits"] == 1
-    assert reader.stats()["legacy_upgrades"] == 1
+    assert reader.stats()["corrupt_evictions"] == 1
+    assert reader.stats()["misses"] == 1
     assert [e.time for e in loaded.events] == [e.time for e in original.events]
 
-    # The rewrite is at the current format: a later cache gets native
-    # columns straight from disk with no further upgrade.
+    # ... and rewritten in place at the current format: a later cache
+    # gets native columns straight from disk.
     third = TraceCache(disk_dir=tmp_path)
     again = third.get_or_generate(cfg())
-    assert third.stats()["legacy_upgrades"] == 0
+    assert third.stats()["disk_hits"] == 1
+    assert third.stats()["corrupt_evictions"] == 0
     assert getattr(again, "_array_columns_cache", None) is not None
 
 

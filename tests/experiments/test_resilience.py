@@ -211,6 +211,72 @@ def test_resume_runs_only_missing_cells(tmp_path, monkeypatch):
     assert len(entries) == len(cfg.t_switch_values) * len(cfg.seeds)
 
 
+def test_full_resume_counts_no_busy_time(tmp_path):
+    path = str(tmp_path / "sweep.jsonl")
+    run_sweep(sweep_config(journal_path=path, use_cache=False))
+    resumed = run_sweep(sweep_config(resume_from=path, use_cache=False))
+    summary = resumed.telemetry_summary()
+    # Every cell came from the journal: nothing ran, nothing was busy.
+    assert summary.n_resumed == summary.n_tasks == 4
+    assert summary.total_task_wall_s == 0.0
+    assert summary.busy_by_pid == {}
+    assert summary.utilization == 0.0
+
+
+def test_half_resume_counts_only_executed_cells(tmp_path):
+    path = str(tmp_path / "sweep.jsonl")
+    run_sweep(sweep_config(journal_path=path, use_cache=False))
+    with open(path) as fh:
+        lines = fh.readlines()
+    with open(path, "w") as fh:
+        fh.writelines(lines[:3])  # header + the first two cells
+    resumed = run_sweep(sweep_config(resume_from=path, use_cache=False))
+    assert resumed.complete and resumed.resumed_tasks == 2
+    summary = resumed.telemetry_summary()
+    executed = [
+        r for r in resumed.telemetry
+        if (r.t_switch, r.seed) not in resumed.resumed_cells
+    ]
+    assert len(executed) == 2
+    assert summary.total_task_wall_s == sum(r.wall_time_s for r in executed)
+    assert sum(summary.busy_by_pid.values()) == pytest.approx(
+        summary.total_task_wall_s
+    )
+    assert 0.0 < summary.utilization <= 1.0
+
+
+def test_journal_lines_with_unknown_telemetry_keys_resume(
+    tmp_path, monkeypatch
+):
+    """A journal written by an older version carries telemetry fields
+    this version no longer defines (``cache_legacy_upgrades``); its
+    cells must still resume rather than silently re-run."""
+    path = str(tmp_path / "sweep.jsonl")
+    cfg = sweep_config(journal_path=path, use_cache=False)
+    full = run_sweep(cfg)
+    with open(path) as fh:
+        header, *tasks = fh.readlines()
+    with open(path, "w") as fh:
+        fh.write(header)
+        for line in tasks:
+            obj = json.loads(line)
+            obj["telemetry"]["cache_legacy_upgrades"] = 0
+            fh.write(json.dumps(obj) + "\n")
+
+    entries = SweepJournal.load(path, sweep_config_hash(cfg))
+    assert len(entries) == len(tasks) == 4
+    monkeypatch.setattr(
+        runner_mod,
+        "_evaluate_task",
+        lambda *a, **k: (_ for _ in ()).throw(
+            AssertionError("no task should execute on a full resume")
+        ),
+    )
+    resumed = run_sweep(sweep_config(resume_from=path, use_cache=False))
+    assert resumed.resumed_tasks == 4
+    assert _values(resumed) == _values(full)
+
+
 def test_resume_from_missing_file_runs_everything(tmp_path):
     cfg = sweep_config(resume_from=str(tmp_path / "absent.jsonl"))
     result = run_sweep(cfg)

@@ -197,10 +197,9 @@ def test_corrupt_cache_entry_surfaces_in_telemetry(tmp_path, monkeypatch):
     result = run_sweep(cfg)
     (record,) = result.telemetry
     assert record.cache_corrupt_evictions == 1
-    assert record.cache_legacy_upgrades == 0
     assert record.trace_source == "generated"  # evicted, then regenerated
     table = telemetry_table(result.telemetry)
-    assert "[cache: corrupt_evictions=1 legacy_upgrades=0]" in table
+    assert "[cache: corrupt_evictions=1]" in table
 
 
 def test_legacy_cache_entry_surfaces_in_telemetry(tmp_path, monkeypatch):
@@ -221,30 +220,27 @@ def test_legacy_cache_entry_surfaces_in_telemetry(tmp_path, monkeypatch):
     monkeypatch.setattr(cache_mod, "_shared", {})
     result = run_sweep(cfg)
     (record,) = result.telemetry
-    assert record.cache_legacy_upgrades == 1
-    assert record.cache_corrupt_evictions == 0
-    assert record.cache_hit  # the legacy entry was still usable
+    # An entry that cannot be verified surfaces as a corrupt eviction.
+    assert record.cache_corrupt_evictions == 1
+    assert record.trace_source == "generated"  # evicted, then regenerated
+    assert not hasattr(record, "cache_legacy_upgrades")
     summary = summarize(result.telemetry, sweep_wall_s=1.0, workers=1)
-    assert summary.cache_legacy_upgrades == 1
-    assert "cache health: corrupt_evictions=0, legacy_upgrades=1" in str(
-        summary
-    )
+    assert summary.cache_corrupt_evictions == 1
+    assert "cache health: corrupt_evictions=1" in str(summary)
 
 
 def test_summary_hides_cache_health_when_clean():
     summary = summarize([fake_record()], sweep_wall_s=1.0, workers=1)
     assert summary.cache_corrupt_evictions == 0
-    assert summary.cache_legacy_upgrades == 0
     assert "cache health" not in str(summary)
 
 
 def test_telemetry_table_flags_cache_health_per_row():
     clean = fake_record()
-    dirty = fake_record(seed=1, cache_corrupt_evictions=2,
-                        cache_legacy_upgrades=1)
+    dirty = fake_record(seed=1, cache_corrupt_evictions=2)
     rows = telemetry_table([clean, dirty]).splitlines()
     assert "[cache:" not in rows[1]
-    assert "[cache: corrupt_evictions=2 legacy_upgrades=1]" in rows[2]
+    assert "[cache: corrupt_evictions=2]" in rows[2]
 
 
 # ---------------------------------------------------------------------------

@@ -47,6 +47,24 @@ def test_replay_unknown_protocol(tmp_path, capsys):
     assert "unknown protocol" in capsys.readouterr().err
 
 
+def test_replay_unreadable_trace_file_exits_2(tmp_path, capsys):
+    import json
+
+    import numpy as np
+
+    path = str(tmp_path / "t.npz")
+    main(["trace", "--sim-time", "200", "--out", path])
+    with np.load(path) as data:
+        arrays = {k: data[k] for k in data.files}
+    header = json.loads(bytes(arrays["header"]).decode())
+    header["format_version"] = 1  # an older format, no longer read
+    arrays["header"] = np.frombuffer(json.dumps(header).encode(), np.uint8)
+    np.savez(path, **arrays)
+    rc = main(["replay", "--trace", path, "--protocols", "BCS"])
+    assert rc == 2
+    assert "format version 1" in capsys.readouterr().err
+
+
 def test_recovery_unknown_protocol_exits_2(capsys):
     rc = main(["recovery", "--sim-time", "200", "--protocol", "NOPE"])
     assert rc == 2

@@ -73,7 +73,7 @@ def test_memory_hit_returns_same_object():
     assert second is first
     assert cache.stats() == {
         "hits": 1, "disk_hits": 0, "misses": 1,
-        "corrupt_evictions": 0, "legacy_upgrades": 0, "entries": 1,
+        "corrupt_evictions": 0, "entries": 1,
     }
 
 
@@ -113,7 +113,7 @@ def test_clear_resets_counters_and_entries():
     cache.clear()
     assert cache.stats() == {
         "hits": 0, "disk_hits": 0, "misses": 0,
-        "corrupt_evictions": 0, "legacy_upgrades": 0, "entries": 0,
+        "corrupt_evictions": 0, "entries": 0,
     }
 
 
@@ -153,7 +153,7 @@ def test_disk_miss_counts_generation(tmp_path, monkeypatch):
     assert len(calls) == 1
     assert cache.stats() == {
         "hits": 0, "disk_hits": 1, "misses": 1,
-        "corrupt_evictions": 0, "legacy_upgrades": 0, "entries": 0,
+        "corrupt_evictions": 0, "entries": 0,
     }
 
 
@@ -230,10 +230,11 @@ def test_bitflipped_disk_entry_fails_checksum(tmp_path):
     assert _trace_values(regenerated) == _trace_values(original)
 
 
-def test_legacy_entry_without_digest_is_upgraded_not_evicted(tmp_path):
-    """A cache entry written before the digest field existed must be
-    accepted (structural validation) and upgraded in place -- not
-    silently regenerated as 'corrupt' on every upgrade."""
+def test_legacy_entry_without_digest_is_evicted_and_regenerated(tmp_path):
+    """A cache entry written before the digest field existed cannot be
+    verified: it is evicted like a damaged one, regenerated
+    value-identical and rewritten with a digest, so the next lookup is
+    a verified disk hit."""
     import numpy as np
 
     writer = TraceCache(disk_dir=tmp_path)
@@ -245,17 +246,16 @@ def test_legacy_entry_without_digest_is_upgraded_not_evicted(tmp_path):
 
     reader = TraceCache(disk_dir=tmp_path)
     loaded = reader.get_or_generate(cfg())
-    assert reader.stats()["disk_hits"] == 1
-    assert reader.stats()["misses"] == 0
-    assert reader.stats()["legacy_upgrades"] == 1
-    assert reader.stats()["corrupt_evictions"] == 0
+    assert reader.stats()["disk_hits"] == 0
+    assert reader.stats()["misses"] == 1
+    assert reader.stats()["corrupt_evictions"] == 1
     assert _trace_values(loaded) == _trace_values(original)
-    # The entry was rewritten with a digest: a later cache verifies it
-    # as a plain (non-legacy) disk hit.
+    with np.load(entry) as data:
+        assert "digest" in data.files
     third = TraceCache(disk_dir=tmp_path)
     third.get_or_generate(cfg())
     assert third.stats()["disk_hits"] == 1
-    assert third.stats()["legacy_upgrades"] == 0
+    assert third.stats()["corrupt_evictions"] == 0
 
 
 def test_garbage_disk_entry_is_unlinked(tmp_path):

@@ -3,15 +3,17 @@ engines with identical counters, and streams bit-identically.
 
 This is the local twin of the CI ``workload-smoke`` step: a model that
 registers but cannot actually drive a run (or diverges between the
-fused and vectorized engines, or between the streaming and materialized
-compilers) fails here before any figure uses it.
+fused and vectorized engines, or between the columns the driver streams
+and the columns compiled from its event list) fails here before any
+figure uses it.
 """
 
 import json
 
+import numpy as np
 import pytest
 
-from repro.core.compiled import compile_trace
+from repro.core.compiled import array_columns, compile_trace, lower_columns
 from repro.core.trace import Trace
 from repro.engine import RunSpec, execute
 from repro.workload.config import WorkloadConfig
@@ -69,11 +71,16 @@ def test_workload_streams_bit_identically(name, smoke_params):
     cfg = _smoke_config(name, smoke_params)
     streamed = generate_streamed(cfg, block_events=128)
     trace = generate_trace(cfg)
-    # compile_trace's own per-event loop, over an event-backed copy
+    # The columns compiled from an event-backed copy's TraceEvent list.
     events = Trace(
         n_hosts=trace.n_hosts,
         n_mss=trace.n_mss,
         events=list(trace.events),
         sim_time=trace.sim_time,
     )
-    assert streamed.to_compiled() == compile_trace(events)
+    cols, ref = streamed.array_columns(), array_columns(events)
+    for column in ("etype", "time", "host", "msg_id", "peer", "cell", "slot"):
+        np.testing.assert_array_equal(
+            getattr(cols, column), getattr(ref, column), err_msg=column
+        )
+    assert lower_columns(cols) == compile_trace(events)
