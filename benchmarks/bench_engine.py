@@ -292,8 +292,9 @@ def test_trace_cache_warm_vs_cold(benchmark, tmp_path):
     """Warm (memory or disk) cache lookups must be far cheaper than
     regeneration; a warm end-to-end sweep regenerates nothing.
 
-    ``generate_ms`` is the best of 3 fresh ``generate_trace`` calls:
-    the event loop alone, without the cache miss's save."""
+    ``generate_ms`` is the best of 3 fresh ``generate_trace`` calls
+    (the columnar passes: this paper-model config is eligible), without
+    the cache miss's save."""
     cfg = WorkloadConfig(sim_time=2000.0, seed=0)
     cache = TraceCache(disk_dir=tmp_path)
 

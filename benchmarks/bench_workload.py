@@ -1,4 +1,5 @@
-"""Workload-layer benchmarks: streaming-compile memory and throughput.
+"""Workload-layer benchmarks: streaming-compile memory and throughput,
+and how often generation leaves the columnar path.
 
 The streaming trace compiler (:mod:`repro.core.streamed`) exists so
 compilation does not require the whole event list in memory; this bench
@@ -21,10 +22,17 @@ CI can archive the trend.
 ``REPRO_BENCH_WORKLOAD_EVENTS`` overrides the event count (default
 1_000_000; CI may shrink it -- the gate is a ratio, so it holds at any
 size past the staging block).
+
+:func:`test_columnar_fallback_rate` generates every cell of the paper's
+Fig. 1-6 grids (sim_time 2000, seeds 0-2) through ``generate_trace``
+and reads the path each took from the
+``repro_trace_generate_total{path, reason}`` counter: at most 1% may
+fall back to the event loop.
 """
 
 import json
 import os
+import time
 import tracemalloc
 
 import numpy as np
@@ -39,8 +47,11 @@ from repro.core.compiled import (
 )
 from repro.core.streamed import StreamingCompiler
 from repro.core.trace import EventType, Trace, TraceError, TraceEvent
+from repro.experiments.figures import FIGURE_PARAMS, figure_sweep_config
+from repro.obs.metrics import registry
 from repro.workload.config import WorkloadConfig
-from repro.workload.driver import generate_streamed, generate_trace
+from repro.workload.driver import _Driver, generate_streamed, generate_trace
+from repro.workload.scenarios import T_SWITCH_SWEEP
 
 N_EVENTS = int(os.environ.get("REPRO_BENCH_WORKLOAD_EVENTS", "1000000"))
 N_HOSTS = 10
@@ -53,6 +64,10 @@ BENCH_JSON = os.environ.get(
 #: The gate: streaming peak must stay under this fraction of the
 #: materialized peak.
 PEAK_RATIO_GATE = 0.25
+
+#: At most this share of the Fig. 1-6 grid cells may fall back from
+#: columnar generation to the event loop.
+FALLBACK_RATE_GATE = 0.01
 
 
 def _record(case: str, payload: dict) -> None:
@@ -261,4 +276,62 @@ def test_generate_streamed_matches_and_records():
     _record(
         "generate_streamed_identity",
         {"sim_time": cfg.sim_time, "n_events": streamed.n_events, "ok": True},
+    )
+
+
+def _generate_paths() -> dict:
+    """``repro_trace_generate_total`` series: ``"path/reason"`` -> count."""
+    out = {}
+    for series in registry().snapshot()["series"]:
+        if series["name"] == "repro_trace_generate_total":
+            labels = dict(series["labels"])
+            out[f"{labels['path']}/{labels['reason']}"] = series["value"]
+    return out
+
+
+def test_columnar_fallback_rate():
+    """Every Fig. 1-6 grid cell through ``generate_trace``: the share
+    that fell back to the event loop, gated at 1%, plus the generation
+    cost per event on each path (the loop timed on the Fig. 6 grid)."""
+    configs = [
+        figure_sweep_config(figure, sim_time=2000.0).base.with_(
+            t_switch=t, seed=seed
+        )
+        for figure in sorted(FIGURE_PARAMS)
+        for t in T_SWITCH_SWEEP
+        for seed in (0, 1, 2)
+    ]
+    before = _generate_paths()
+    events = 0
+    started = time.perf_counter()
+    for cfg in configs:
+        events += len(generate_trace(cfg))
+    generate_s = time.perf_counter() - started
+    after = _generate_paths()
+    paths = {
+        key: after[key] - before.get(key, 0)
+        for key in after
+        if after[key] != before.get(key, 0)
+    }
+    assert sum(paths.values()) == len(configs)
+    fallbacks = sum(n for key, n in paths.items() if key.startswith("loop/"))
+    rate = fallbacks / len(configs)
+    fig6 = [c for c in configs if c.p_switch == 0.8 and c.heterogeneity == 0.3]
+    started = time.perf_counter()
+    loop_events = sum(len(_Driver(cfg).run()) for cfg in fig6[::3])
+    loop_s = time.perf_counter() - started
+    _record(
+        "columnar_fallback",
+        {
+            "cells": len(configs),
+            "paths": paths,
+            "fallback_rate": rate,
+            "gate": FALLBACK_RATE_GATE,
+            "generate_us_per_event": round(generate_s / events * 1e6, 3),
+            "loop_us_per_event_fig6": round(loop_s / loop_events * 1e6, 3),
+        },
+    )
+    assert rate <= FALLBACK_RATE_GATE, (
+        f"{fallbacks} of {len(configs)} grid cells fell back to the "
+        f"event loop ({paths})"
     )

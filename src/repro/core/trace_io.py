@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import struct
 import zipfile
 from pathlib import Path
@@ -94,12 +95,32 @@ def save_trace(trace: Trace, path: Union[str, Path]) -> None:
     header_json = json.dumps(header)
     columns = {name: getattr(cols, name) for name in _COLUMNS}
     digest = _column_digest(header_json, columns.values())
-    np.savez_compressed(
-        str(path),
+    _write_npz(
+        path,
         header=np.frombuffer(header_json.encode("utf-8"), dtype=np.uint8),
         digest=np.frombuffer(digest.encode("ascii"), dtype=np.uint8),
         **columns,
     )
+
+
+def _write_npz(path: Union[str, Path], **arrays: np.ndarray) -> None:
+    """``np.savez_compressed`` at zlib level 1.
+
+    The same members in the same order (``<name>.npy``, deflated,
+    zip64), so ``np.load`` reads the file as it reads any npz; level 1
+    writes a cache entry about 3x faster than numpy's default level 6
+    for about 10% more bytes.
+    """
+    path = os.fspath(path)
+    if not path.endswith(".npz"):
+        path += ".npz"
+    with zipfile.ZipFile(
+        path, mode="w", compression=zipfile.ZIP_DEFLATED,
+        compresslevel=1, allowZip64=True,
+    ) as zipf:
+        for name, arr in arrays.items():
+            with zipf.open(name + ".npy", "w", force_zip64=True) as fid:
+                np.lib.format.write_array(fid, arr, allow_pickle=False)
 
 
 def load_trace(
@@ -163,7 +184,7 @@ def _load_trace_inner(path: Path, verify: bool) -> Trace:
                 f"trace file {path} failed checksum verification "
                 f"(stored {stored!r}, computed {computed[:16]}...)"
             )
-    lengths = {len(columns[name]) for name in _COLUMNS if name != "slot"}
+    lengths = {len(columns[name]) for name in _COLUMNS}
     if len(lengths) > 1:
         raise ValueError(f"event columns of unequal lengths {sorted(lengths)}")
     etype = columns["etype"]

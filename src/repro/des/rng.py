@@ -136,6 +136,87 @@ class RandomStreams:
         self._int_buf[key] = (buf[0], buf[1] + 1)
         return value
 
+    # -- bulk draws -------------------------------------------------------
+    # The next *n* values the scalar draws above would return, from the
+    # same buffers: a bulk take followed by scalar draws (or the other
+    # way round) sees one value sequence per stream.  Refills stay
+    # BATCH-sized calls, so the generator is advanced exactly as the
+    # scalar path advances it.
+
+    def _take(self, bufs: dict, key, n: int, refill) -> np.ndarray:
+        buf = bufs.get(key)
+        if buf is None or buf[1] >= self.BATCH:
+            chunks, last, avail = [], None, 0
+        else:
+            last = buf[0]
+            chunks = [last[buf[1]:]]
+            avail = self.BATCH - buf[1]
+        while avail < n:
+            last = refill()
+            chunks.append(last)
+            avail += self.BATCH
+        if last is not None:
+            bufs[key] = (last, self.BATCH - (avail - n))
+        if not chunks:
+            return np.empty(0)
+        return np.concatenate(chunks)[:n]
+
+    def take_exponential(self, name: str, n: int) -> np.ndarray:
+        """The next *n* unit-mean exponential draws on stream *name*
+        (what *n* ``exponential(name, 1.0)`` calls would return)."""
+        return self._take(
+            self._exp_buf, name, n,
+            lambda: self.stream(name).exponential(1.0, self.BATCH),
+        )
+
+    def take_uniform(self, name: str, n: int) -> np.ndarray:
+        """The next *n* U[0, 1) draws on stream *name* (what *n*
+        ``uniform(name)`` calls would return)."""
+        return self._take(
+            self._unit_buf, name, n, lambda: self.stream(name).random(self.BATCH)
+        )
+
+    def take_choice_indices(self, name: str, bounds) -> np.ndarray:
+        """What ``[choice_index(name, k) for k in bounds]`` returns.
+
+        Every bound keeps its own buffer, but all of them refill from
+        the one generator of *name*, so the refills are replayed in the
+        order the scalar calls would trigger them.
+        """
+        bounds = np.asarray(bounds, dtype=np.int64)
+        out = np.empty(len(bounds), dtype=np.int64)
+        if not len(bounds):
+            return out
+        lo, hi = int(bounds.min()), int(bounds.max())
+        if lo < 1:
+            raise ValueError(f"need at least 1 alternative, got k={lo}")
+        if lo == hi:  # one buffer: its refills are the generator's calls
+            return self._take(
+                self._int_buf, (name, lo), len(bounds),
+                lambda: self.stream(name).integers(0, lo, self.BATCH),
+            )
+        gen = self.stream(name)
+        # Positions grouped by bound, each group in call order.
+        order = np.argsort(bounds, kind="stable")
+        counts = np.bincount(bounds)
+        ks = np.flatnonzero(counts).tolist()
+        groups = np.split(order, np.cumsum(counts[ks])[:-1])
+        # The draws that find their bound's buffer empty refill it; the
+        # generator serves those refills in call order across bounds.
+        refills = []
+        for k, pos in zip(ks, groups):
+            buf = self._int_buf.get((name, k))
+            left = 0 if buf is None else self.BATCH - buf[1]
+            refills.extend((p, k) for p in pos[left::self.BATCH].tolist())
+        drawn: dict[int, list] = {k: [] for k in ks}
+        for _, k in sorted(refills):
+            drawn[k].append(gen.integers(0, k, self.BATCH))
+        out[order] = np.concatenate([
+            self._take(self._int_buf, (name, k), len(pos), iter(drawn[k]).__next__)
+            for k, pos in zip(ks, groups)
+        ])
+        return out
+
     def spawn_seeds(self, name: str, count: int) -> list[int]:
         """Derive *count* child seeds (for multi-run sweeps / workers)."""
         gen = self.stream(f"__spawn__/{name}")

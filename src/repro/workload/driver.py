@@ -35,6 +35,11 @@ form a disk-cache hit has.  A third entry point,
 :func:`generate_streamed`, runs the same simulation and returns the
 compiler's flushed blocks without concatenating them, so its staging
 memory stays O(block).
+
+For an eligible paper-model config :func:`generate_trace` does not run
+the loop at all: :mod:`repro.workload.columnar` computes the same
+columns in numpy passes, and hands the config back to the loop only
+where the loop's scheduling order would decide the outcome.
 """
 
 from __future__ import annotations
@@ -62,6 +67,7 @@ from repro.mobility.heterogeneity import residence_means
 from repro.mobility.models import MoveKind, PaperMobilityModel, make_cell_chooser
 from repro.net.system import MobileSystem, NetworkParams
 from repro.protocols.base import CheckpointingProtocol
+from repro.workload import columnar
 from repro.workload.config import WorkloadConfig
 
 
@@ -413,14 +419,37 @@ class _Driver:
         return Trace.from_columns(columns, self.config.meta())
 
 
+def _count_path(path: str, reason: str) -> None:
+    from repro.obs.metrics import registry
+
+    registry().counter(
+        "repro_trace_generate_total", path=path, reason=reason
+    ).inc()
+
+
 def generate_trace(config: WorkloadConfig) -> Trace:
     """Simulate the mobile system and return its event trace.
 
     The trace is protocol-independent (the paper's instantaneous-
     checkpoint assumption) and fully determined by ``config`` including
-    its ``seed``.
+    its ``seed``.  Eligible paper-model configs are computed by the
+    numpy passes of :mod:`repro.workload.columnar`, byte-identical to
+    the event loop; the rest, and the rare config whose outcome hangs
+    on an exact time tie, run the loop.  Either way the path taken is
+    counted in ``repro_trace_generate_total{path, reason}``.
     """
-    return _Driver(config).run()
+    reason = columnar.ineligible_reason(config)
+    if reason is None:
+        try:
+            columns = columnar.generate_columns(config)
+        except columnar.Fallback as fallback:
+            reason = fallback.reason
+        else:
+            _count_path("columnar", "eligible")
+            return Trace.from_columns(columns, config.meta())
+    trace = _Driver(config).run()
+    _count_path("loop", reason)
+    return trace
 
 
 def generate_streamed(

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.des import RandomStreams
 from repro.des.rng import check_distinct, seed_sequence
@@ -102,3 +104,68 @@ def test_seed_sequence_helper():
 def test_check_distinct_diagnostic():
     rs = RandomStreams(2)
     assert check_distinct(rs, ["a", "b", "c"])
+
+
+# -- bulk draws: the scalar draws' values, from the same buffers -------------
+
+#: One draw program: bulk takes interleaved with scalar draws, on two
+#: streams, with choice bounds that share one generator per stream.
+_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("exp"), st.sampled_from("ab"), st.integers(0, 1300)),
+        st.tuples(st.just("uni"), st.sampled_from("ab"), st.integers(0, 1300)),
+        st.tuples(
+            st.just("choice"),
+            st.sampled_from("ab"),
+            st.lists(st.sampled_from([1, 2, 3, 9]), max_size=1300),
+        ),
+    ),
+    max_size=8,
+)
+
+
+def _run(ops, bulk: bool) -> list:
+    rs = RandomStreams(11)
+    out = []
+    for kind, name, arg in ops:
+        if kind == "exp":
+            if bulk:
+                out.extend(rs.take_exponential(name, arg).tolist())
+            else:
+                out.extend(rs.exponential(name, 1.0) for _ in range(arg))
+        elif kind == "uni":
+            if bulk:
+                out.extend(rs.take_uniform(name, arg).tolist())
+            else:
+                out.extend(rs.uniform(name) for _ in range(arg))
+        elif bulk:
+            out.extend(rs.take_choice_indices(name, arg).tolist())
+        else:
+            out.extend(rs.choice_index(name, k) for k in arg)
+    # the buffers are left where the scalar draws leave them
+    out.extend(rs.exponential(n, 1.0) for n in "ab")
+    out.extend(rs.uniform(n) for n in "ab")
+    out.extend(rs.choice_index(n, k) for n in "ab" for k in (1, 2, 3, 9))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(_OPS)
+def test_bulk_draws_equal_scalar_draws(ops):
+    assert _run(ops, bulk=True) == _run(ops, bulk=False)
+
+
+def test_take_choice_indices_replays_refill_order():
+    """Two bounds on one stream: the second bound's refill comes after
+    the first one's 512 draws, exactly as scalar calls trigger it."""
+    bounds = [5] * 600 + [7] * 10 + [5] * 600
+    bulk = RandomStreams(3).take_choice_indices("s", bounds)
+    rs = RandomStreams(3)
+    assert bulk.tolist() == [rs.choice_index("s", k) for k in bounds]
+
+
+def test_take_choice_indices_validation():
+    rs = RandomStreams(0)
+    assert rs.take_choice_indices("s", []).tolist() == []
+    with pytest.raises(ValueError, match="at least 1"):
+        rs.take_choice_indices("s", [3, 0])
