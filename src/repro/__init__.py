@@ -28,7 +28,7 @@ paper-vs-measured record.
 """
 
 from repro.core.metrics import CheckpointStats, ProtocolRunMetrics, gain_percent
-from repro.core.replay import ReplayResult, replay, replay_fused, replay_many
+from repro.core.replay import ReplayResult, replay, replay_fused
 from repro.core.trace import EventType, Trace, TraceEvent
 from repro.engine import ExecutionPlan, RunResult, RunSpec, execute, plan
 from repro.experiments.figures import run_figure
@@ -59,7 +59,6 @@ __all__ = [
     "plan",
     "replay",
     "replay_fused",
-    "replay_many",
     "run_figure",
     "run_online",
     "shared_cache",

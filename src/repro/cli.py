@@ -483,7 +483,6 @@ def _cmd_protocols(args) -> int:
             label
             for label, on in (
                 ("replayable", caps.replayable),
-                ("fusable", caps.fusable),
                 ("vectorizable", caps.vectorizable),
                 ("coordinated", caps.coordinated),
                 ("counters-only", caps.counters_only),

@@ -38,7 +38,7 @@ from repro.core.recovery import (
 )
 from repro.core.compiled import CompiledTrace, compile_trace
 from repro.core.recovery_online import RecoveryPlan, plan_recovery
-from repro.core.replay import ReplayResult, replay, replay_fused, replay_many
+from repro.core.replay import ReplayResult, replay, replay_fused
 from repro.core.trace import EventType, Trace, TraceEvent
 from repro.core.trace_io import load_trace, save_trace
 
@@ -65,7 +65,6 @@ __all__ = [
     "protocol_line_rollback",
     "replay",
     "replay_fused",
-    "replay_many",
     "run_with_failures",
     "save_trace",
 ]

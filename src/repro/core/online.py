@@ -68,7 +68,6 @@ class _CoordinatedBookkeeper(CheckpointingProtocol):
 
     name = "COORD"
     replayable = False
-    fusable = False
 
     def __init__(self, n_hosts: int, n_mss: int = 1):
         super().__init__(n_hosts, n_mss)

@@ -9,22 +9,25 @@ the simulation -- while letting every protocol see the *identical*
 schedule (the paper's common-random-numbers comparison) and running
 several times faster than the full event simulation.
 
-Two engines share the contract:
+Three passes share the contract:
 
 * :func:`replay` -- the reference implementation: one protocol, one
   pass over the raw :class:`~repro.core.trace.TraceEvent` list.
-* :func:`replay_fused` -- the production engine: N fresh protocol
-  instances driven over one *compiled* trace (the dispatch program
-  :mod:`repro.core.compiled` lowers from the trace's columns) in a
-  single pass, with a flat slot-indexed piggyback store per protocol
-  instead of a hash table.
-  The equivalence suite asserts both produce bit-identical checkpoint
-  sequences for every registered protocol.
+* :func:`replay_fused` -- N fresh protocol instances driven over one
+  *compiled* trace (the dispatch program :mod:`repro.core.compiled`
+  lowers from the trace's columns) in a single pass, with a flat
+  slot-indexed piggyback store per protocol instead of a hash table.
+* :func:`replay_vectorized` -- N fresh instances as batch kernels
+  over the trace's array columns (:mod:`repro.core.vectorized`).
+
+The equivalence suites assert all three produce bit-identical
+checkpoint sequences for every registered protocol; the invariant
+audit (:mod:`repro.obs.audit`) checks each audited engine run against
+a reference replay.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -78,50 +81,9 @@ def _run_metrics(
     )
 
 
-def _audit_instance(protocol: CheckpointingProtocol, seed) -> None:
-    """Raise the first post-run invariant breach of *protocol*."""
-    # Imported lazily: repro.obs.audit imports this module.
-    from repro.obs.audit import check_protocol_invariants
-
-    violations = check_protocol_invariants(protocol, seed=seed)
-    if violations:
-        raise violations[0]
-
-
-def _audit_against_reference(
-    trace: Trace,
-    protocols: Sequence[CheckpointingProtocol],
-    references: Sequence[CheckpointingProtocol],
-    seed: Optional[int],
-    engine: str,
-) -> None:
-    """The *engine*-vs-reference tripwire: check every instance's
-    invariants, replay its pristine clone through :func:`replay` and
-    raise the first counter divergence as an
-    :class:`~repro.obs.audit.AuditViolation`."""
-    from repro.obs.audit import FUSED_DIVERGENCE, AuditViolation
-
-    for p, ref in zip(protocols, references):
-        _audit_instance(p, seed)
-        replay(trace, ref, seed=seed)
-        p_sig, ref_sig = p.counter_signature(), ref.counter_signature()
-        if p_sig != ref_sig:
-            diff = {
-                key: (ref_sig[key], p_sig[key])
-                for key in ref_sig
-                if ref_sig[key] != p_sig[key]
-            }
-            raise AuditViolation(
-                FUSED_DIVERGENCE,
-                p.name,
-                f"{engine} vs reference counters differ: {diff}",
-                seed=seed,
-            )
-
-
 def _require_kernel(protocol: CheckpointingProtocol) -> None:
     """Reject a protocol that ships no vectorized kernel."""
-    if not (protocol.vectorizable and protocol.fusable):
+    if not protocol.vectorizable:
         from repro.core.vectorized import VectorizationError
 
         raise VectorizationError(
@@ -134,7 +96,6 @@ def replay(
     trace: Trace,
     protocol: CheckpointingProtocol,
     seed: Optional[int] = None,
-    audit: bool = False,
 ) -> ReplayResult:
     """Run *protocol* over *trace*; returns protocol + metrics.
 
@@ -142,12 +103,6 @@ def replay(
     and must be fresh.  Raises if the protocol is not replayable (the
     coordinated baselines inject control messages and need
     :mod:`repro.core.online`).
-
-    With ``audit=True`` the run's structural invariants (counter/log
-    consistency, per-host index monotonicity -- see
-    :mod:`repro.obs.audit`) are checked afterwards and the first breach
-    is raised as a structured
-    :class:`~repro.obs.audit.AuditViolation`.
     """
     _check_replayable(trace, protocol)
     # msg_id -> (piggyback, src); entries are dropped once consumed.
@@ -188,8 +143,6 @@ def replay(
             on_reconnect(ev.host, ev.time, ev.cell)
         # INTERNAL events carry no protocol action.
 
-    if audit:
-        _audit_instance(protocol, seed)
     metrics = _run_metrics(trace, protocol, n_sends, n_receives, seed)
     return ReplayResult(protocol=protocol, metrics=metrics)
 
@@ -198,7 +151,6 @@ def replay_fused(
     trace: Trace,
     protocols: Sequence[CheckpointingProtocol],
     seed: Optional[int] = None,
-    audit: bool = False,
 ) -> list[ReplayResult]:
     """Drive several fresh protocol instances over *trace* in one pass.
 
@@ -210,18 +162,9 @@ def replay_fused(
     each protocol keeps a flat piggyback store indexed by the
     precomputed send slot -- no per-message hashing, no dataclass
     attribute loads, no enum comparisons in the hot loop.
-
-    With ``audit=True`` every instance is deep-copied *before* the run,
-    the copies are replayed through the reference engine afterwards,
-    and any counter divergence (or per-instance invariant breach) is
-    raised as an :class:`~repro.obs.audit.AuditViolation` -- the
-    fused-vs-reference tripwire, paid only when asked for.
     """
     for protocol in protocols:
         _check_replayable(trace, protocol)
-    # Pristine pre-run clones preserve constructor parameters the
-    # registry cannot reproduce (periods, initial cells, ...).
-    references = [copy.deepcopy(p) for p in protocols] if audit else []
     ct = trace.compiled()
     # One piggyback store per protocol: the "in-flight table", laid out
     # as a list indexed by the send's compile-time slot.
@@ -261,9 +204,6 @@ def replay_fused(
                 hook(*args)
         # INTERNAL events carry no protocol action.
 
-    if audit:
-        _audit_against_reference(trace, protocols, references, seed, "fused")
-
     return [
         ReplayResult(
             protocol=p,
@@ -277,7 +217,6 @@ def replay_vectorized(
     trace: Trace,
     protocols: Sequence[CheckpointingProtocol],
     seed: Optional[int] = None,
-    audit: bool = False,
 ) -> list[ReplayResult]:
     """Drive several fresh protocol instances over *trace* as batch
     kernels -- the fused contract with no per-event dispatch at all.
@@ -287,27 +226,15 @@ def replay_vectorized(
     results are bit-identical to :func:`replay` / :func:`replay_fused`
     -- counters, live state and (in logging mode) the checkpoint log --
     which the equivalence suite asserts per protocol.
-
-    With ``audit=True`` every instance is deep-copied before the run
-    and re-executed on the reference engine afterwards, raising
-    :class:`~repro.obs.audit.AuditViolation` on any counter divergence
-    (the same tripwire as :func:`replay_fused`).
     """
     from repro.core.vectorized import vectorized_trace
 
     for protocol in protocols:
         _check_replayable(trace, protocol)
         _require_kernel(protocol)
-    references = [copy.deepcopy(p) for p in protocols] if audit else []
-
     vt = vectorized_trace(trace)
     for protocol in protocols:
         type(protocol).vectorized_replay(vt, [protocol])
-
-    if audit:
-        _audit_against_reference(
-            trace, protocols, references, seed, "vectorized"
-        )
 
     vt0 = vt.blocks[0]
     return [
@@ -322,7 +249,7 @@ def replay_vectorized(
 def replay_vectorized_batch(
     traces: Sequence[Trace],
     factories: Sequence[Callable[[], CheckpointingProtocol]],
-    seed: Optional[int] = None,
+    seeds: Optional[Sequence[Optional[int]]] = None,
 ) -> list[list[ReplayResult]]:
     """Replay *several traces* through fresh instances of each protocol
     in one row-block batch: all traces become blocks of a single
@@ -332,8 +259,9 @@ def replay_vectorized_batch(
     Returns one result row per trace (each a list parallel to
     *factories*), exactly as ``[replay_vectorized(t, ...) for t in
     traces]`` would -- but with the per-pass numpy overheads amortized
-    across the batch.  Per-result seeds come from each trace's
-    ``meta["seed"]`` unless *seed* overrides them all.
+    across the batch.  *seeds* (one per trace) is threaded into each
+    row's metrics like :func:`replay`'s *seed*: a None entry, or no
+    list at all, falls back to that trace's ``meta["seed"]``.
     """
     from repro.core.vectorized import VectorizedTrace
 
@@ -345,8 +273,10 @@ def replay_vectorized_batch(
     vt = VectorizedTrace.from_traces(traces)
     for instances in grid:
         type(instances[0]).vectorized_replay(vt, instances)
+    if seeds is None:
+        seeds = [None] * len(traces)
     results: list[list[ReplayResult]] = []
-    for b, trace in enumerate(traces):
+    for b, (trace, seed) in enumerate(zip(traces, seeds)):
         block = vt.blocks[b]
         results.append(
             [
@@ -365,21 +295,3 @@ def replay_vectorized_batch(
         )
     return results
 
-
-def replay_many(
-    trace: Trace,
-    factories: Sequence[Callable[[], CheckpointingProtocol]],
-    seed: Optional[int] = None,
-    audit: bool = False,
-) -> list[ReplayResult]:
-    """Replay the same trace through several fresh protocol instances --
-    the pointwise comparison the paper's figures are built from.
-
-    Runs on the fused single-pass engine; *seed* is threaded into every
-    run's metrics (falling back to ``trace.meta["seed"]`` when omitted,
-    exactly like :func:`replay`), and ``audit=True`` arms the
-    fused-vs-reference tripwire of :func:`replay_fused`.
-    """
-    return replay_fused(
-        trace, [factory() for factory in factories], seed=seed, audit=audit
-    )

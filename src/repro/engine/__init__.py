@@ -8,10 +8,10 @@ The entry point consumers use::
 
 A :class:`~repro.engine.spec.RunSpec` is resolved against the
 capability-aware registry (:mod:`repro.engine.registry`) into an
-:class:`~repro.engine.spec.ExecutionPlan`, then run on one of three
-engines (:mod:`repro.engine.engines`) with a uniform observer stack
-(:mod:`repro.engine.observers`) and typed failure modes
-(:mod:`repro.engine.errors`).
+:class:`~repro.engine.spec.ExecutionPlan`, then run on the replay or
+the online engine (:mod:`repro.engine.engines`) with a uniform
+observer stack (:mod:`repro.engine.observers`) and typed failure
+modes (:mod:`repro.engine.errors`).
 
 This package is the *only* sanctioned call site of the low-level run
 primitives (``replay`` / ``replay_fused`` / ``run_online`` /
@@ -24,12 +24,10 @@ capabilities, engines interpret them.
 from repro.engine.engines import (
     ENGINES,
     Engine,
-    FusedReplayEngine,
     OnlineEngine,
     ProtocolOutcome,
-    ReferenceReplayEngine,
+    ReplayEngine,
     RunResult,
-    VectorizedFusedEngine,
     engine_for,
     execute,
     execute_batch,
@@ -86,7 +84,6 @@ __all__ = [
     "Engine",
     "EngineError",
     "ExecutionPlan",
-    "FusedReplayEngine",
     "MetricsObserver",
     "ObserverError",
     "ObserverReuseError",
@@ -98,7 +95,7 @@ __all__ = [
     "PluginProtocolError",
     "ProtocolOrigin",
     "ProtocolOutcome",
-    "ReferenceReplayEngine",
+    "ReplayEngine",
     "ResolvedProtocol",
     "RunObserver",
     "RunResult",
@@ -107,7 +104,6 @@ __all__ = [
     "TelemetryObserver",
     "TimingObserver",
     "UnknownProtocolError",
-    "VectorizedFusedEngine",
     "discover_plugins",
     "engine_for",
     "execute",

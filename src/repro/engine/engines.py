@@ -1,22 +1,21 @@
-"""The three execution engines behind one interface.
+"""The two execution engines behind one interface.
 
 Every way this repository evaluates a protocol -- reference replay,
-fused single-pass replay, online discrete-event simulation (CIC
-protocols in the loop *and* the coordinated baselines) -- is an
-:class:`Engine` driving a validated
+fused single-pass replay, vectorized batch kernels, online
+discrete-event simulation (CIC protocols in the loop *and* the
+coordinated baselines) -- is an :class:`Engine` driving a validated
 :class:`~repro.engine.spec.ExecutionPlan`:
 
-* :class:`ReferenceReplayEngine` -- one pass of
-  :func:`repro.core.replay.replay` per protocol; the semantic
-  baseline the fused engine is audited against.
-* :class:`FusedReplayEngine` -- all instances in one compiled-trace
-  pass via :func:`repro.core.replay.replay_fused`.
-* :class:`VectorizedFusedEngine` -- all instances as batch kernels
-  over array columns via :func:`repro.core.replay.replay_vectorized`;
-  the fastest replay path for protocols that declare
-  ``vectorizable``, bit-identical to the other two.
-  :func:`execute_batch` extends it across several specs at once (one
-  row-block grid, one kernel pass per protocol).
+* :class:`ReplayEngine` -- the three replay kinds, which differ only
+  in the pass they run over the shared schedule: ``reference`` (one
+  :func:`repro.core.replay.replay` per protocol, the semantic
+  baseline), ``fused`` (one compiled-trace pass,
+  :func:`repro.core.replay.replay_fused`) and ``vectorized`` (batch
+  kernels over array columns,
+  :func:`repro.core.replay.replay_vectorized`, for protocols that
+  declare ``vectorizable``).  All three are bit-identical.
+  :func:`execute_batch` extends the vectorized kind across several
+  specs at once (one row-block grid, one kernel pass per protocol).
 * :class:`OnlineEngine` -- :func:`repro.workload.driver.run_online`
   for replayable protocols that need checkpoint latency / GC
   modelling, :func:`repro.core.online.run_coordinated` for the
@@ -40,6 +39,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional, Union
 
 from repro.core.online import CoordinatedResult, run_coordinated
@@ -183,8 +183,9 @@ class Engine:
 
     ``run`` is a template method -- timing, span tracing, observer
     fan-out and result assembly live here; subclasses implement
-    ``_execute`` and call ``_notify_trace`` / ``_notify_outcome`` as
-    the run unfolds.
+    ``_execute`` and call ``_notify`` (``on_trace`` / ``on_outcome``)
+    as the run unfolds.  :func:`execute_batch` drives the same steps
+    (``_bind``, ``_start``, ``_finish``) for several plans at once.
 
     Observer failure isolation: ``on_run_start`` exceptions propagate
     (nothing ran yet; the single-run reuse guards depend on failing
@@ -200,6 +201,17 @@ class Engine:
     def run(self, target: Union[ExecutionPlan, RunSpec]) -> RunResult:
         """Execute *target* (a plan, or a spec planned on the spot)."""
         p = _plan(target) if isinstance(target, RunSpec) else target
+        self._bind(p)
+        run_tags = {"engine": self.kind}
+        if p.spec.run_id:
+            run_tags["run_id"] = p.spec.run_id
+        with self._span("run", **run_tags):
+            self._start()
+            return self._finish(self._execute(p))
+
+    # -- run steps ---------------------------------------------------------
+    def _bind(self, p: ExecutionPlan) -> None:
+        """Attach *p* to this (single-use) engine and start the clock."""
         if p.engine_kind != self.kind:
             raise PlanError(
                 f"plan selected the {p.engine_kind!r} engine; "
@@ -208,37 +220,40 @@ class Engine:
         self._plan = p
         self._tracer = _find_tracer(p.observers)
         self._observer_errors: list[ObserverError] = []
-        started = time.perf_counter()
+        self._started = time.perf_counter()
+
+    def _start(self) -> None:
+        for obs in self._plan.observers:
+            obs.on_run_start(self._plan)
+
+    def _finish(self, result: RunResult) -> RunResult:
+        """Stamp the wall time, notify ``on_run_end`` and record the
+        run's metrics."""
+        p = self._plan
+        result.wall_time_s = time.perf_counter() - self._started
+        result.observer_errors.extend(self._observer_errors)
+        for obs in p.observers:
+            with self._span(f"observer:{type(obs).__name__}"):
+                try:
+                    obs.on_run_end(p, result)
+                except Exception as exc:
+                    result.observer_errors.append(
+                        ObserverError(
+                            type(obs).__name__, "on_run_end", repr(exc)
+                        )
+                    )
         # run_id labels only exist when the spec carries one (the
         # fleet-observability plane); unlabelled runs keep the exact
         # series/tag shapes they always had.
-        run_labels = {"kind": self.kind}
-        run_tags = {"engine": self.kind}
+        labels = {"kind": self.kind}
         if p.spec.run_id:
-            run_labels["run_id"] = p.spec.run_id
-            run_tags["run_id"] = p.spec.run_id
-        with self._span("run", **run_tags):
-            for obs in p.observers:
-                obs.on_run_start(p)
-            result = self._execute(p)
-            result.wall_time_s = time.perf_counter() - started
-            result.observer_errors.extend(self._observer_errors)
-            for obs in p.observers:
-                with self._span(f"observer:{type(obs).__name__}"):
-                    try:
-                        obs.on_run_end(p, result)
-                    except Exception as exc:
-                        result.observer_errors.append(
-                            ObserverError(
-                                type(obs).__name__, "on_run_end", repr(exc)
-                            )
-                        )
+            labels["run_id"] = p.spec.run_id
         reg = _metrics_registry()
-        reg.counter("repro_engine_runs_total", **run_labels).inc()
-        reg.histogram("repro_engine_run_seconds", **run_labels).observe(
+        reg.counter("repro_engine_runs_total", **labels).inc()
+        reg.histogram("repro_engine_run_seconds", **labels).observe(
             result.wall_time_s
         )
-        reg.counter("repro_engine_outcomes_total", **run_labels).inc(
+        reg.counter("repro_engine_outcomes_total", **labels).inc(
             len(result.outcomes)
         )
         if result.observer_errors:
@@ -257,128 +272,91 @@ class Engine:
             return _NullSpan()
         return self._tracer.span(name, **tags)
 
-    def _notify_trace(self, trace, source: str) -> None:
+    def _notify(self, callback: str, *args) -> None:
+        """Fan a mid-run *callback* (``on_trace`` / ``on_outcome``) out
+        to every observer, absorbing failures."""
         for obs in self._plan.observers:
             try:
-                obs.on_trace(self._plan, trace, source)
+                getattr(obs, callback)(self._plan, *args)
             except Exception as exc:
                 self._observer_errors.append(
-                    ObserverError(type(obs).__name__, "on_trace", repr(exc))
+                    ObserverError(type(obs).__name__, callback, repr(exc))
                 )
 
-    def _notify_outcome(self, outcome: ProtocolOutcome) -> None:
-        for obs in self._plan.observers:
-            try:
-                obs.on_outcome(self._plan, outcome)
-            except Exception as exc:
-                self._observer_errors.append(
-                    ObserverError(type(obs).__name__, "on_outcome", repr(exc))
-                )
 
-    # -- shared helpers ----------------------------------------------------
-    def _instances(self, p: ExecutionPlan, n_hosts: int, n_mss: int):
-        """Fresh, spec-configured instances for every plan entry."""
-        instances = []
-        for entry in p.entries:
-            instance = entry.make(n_hosts, n_mss)
-            if p.spec.counters_only:
-                instance.log_checkpoints = False
-            instances.append(instance)
-        return instances
+def _fresh_instance(entry, n_hosts: int, n_mss: int, counters_only: bool):
+    """A fresh instance of *entry* in the spec's logging mode."""
+    instance = entry.make(n_hosts, n_mss)
+    if counters_only:
+        instance.log_checkpoints = False
+    return instance
 
 
-class ReferenceReplayEngine(Engine):
-    """One reference :func:`~repro.core.replay.replay` per protocol."""
-
-    kind = "reference"
-
-    def _execute(self, p: ExecutionPlan) -> RunResult:
-        spec = p.spec
-        with self._span("trace-acquire") as sp:
-            trace, source = _acquire_trace(spec)
-            sp.tags["source"] = source
-        self._notify_trace(trace, source)
-        seed = _resolve_seed(spec)
-        outcomes = []
-        for entry, instance in zip(
-            p.entries, self._instances(p, trace.n_hosts, trace.n_mss)
-        ):
-            with self._span("replay", protocol=entry.name):
-                rr = replay(trace, instance, seed=seed)
-            outcome = ProtocolOutcome(
-                name=entry.name, protocol=instance, metrics=rr.metrics
-            )
-            self._notify_outcome(outcome)
-            outcomes.append(outcome)
-        return RunResult(
-            engine_kind=self.kind,
-            outcomes=outcomes,
-            trace=trace,
-            trace_source=source,
-            seed=seed,
-        )
+#: Replay kind -> the pass driving all of a run's instances at once.
+#: The reference kind has no shared pass: it replays each instance
+#: alone (one ``replay`` span per protocol).
+_PASSES = {
+    "reference": None,
+    "fused": replay_fused,
+    "vectorized": replay_vectorized,
+}
 
 
-class FusedReplayEngine(Engine):
-    """All instances over one compiled trace in a single pass."""
+class ReplayEngine(Engine):
+    """Every replay kind: acquire the trace, build fresh instances, run
+    the kind's pass, wrap the outcomes.
 
-    kind = "fused"
-
-    def _execute(self, p: ExecutionPlan) -> RunResult:
-        spec = p.spec
-        with self._span("trace-acquire") as sp:
-            trace, source = _acquire_trace(spec)
-            sp.tags["source"] = source
-        self._notify_trace(trace, source)
-        seed = _resolve_seed(spec)
-        instances = self._instances(p, trace.n_hosts, trace.n_mss)
-        with self._span("fused-pass", protocols=len(instances)):
-            results = replay_fused(trace, instances, seed=seed)
-        outcomes = []
-        for entry, rr in zip(p.entries, results):
-            outcome = ProtocolOutcome(
-                name=entry.name, protocol=rr.protocol, metrics=rr.metrics
-            )
-            self._notify_outcome(outcome)
-            outcomes.append(outcome)
-        return RunResult(
-            engine_kind=self.kind,
-            outcomes=outcomes,
-            trace=trace,
-            trace_source=source,
-            seed=seed,
-        )
-
-
-class VectorizedFusedEngine(Engine):
-    """All instances as batch kernels over the trace's array columns.
-
-    Same contract and result shape as :class:`FusedReplayEngine` --
-    the plan layer guarantees every entry declared ``vectorizable``
-    before this engine ever sees it -- but the replay happens in
-    :func:`~repro.core.replay.replay_vectorized`: no per-event
-    dispatch, just segmented scans and masks (see
-    :mod:`repro.core.vectorized`).
+    * ``reference`` -- one :func:`~repro.core.replay.replay` per
+      protocol, the semantic baseline the audit compares against;
+    * ``fused`` -- all instances over one compiled trace in a single
+      pass (:func:`~repro.core.replay.replay_fused`);
+    * ``vectorized`` -- all instances as batch kernels over the
+      trace's array columns
+      (:func:`~repro.core.replay.replay_vectorized`); the plan layer
+      guarantees every entry declared ``vectorizable``.
     """
 
-    kind = "vectorized"
+    def __init__(self, kind: str):
+        if kind not in _PASSES:
+            raise PlanError(
+                f"no replay engine of kind {kind!r}; known: {sorted(_PASSES)}"
+            )
+        self.kind = kind
 
     def _execute(self, p: ExecutionPlan) -> RunResult:
-        spec = p.spec
+        trace, source = self._acquire()
+        seed = _resolve_seed(p.spec)
+        counters_only = p.spec.counters_only
+        instances = [
+            _fresh_instance(e, trace.n_hosts, trace.n_mss, counters_only)
+            for e in p.entries
+        ]
+        if self.kind == "reference":
+            results = []
+            for entry, instance in zip(p.entries, instances):
+                with self._span("replay", protocol=entry.name):
+                    results.append(replay(trace, instance, seed=seed))
+        else:
+            with self._span(f"{self.kind}-pass", protocols=len(instances)):
+                results = _PASSES[self.kind](trace, instances, seed=seed)
+        return self._result(trace, source, seed, results)
+
+    def _acquire(self):
+        """(trace, source tier), announced to the observers."""
         with self._span("trace-acquire") as sp:
-            trace, source = _acquire_trace(spec)
+            trace, source = _acquire_trace(self._plan.spec)
             sp.tags["source"] = source
-        self._notify_trace(trace, source)
-        seed = _resolve_seed(spec)
-        instances = self._instances(p, trace.n_hosts, trace.n_mss)
-        with self._span("vectorized-pass", protocols=len(instances)):
-            results = replay_vectorized(trace, instances, seed=seed)
+        self._notify("on_trace", trace, source)
+        return trace, source
+
+    def _result(self, trace, source, seed, results) -> RunResult:
+        """Wrap per-protocol replay results, notifying each outcome."""
         outcomes = []
-        for entry, rr in zip(p.entries, results):
+        for entry, rr in zip(self._plan.entries, results):
             outcome = ProtocolOutcome(
                 name=entry.name, protocol=rr.protocol, metrics=rr.metrics
             )
-            self._notify_outcome(outcome)
+            self._notify("on_outcome", outcome)
             outcomes.append(outcome)
         return RunResult(
             engine_kind=self.kind,
@@ -432,14 +410,14 @@ class OnlineEngine(Engine):
                     )
                 if first_trace is None:
                     first_trace = res.trace
-                    self._notify_trace(res.trace, "online")
+                    self._notify("on_trace", res.trace, "online")
                 outcome = ProtocolOutcome(
                     name=entry.name,
                     protocol=instance,
                     metrics=res.metrics,
                     online=res,
                 )
-            self._notify_outcome(outcome)
+            self._notify("on_outcome", outcome)
             outcomes.append(outcome)
         return RunResult(
             engine_kind=self.kind,
@@ -450,11 +428,9 @@ class OnlineEngine(Engine):
         )
 
 
-#: kind -> engine class, the dispatch table of :func:`engine_for`.
+#: kind -> engine factory, the dispatch table of :func:`engine_for`.
 ENGINES = {
-    ReferenceReplayEngine.kind: ReferenceReplayEngine,
-    FusedReplayEngine.kind: FusedReplayEngine,
-    VectorizedFusedEngine.kind: VectorizedFusedEngine,
+    **{kind: partial(ReplayEngine, kind) for kind in _PASSES},
     OnlineEngine.kind: OnlineEngine,
 }
 
@@ -489,8 +465,9 @@ def execute_batch(specs) -> list[RunResult]:
 
     Every plan must land on the vectorized engine and the specs must
     agree on protocols, host counts and counters mode -- the batch is
-    one grid, not a scheduler.  Observers are per-spec and notified as
-    in a single run.
+    one grid, not a scheduler.  Each spec gets its own vectorized
+    :class:`ReplayEngine`, so observers, error absorption and run
+    metrics behave as in a single run.
     """
     plans = [_plan(s) if isinstance(s, RunSpec) else s for s in specs]
     if not plans:
@@ -502,100 +479,41 @@ def execute_batch(specs) -> list[RunResult]:
                 f"planned to {p.engine_kind!r}"
             )
     names = plans[0].protocol_names
+    counters_only = plans[0].spec.counters_only
     for p in plans[1:]:
         if p.protocol_names != names:
             raise PlanError(
                 "execute_batch specs must agree on protocols: "
                 f"{names} vs {p.protocol_names}"
             )
-        if p.spec.counters_only != plans[0].spec.counters_only:
+        if p.spec.counters_only != counters_only:
             raise PlanError(
                 "execute_batch specs must agree on counters_only"
             )
 
-    started = time.perf_counter()
-    errors_per_plan: list[list[ObserverError]] = [[] for _ in plans]
-
-    def _absorb(k, obs, cb, exc):
-        errors_per_plan[k].append(
-            ObserverError(type(obs).__name__, cb, repr(exc))
-        )
-
-    for p in plans:
-        for obs in p.observers:
-            obs.on_run_start(p)
-
-    traces, sources = [], []
-    for k, p in enumerate(plans):
-        trace, source = _acquire_trace(p.spec)
-        traces.append(trace)
-        sources.append(source)
-        for obs in p.observers:
-            try:
-                obs.on_trace(p, trace, source)
-            except Exception as exc:
-                _absorb(k, obs, "on_trace", exc)
-    dims = {(t.n_hosts, t.n_mss) for t in traces}
+    engines = [ReplayEngine("vectorized") for _ in plans]
+    for engine, p in zip(engines, plans):
+        engine._bind(p)
+        engine._start()
+    acquired = [engine._acquire() for engine in engines]
+    dims = {(t.n_hosts, t.n_mss) for t, _ in acquired}
     if len(dims) != 1:
         raise PlanError(
             f"execute_batch traces must share (n_hosts, n_mss); got {sorted(dims)}"
         )
     (n_hosts, n_mss), = dims
-
-    counters_only = plans[0].spec.counters_only
-
-    def _factory(entry):
-        def make():
-            instance = entry.make(n_hosts, n_mss)
-            if counters_only:
-                instance.log_checkpoints = False
-            return instance
-
-        return make
-
+    seeds = [_resolve_seed(p.spec) for p in plans]
     grid = replay_vectorized_batch(
-        traces, [_factory(e) for e in plans[0].entries]
+        [t for t, _ in acquired],
+        [
+            partial(_fresh_instance, e, n_hosts, n_mss, counters_only)
+            for e in plans[0].entries
+        ],
+        seeds=seeds,
     )
-
-    results = []
-    for k, (p, trace, source, row) in enumerate(
-        zip(plans, traces, sources, grid)
-    ):
-        outcomes = []
-        for entry, rr in zip(p.entries, row):
-            outcome = ProtocolOutcome(
-                name=entry.name, protocol=rr.protocol, metrics=rr.metrics
-            )
-            for obs in p.observers:
-                try:
-                    obs.on_outcome(p, outcome)
-                except Exception as exc:
-                    _absorb(k, obs, "on_outcome", exc)
-            outcomes.append(outcome)
-        result = RunResult(
-            engine_kind="vectorized",
-            outcomes=outcomes,
-            trace=trace,
-            trace_source=source,
-            seed=_resolve_seed(p.spec),
-            wall_time_s=time.perf_counter() - started,
-            observer_errors=errors_per_plan[k],
+    return [
+        engine._finish(engine._result(trace, source, seed, row))
+        for engine, (trace, source), seed, row in zip(
+            engines, acquired, seeds, grid
         )
-        for obs in p.observers:
-            try:
-                obs.on_run_end(p, result)
-            except Exception as exc:
-                result.observer_errors.append(
-                    ObserverError(type(obs).__name__, "on_run_end", repr(exc))
-                )
-        results.append(result)
-    reg = _metrics_registry()
-    batch_labels = {"kind": "vectorized"}
-    run_ids = {p.spec.run_id for p in plans}
-    if len(run_ids) == 1 and next(iter(run_ids)):
-        batch_labels["run_id"] = next(iter(run_ids))
-    reg.counter("repro_engine_runs_total", **batch_labels).inc(len(plans))
-    reg.counter("repro_engine_outcomes_total", **batch_labels).inc(
-        sum(len(r.outcomes) for r in results)
-    )
-    return results
+    ]

@@ -10,7 +10,7 @@ the *kind* of problem instead of parsing message strings:
 * :class:`CapabilityError` -- the protocol exists but cannot run the
   requested way (a coordinated baseline on a replay engine, a
   counters-only run of a protocol that keeps no counters contract, a
-  non-fusable protocol on the fused engine).
+  kernel-less protocol on the vectorized engine).
 * :class:`PlanError` -- the :class:`~repro.engine.spec.RunSpec` itself
   is incoherent (no protocols, trace and workload both missing, an
   online run from a pre-built trace, ...).

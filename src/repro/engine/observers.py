@@ -198,15 +198,19 @@ class TelemetryObserver(MetricsObserver):
 class AuditObserver(RunObserver):
     """Arms the invariant audit of :mod:`repro.obs.audit` on the run.
 
-    After a replay-engine run, the run's trace is re-driven through the
-    full audit battery (reference/fused counter equivalence, counter vs
-    log consistency, index monotonicity, the recovery-line orphan
-    oracle); every breach lands on ``violations`` *and* on the
+    At run end :func:`~repro.obs.audit.audit_run` checks the instances
+    the run produced: their counter vs log consistency and index
+    monotonicity, their counters against one reference replay
+    (``engine-divergence``), and the recovery-line orphan oracle.
+    Every breach lands on ``violations`` *and* on the
     :class:`~repro.engine.engines.RunResult`.  ``t_switch`` stamps the
     grid coordinate into each violation for sweep reports.
 
     Online runs only get the post-run structural checks of their
     protocol instances (the replay oracle needs a replayable schedule).
+
+    Reuse: **accumulating**.  ``violations`` collects every audited
+    run's breaches; each :class:`RunResult` gets only its own.
     """
 
     def __init__(self, t_switch: Optional[float] = None):
@@ -214,33 +218,11 @@ class AuditObserver(RunObserver):
         self.violations: list = []
 
     def on_run_end(self, plan, result) -> None:
-        from repro.obs.audit import audit_trace, check_protocol_invariants
+        from repro.obs.audit import audit_run
 
-        spec = plan.spec
-        if (
-            plan.engine_kind in ("reference", "fused", "vectorized")
-            and result.trace is not None
-        ):
-            self.violations.extend(
-                audit_trace(
-                    result.trace,
-                    [e.name for e in plan.entries],
-                    factories=spec.factories,
-                    seed=result.seed,
-                    t_switch=self.t_switch,
-                )
-            )
-        else:
-            for outcome in result.outcomes:
-                if outcome.protocol is not None:
-                    self.violations.extend(
-                        check_protocol_invariants(
-                            outcome.protocol,
-                            seed=result.seed,
-                            t_switch=self.t_switch,
-                        )
-                    )
-        result.violations.extend(self.violations)
+        found = audit_run(plan, result, self.t_switch)
+        self.violations.extend(found)
+        result.violations.extend(found)
 
 
 class TimingObserver(RunObserver):

@@ -7,7 +7,7 @@ because they cannot be trace-replayed.  This module unifies both under
 one resolution entry point:
 
 * every class in the base registry appears here with the capabilities
-  *it declares* (``replayable`` / ``fusable`` / ``coordinated`` /
+  *it declares* (``replayable`` / ``vectorizable`` / ``coordinated`` /
   ``supports_counters_only`` -- see
   :class:`repro.protocols.base.CheckpointingProtocol`), re-read on
   every resolution so late registrations (custom protocols, test
@@ -46,10 +46,7 @@ class Capabilities:
     """What ways of driving a protocol are sound."""
 
     replayable: bool = True
-    fusable: bool = True
-    #: Ships batch kernels for the vectorized engine.  Effective only
-    #: together with ``fusable`` (the kernels honour the fused
-    #: contract), so :meth:`of` masks the declaration accordingly.
+    #: Ships batch kernels for the vectorized engine.
     vectorizable: bool = False
     coordinated: bool = False
     counters_only: bool = True
@@ -59,12 +56,9 @@ class Capabilities:
         """Read the capability declaration off a protocol class (or
         factory), validating coherence."""
         validate_capabilities(protocol_cls)
-        fusable = bool(getattr(protocol_cls, "fusable", True))
         return cls(
             replayable=bool(getattr(protocol_cls, "replayable", True)),
-            fusable=fusable,
-            vectorizable=fusable
-            and bool(getattr(protocol_cls, "vectorizable", False)),
+            vectorizable=bool(getattr(protocol_cls, "vectorizable", False)),
             coordinated=bool(getattr(protocol_cls, "coordinated", False)),
             counters_only=bool(
                 getattr(protocol_cls, "supports_counters_only", True)
@@ -122,7 +116,7 @@ register_coordinated("TK", CoordinatedScheme.TULI_KUMAR)
 
 #: Capabilities every coordinated baseline shares.
 _COORDINATED_CAPS = Capabilities(
-    replayable=False, fusable=False, coordinated=True, counters_only=False
+    replayable=False, coordinated=True, counters_only=False
 )
 
 
@@ -167,16 +161,8 @@ def _check_requirement(entry: ResolvedProtocol, require: str) -> None:
             if caps.coordinated
             else "this protocol must run embedded in the online simulation",
         )
-    if require == "fusable" and not caps.fusable:
-        _check_requirement(entry, "replayable")  # sharper message first
-        raise CapabilityError(
-            entry.name,
-            "fusable",
-            "instances cannot share a fused single pass; use the "
-            "reference replay engine",
-        )
     if require == "vectorizable" and not caps.vectorizable:
-        _check_requirement(entry, "fusable")  # sharper message first
+        _check_requirement(entry, "replayable")  # sharper message first
         raise CapabilityError(
             entry.name,
             "vectorizable",
@@ -201,7 +187,7 @@ def resolve_protocols(
         "compare everything" default.
     require:
         Optional capability gate applied to each resolved entry:
-        ``"replayable"``, ``"fusable"`` or ``"vectorizable"``.  A
+        ``"replayable"`` or ``"vectorizable"``.  A
         protocol that exists but lacks the capability raises
         :class:`~repro.engine.errors.CapabilityError` (the same typed
         error the plan layer raises, so CLI / config / engine agree).
@@ -218,7 +204,7 @@ def resolve_protocols(
     CapabilityError
         A resolved protocol fails the *require* gate.
     """
-    if require not in (None, "replayable", "fusable", "vectorizable"):
+    if require not in (None, "replayable", "vectorizable"):
         raise ValueError(f"unknown capability requirement {require!r}")
     known = known_protocols()
     if factories:

@@ -19,12 +19,11 @@ Engine selection
   engine that can drive coordination rounds);
 * otherwise, if every protocol ships batch kernels -> the
   **vectorized** replay (fused contract, no per-event dispatch);
-* otherwise, if every protocol is fusable -> the **fused** single-pass
-  replay;
-* otherwise -> the **reference** per-protocol replay.
+* otherwise -> the **fused** single-pass replay.
 
-Naming an engine explicitly instead turns the same conditions into
-hard :class:`~repro.engine.errors.CapabilityError` checks.
+The **reference** per-protocol replay runs only when named.  Naming
+an engine explicitly turns the same conditions into hard
+:class:`~repro.engine.errors.CapabilityError` checks.
 """
 
 from __future__ import annotations
@@ -231,9 +230,7 @@ def _select_engine(spec: RunSpec, entries) -> str:
     # then fails the fit check with the standard CapabilityError.
     if all(e.capabilities.vectorizable for e in entries):
         return "vectorized"
-    if all(e.capabilities.fusable for e in entries):
-        return "fused"
-    return "reference"
+    return "fused"
 
 
 def _check_engine_fit(kind: str, entries) -> None:
@@ -249,14 +246,6 @@ def _check_engine_fit(kind: str, entries) -> None:
                 if caps.coordinated
                 else "this protocol must run embedded in the online "
                 "simulation",
-                engine=kind,
-            )
-        if kind in ("fused", "vectorized") and not caps.fusable:
-            raise CapabilityError(
-                e.name,
-                "fusable",
-                "instances cannot share a fused single pass; use the "
-                "reference replay engine",
                 engine=kind,
             )
         if kind == "vectorized" and not caps.vectorizable:
@@ -303,12 +292,11 @@ def plan(spec: RunSpec) -> ExecutionPlan:
         )
 
     # protocols=None means "everything the chosen engine can drive":
-    # all protocols for the online engine, the fusable/replayable set
-    # otherwise (auto included, so the default never drags a
+    # all protocols for the online engine, the vectorizable/replayable
+    # set otherwise (auto included, so the default never drags a
     # coordinated baseline into a replay comparison).
     default_gate = {
         "online": None,
-        "fused": "fusable",
         "vectorized": "vectorizable",
     }.get(spec.engine, "replayable")
     entries = resolve_protocols(

@@ -270,7 +270,9 @@ class SweepConfig:
             )
         resolve_protocols(
             self.protocols,
-            require="vectorizable" if self.engine == "vectorized" else "fusable",
+            require=(
+                "vectorizable" if self.engine == "vectorized" else "replayable"
+            ),
         )
         if not self.seeds:
             raise ValueError("need at least one seed")

@@ -38,7 +38,7 @@ _EXPORTS = {
     "AuditViolation": "audit",
     "BROKEN_RECOVERY_LINE": "audit",
     "COUNTER_MISMATCH": "audit",
-    "FUSED_DIVERGENCE": "audit",
+    "ENGINE_DIVERGENCE": "audit",
     "INDEX_MONOTONICITY": "audit",
     "ORPHAN_MESSAGE": "audit",
     "audit_trace": "audit",
@@ -87,7 +87,7 @@ if TYPE_CHECKING:  # pragma: no cover - static-analysis convenience
     from repro.obs.audit import (  # noqa: F401
         BROKEN_RECOVERY_LINE,
         COUNTER_MISMATCH,
-        FUSED_DIVERGENCE,
+        ENGINE_DIVERGENCE,
         INDEX_MONOTONICITY,
         ORPHAN_MESSAGE,
         AuditGridResult,

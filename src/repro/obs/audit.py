@@ -1,14 +1,15 @@
 """Invariant audit: continuously prove the fast paths stay paper-correct.
 
-The engine went fast in three steps (fused replay, compiled traces,
-counters-only protocols, parallel shard workers), and each step is a
-chance to silently break the properties the paper's argument rests on:
-recovery lines must admit no orphan message (Section 3), checkpoint
-indices must grow monotonically, and every engine must produce the same
-counters as the reference single-protocol replay.  This module is the
-tripwire: an opt-in audit that replays the consistency oracle of
-:mod:`repro.core.consistency` against a run and reports every breach as
-a structured :class:`AuditViolation`.
+The engine went fast in several steps (fused replay, compiled traces,
+vectorized kernels, counters-only protocols, parallel shard workers),
+and each step is a chance to silently break the properties the paper's
+argument rests on: recovery lines must admit no orphan message
+(Section 3), checkpoint indices must grow monotonically, and every
+engine must produce the same counters as the reference
+single-protocol replay.  This module is the tripwire: an opt-in audit
+that checks the instances an engine run produced against a reference
+replay and the consistency oracle of :mod:`repro.core.consistency`,
+and reports every breach as a structured :class:`AuditViolation`.
 
 Checks
 ------
@@ -19,16 +20,18 @@ Checks
   e.g. QBC's ``rn <= sn``) fails.
 * **index-monotonicity** -- a host's checkpoint indices decrease, or
   repeat without the QBC replacement flag.
-* **fused-divergence** -- :func:`~repro.core.replay.replay_fused`
-  produced different counters than the reference
-  :func:`~repro.core.replay.replay` for the same (trace, protocol).
+* **engine-divergence** -- the audited run's engine (reference, fused
+  or vectorized) produced different counters than a reference replay
+  of a fresh instance over the same trace.
 * **orphan-message** -- the protocol's own recovery line (min-index
   rule, or TP's anchored lines) orphans a message, i.e. the line is
   not a consistent global checkpoint.
 * **broken-recovery-line** -- the recovery line cannot even be
   materialised (a host lacks the checkpoint its index demands).
 
-:func:`audit_trace` runs every check over one trace;
+:func:`audit_run` runs every check over one finished engine run (the
+body of :class:`~repro.engine.observers.AuditObserver`);
+:func:`audit_trace` audits a reference run over one trace;
 :func:`run_audit_grid` sweeps a config grid through the sweep runner
 with auditing and telemetry on, backing the ``repro audit`` CLI.
 """
@@ -39,13 +42,13 @@ from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Optional, Sequence
 
 from repro.core.trace import Trace
-from repro.protocols.base import CheckpointingProtocol, registry
+from repro.protocols.base import CheckpointingProtocol
 
 #: Violation kinds (the ``AuditViolation.kind`` vocabulary).
 ORPHAN_MESSAGE = "orphan-message"
 BROKEN_RECOVERY_LINE = "broken-recovery-line"
 INDEX_MONOTONICITY = "index-monotonicity"
-FUSED_DIVERGENCE = "fused-divergence"
+ENGINE_DIVERGENCE = "engine-divergence"
 COUNTER_MISMATCH = "counter-mismatch"
 
 #: Cap on orphan violations reported per (protocol, line) so a badly
@@ -149,32 +152,21 @@ def check_protocol_invariants(
     return violations
 
 
-def _make(
-    name: str,
-    trace: Trace,
-    factories: Optional[FactoryMap],
-) -> CheckpointingProtocol:
-    factory = (factories or registry)[name]
-    return factory(trace.n_hosts, trace.n_mss)
-
-
 def _check_lines(
-    trace: Trace,
+    run,
+    protocol: CheckpointingProtocol,
     name: str,
-    protocol_factory: Callable[[], CheckpointingProtocol],
     seed: Optional[int],
     t_switch: Optional[float],
 ) -> list[AuditViolation]:
-    """Replay the consistency oracle against *name*'s recovery lines."""
+    """The consistency oracle against *protocol*'s recovery lines over
+    its annotated reference replay *run*."""
     from repro.core.consistency import (
-        annotate_replay,
         build_recovery_line,
         find_orphans,
         tp_anchored_line,
     )
 
-    protocol = protocol_factory()
-    run = annotate_replay(trace, protocol)
     violations: list[AuditViolation] = []
 
     def report_orphans(line, label: str) -> None:
@@ -211,7 +203,7 @@ def _check_lines(
         # (the uncoordinated baseline) promise nothing to audit.
         if not hasattr(protocol, "required_indices"):
             return violations
-        for anchor in range(trace.n_hosts):
+        for anchor in range(run.n_hosts):
             try:
                 anchored = tp_anchored_line(run, protocol, anchor)
             except (ValueError, KeyError) as exc:
@@ -240,6 +232,73 @@ def _check_lines(
     return violations
 
 
+def audit_run(
+    plan, result, t_switch: Optional[float] = None
+) -> list[AuditViolation]:
+    """Run every audit check over one finished engine run.
+
+    *plan* is the run's :class:`~repro.engine.spec.ExecutionPlan` and
+    *result* its :class:`~repro.engine.engines.RunResult`.  Every
+    outcome that carries a protocol instance gets the structural checks
+    of :func:`check_protocol_invariants` on that very instance.  On a
+    replay engine each protocol is also replayed once more on a fresh
+    instance built by the plan's entry (so factory overrides apply):
+    the reference replay, annotated for the consistency oracle.  The
+    run's counters must match it bit for bit (``engine-divergence``),
+    its own invariants are checked too (a kernel that bypasses the
+    hooks leaves only the reference to catch a broken hook; breaches
+    the run's instance already reported are not repeated), and its
+    recovery line(s) must admit no orphan message.  Online runs get
+    the structural checks only: their schedule is not replayable.
+
+    The (seed, t_switch) coordinates are stamped into every violation
+    so grid reports stay actionable.
+    """
+    from repro.core.consistency import annotate_replay
+
+    seed, trace = result.seed, result.trace
+    violations: list[AuditViolation] = []
+    for entry, outcome in zip(plan.entries, result.outcomes):
+        protocol = outcome.protocol
+        if protocol is None:
+            continue  # a coordinated baseline: no instance to check
+        own = check_protocol_invariants(protocol, seed=seed, t_switch=t_switch)
+        violations.extend(own)
+        if plan.engine_kind == "online":
+            continue
+        reference = entry.make(trace.n_hosts, trace.n_mss)
+        run = annotate_replay(trace, reference)
+        reported = {v.args for v in own}
+        violations.extend(
+            v
+            for v in check_protocol_invariants(
+                reference, seed=seed, t_switch=t_switch
+            )
+            if v.args not in reported
+        )
+        got, want = protocol.counter_signature(), reference.counter_signature()
+        if got != want:
+            diff = {
+                key: (want[key], got[key])
+                for key in want
+                if want[key] != got[key]
+            }
+            violations.append(
+                AuditViolation(
+                    ENGINE_DIVERGENCE,
+                    entry.name,
+                    f"{plan.engine_kind} vs reference counters differ: "
+                    f"{diff}",
+                    seed=seed,
+                    t_switch=t_switch,
+                )
+            )
+        violations.extend(
+            _check_lines(run, reference, entry.name, seed, t_switch)
+        )
+    return violations
+
+
 def audit_trace(
     trace: Trace,
     protocols: Sequence[str],
@@ -249,74 +308,23 @@ def audit_trace(
 ) -> list[AuditViolation]:
     """Run every audit check over one trace; returns all violations.
 
-    For each protocol name: a reference-engine run on a fresh logging
-    instance (whose counters, log and invariants are checked), one
-    fused-engine pass over fresh instances (whose counters must match
-    the reference bit-for-bit), and the recovery-line orphan oracle on
-    an annotated re-run.  Both runs go through the unified engine layer
-    (:mod:`repro.engine`) -- with auditing *off*, since this function
-    is what an armed audit executes.  *factories* overrides the
-    protocol registry -- tests use it to inject deliberately broken
-    stubs.
-
-    The (seed, t_switch) coordinates are stamped into every violation so
-    grid reports stay actionable.
+    Runs *protocols* on the reference engine (:mod:`repro.engine`) and
+    audits that run with :func:`audit_run`.  *factories* overrides the
+    protocol registry name by name -- tests use it to inject
+    deliberately broken stubs next to registered protocols.
     """
-    from repro.engine import RunSpec, execute
+    from repro.engine import RunSpec, execute, plan
 
-    violations: list[AuditViolation] = []
-
-    def engine_run(kind: str):
-        return execute(
-            RunSpec(
-                protocols=tuple(protocols),
-                trace=trace,
-                engine=kind,
-                seed=seed,
-                factories=factories,
-            )
+    p = plan(
+        RunSpec(
+            protocols=tuple(protocols),
+            trace=trace,
+            engine="reference",
+            seed=seed,
+            factories=factories,
         )
-
-    reference = engine_run("reference")
-    for outcome in reference.outcomes:
-        violations.extend(
-            check_protocol_invariants(
-                outcome.protocol, seed=seed, t_switch=t_switch
-            )
-        )
-
-    fused = engine_run("fused")
-    for ref_out, fused_out in zip(reference.outcomes, fused.outcomes):
-        name = ref_out.name
-        ref_sig = ref_out.protocol.counter_signature()
-        fused_sig = fused_out.protocol.counter_signature()
-        if ref_sig != fused_sig:
-            diff = {
-                key: (ref_sig[key], fused_sig[key])
-                for key in ref_sig
-                if ref_sig[key] != fused_sig[key]
-            }
-            violations.append(
-                AuditViolation(
-                    FUSED_DIVERGENCE,
-                    name,
-                    f"fused vs reference counters differ: {diff}",
-                    seed=seed,
-                    t_switch=t_switch,
-                )
-            )
-
-    for name in protocols:
-        violations.extend(
-            _check_lines(
-                trace,
-                name,
-                lambda name=name: _make(name, trace, factories),
-                seed,
-                t_switch,
-            )
-        )
-    return violations
+    )
+    return audit_run(p, execute(p), t_switch=t_switch)
 
 
 # ---------------------------------------------------------------------------
@@ -376,9 +384,9 @@ def run_audit_grid(config) -> AuditGridResult:
     """Audit every (t_switch, seed) task of *config*'s grid.
 
     Forces ``audit=True`` on a copy of the sweep config and runs it
-    through the standard sweep engine, so the audit exercises exactly
-    the production path (cache, shard workers, fused replay) it is
-    meant to police.
+    through the standard sweep engine, so the audit checks exactly the
+    production path (cache, shard workers, fused or vectorized replay)
+    it is meant to police.
     """
     from dataclasses import replace
 

@@ -72,17 +72,9 @@ class CheckpointingProtocol:
     #: (communication-induced ones can; coordinated ones need online
     #: mode because their control messages perturb the schedule).
     replayable: bool = True
-    #: Whether fresh instances may ride the fused single-pass engine
-    #: (:func:`repro.core.replay.replay_fused`).  Requires
-    #: ``replayable``; a protocol whose hooks share hidden global state
-    #: across instances would clear this flag.
-    fusable: bool = True
     #: Whether the protocol ships a batch kernel (a
     #: ``vectorized_replay`` classmethod) for the vectorized engine
-    #: (:mod:`repro.core.vectorized`).  Only honored together with
-    #: ``fusable`` -- the engine layer treats a subclass that clears
-    #: ``fusable`` as having lost any inherited kernel too, since the
-    #: vectorized engine is the fused engine in array form.
+    #: (:mod:`repro.core.vectorized`).
     vectorizable: bool = False
     #: True for coordinated baselines (Chandy-Lamport, Koo-Toueg,
     #: Prakash-Singhal): they inject control messages into the
@@ -360,26 +352,17 @@ def validate_capabilities(cls) -> None:
 
     Raises ``ValueError`` on an impossible combination; called at
     registration time so a mis-declared protocol fails at import, not
-    mid-sweep.  The rules:
-
-    * ``coordinated`` excludes ``replayable``/``fusable`` (control
-      messages perturb the schedule, so no trace replay is faithful);
-    * ``fusable`` requires ``replayable`` (the fused engine *is* a
-      replay engine).
+    mid-sweep.  The rule: ``coordinated`` excludes ``replayable``
+    (control messages perturb the schedule, so no trace replay is
+    faithful).
     """
     coordinated = bool(getattr(cls, "coordinated", False))
     replayable = bool(getattr(cls, "replayable", True))
-    fusable = bool(getattr(cls, "fusable", True))
     label = getattr(cls, "__name__", repr(cls))
-    if coordinated and (replayable or fusable):
+    if coordinated and replayable:
         raise ValueError(
-            f"{label}: coordinated protocols cannot be replayable/fusable "
+            f"{label}: coordinated protocols cannot be replayable "
             "(their control messages perturb the schedule)"
-        )
-    if fusable and not replayable:
-        raise ValueError(
-            f"{label}: fusable requires replayable (the fused engine "
-            "replays a trace)"
         )
 
 

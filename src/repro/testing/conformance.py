@@ -303,10 +303,6 @@ def _battery_engine_equivalence(ctx: _Context) -> str:
     caps = ctx.entry.capabilities
     if not caps.replayable:
         raise BatterySkipped("not replayable; only the online engine applies")
-    if not caps.fusable:
-        raise BatterySkipped(
-            "not fusable; the reference engine is the only replay path"
-        )
     reference = ctx.run("reference", trace=ctx.trace).protocol
     others = [("fused", ctx.run("fused", trace=ctx.trace).protocol)]
     if caps.vectorizable:
@@ -368,34 +364,22 @@ def _battery_consistency_oracle(ctx: _Context) -> str:
 
 
 def _battery_audit_cleanliness(ctx: _Context) -> str:
-    from repro.obs.audit import audit_trace, check_protocol_invariants
+    from repro.obs.audit import audit_trace
 
-    caps = ctx.entry.capabilities
-    if not caps.replayable:
+    if not ctx.entry.capabilities.replayable:
         raise BatterySkipped(
             "coordinated baselines are driven online; nothing to audit"
         )
-    factories = (
-        ctx.factories if ctx.factories and ctx.name in ctx.factories else None
+    violations = audit_trace(
+        ctx.trace, [ctx.name], factories=ctx.factories, seed=ctx.config.seed
     )
-    if not caps.fusable:
-        # The full audit needs the fused pass; fall back to the
-        # structural checks on a reference run.
-        protocol = ctx.run("reference", trace=ctx.trace).protocol
-        violations = check_protocol_invariants(protocol)
-        scope = "structural audit (not fusable)"
-    else:
-        violations = audit_trace(
-            ctx.trace, [ctx.name], factories=factories, seed=ctx.config.seed
-        )
-        scope = "full audit"
     if violations:
         shown = "; ".join(str(v) for v in violations[:3])
         raise ctx.fail(
             "audit-cleanliness",
             f"{len(violations)} violation(s): {shown}",
         )
-    return f"{scope} clean"
+    return "full audit clean"
 
 
 #: Battery name -> implementation, in execution order.

@@ -45,7 +45,7 @@ PAPER_PROTOCOLS = ("TP", "BCS", "QBC")
 VECTORIZABLE = sorted(
     name
     for name, cls in registry.items()
-    if getattr(cls, "vectorizable", False) and cls.fusable
+    if getattr(cls, "vectorizable", False)
 )
 
 

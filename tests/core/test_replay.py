@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.replay import replay, replay_many
+from repro.core.replay import replay, replay_fused
 from repro.core.trace import EventType, build_trace
 from repro.protocols import BCSProtocol, QBCProtocol, TwoPhaseProtocol
 from repro.workload import WorkloadConfig, generate_trace, run_online
@@ -71,10 +71,10 @@ def test_replay_unsent_message_raises():
         replay(bad, BCSProtocol(2))
 
 
-def test_replay_many_gives_pointwise_comparison():
+def test_replay_fused_gives_pointwise_comparison():
     trace = small_trace()
-    results = replay_many(
-        trace, [lambda: TwoPhaseProtocol(2), lambda: BCSProtocol(2), lambda: QBCProtocol(2)]
+    results = replay_fused(
+        trace, [TwoPhaseProtocol(2), BCSProtocol(2), QBCProtocol(2)]
     )
     names = [r.metrics.protocol for r in results]
     assert names == ["TP", "BCS", "QBC"]

@@ -7,7 +7,7 @@ every registered replayable protocol over several generated workloads.
 
 import pytest
 
-from repro.core.replay import replay, replay_fused, replay_many
+from repro.core.replay import replay, replay_fused
 from repro.protocols.base import registry
 from repro.workload import WorkloadConfig, generate_trace
 
@@ -74,17 +74,17 @@ def test_counters_only_mode_preserves_counts(name):
     assert all(ck.reason == "initial" for ck in lean.protocol.checkpoints)
 
 
-def test_replay_many_threads_seed_into_metrics():
+def test_replay_fused_threads_seed_into_metrics():
     trace = _trace(0)
-    factories = [
-        (lambda n=n: registry[n](trace.n_hosts, trace.n_mss))
-        for n in ("TP", "BCS")
-    ]
-    explicit = replay_many(trace, factories, seed=7)
+
+    def fresh():
+        return [registry[n](trace.n_hosts, trace.n_mss) for n in ("TP", "BCS")]
+
+    explicit = replay_fused(trace, fresh(), seed=7)
     assert [r.metrics.seed for r in explicit] == [7, 7]
     # Without an explicit seed, fall back to the trace's own (replay's
-    # long-standing behaviour, previously dropped by replay_many).
-    default = replay_many(trace, factories)
+    # long-standing behaviour).
+    default = replay_fused(trace, fresh())
     assert [r.metrics.seed for r in default] == [trace.meta["seed"]] * 2
 
 

@@ -35,7 +35,7 @@ from repro.workload.cache import TraceCache, config_key
 VECTORIZABLE = sorted(
     name
     for name, cls in registry.items()
-    if getattr(cls, "vectorizable", False) and cls.fusable
+    if getattr(cls, "vectorizable", False)
 )
 
 
@@ -205,6 +205,16 @@ def test_execute_batch_matches_per_spec_execute():
         )
         for s in (0, 1, 2)
     ]
+    # A spec seed that differs from its trace's: execute stamps the
+    # spec's, and so must the batch.
+    specs.append(
+        RunSpec(
+            protocols=("TP", "BCS", "QBC"),
+            trace=generate_trace(cfg(seed=0)),
+            engine="vectorized",
+            seed=7,
+        )
+    )
     batched = execute_batch(specs)
     for spec, got in zip(specs, batched):
         want = execute(spec)
@@ -212,6 +222,7 @@ def test_execute_batch_matches_per_spec_execute():
         assert got.seed == want.seed
         for name in ("TP", "BCS", "QBC"):
             assert got.outcome(name).metrics == want.outcome(name).metrics
+    assert [m.seed for m in batched[-1].metrics.values()] == [7, 7, 7]
 
 
 def test_execute_batch_rejects_non_vectorized_plans():

@@ -1,10 +1,10 @@
-"""Engine execution tests: the three engines behind one interface."""
+"""Engine execution tests: the replay and online engines behind one
+interface."""
 
 import pytest
 
 from repro.engine import (
-    FusedReplayEngine,
-    ReferenceReplayEngine,
+    ReplayEngine,
     RunSpec,
     engine_for,
     execute,
@@ -73,11 +73,11 @@ def test_cache_tiers_are_detected(tmp_path):
 def test_engine_kind_mismatch_is_a_plan_error():
     p = plan(RunSpec(protocols=("BCS",), workload=cfg(), engine="fused"))
     with pytest.raises(PlanError, match="'reference' engine"):
-        ReferenceReplayEngine().run(p)
+        ReplayEngine("reference").run(p)
 
 
 def test_engine_accepts_spec_directly():
-    result = FusedReplayEngine().run(
+    result = ReplayEngine("fused").run(
         RunSpec(protocols=("BCS",), workload=cfg(), engine="fused")
     )
     assert result.engine_kind == "fused"

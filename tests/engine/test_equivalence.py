@@ -21,7 +21,7 @@ REPLAYABLE = sorted(
 VECTORIZABLE = sorted(
     name
     for name, cls in registry.items()
-    if getattr(cls, "vectorizable", False) and cls.fusable
+    if getattr(cls, "vectorizable", False)
 )
 
 

@@ -163,6 +163,32 @@ def test_audit_observer_lands_violations_on_result():
     assert all(v.t_switch == 42.0 for v in audit.violations)
 
 
+def test_reused_audit_observer_lands_only_this_runs_violations():
+    from repro.protocols import BCSProtocol
+
+    class LyingBCS(BCSProtocol):
+        def on_cell_switch(self, host, now, new_cell):
+            super().on_cell_switch(host, now, new_cell)
+            self.n_forced += 1
+
+    trace = generate_trace(cfg())
+    audit = AuditObserver()
+    lying = execute(
+        RunSpec(
+            protocols=("Lying",),
+            trace=trace,
+            factories={"Lying": LyingBCS},
+            observers=(audit,),
+        )
+    )
+    clean = execute(
+        RunSpec(protocols=("BCS",), trace=trace, observers=(audit,))
+    )
+    assert lying.violations
+    assert clean.violations == []
+    assert audit.violations == lying.violations
+
+
 def test_online_trace_fires_after_simulation_with_online_source():
     """The online engine emits the trace its first replayable run
     produced -- so on_trace necessarily fires after that simulation,

@@ -25,8 +25,8 @@ def test_auto_prefers_vectorized_when_all_have_kernels():
 
 
 def test_auto_falls_back_to_fused_without_kernels():
-    # BQF is fusable but ships no vectorized kernels, so its presence
-    # drops the whole set to the fused engine.
+    # BQF ships no vectorized kernels, so its presence drops the whole
+    # set to the fused engine.
     p = plan(RunSpec(protocols=("TP", "BCS", "BQF"), workload=cfg()))
     assert p.engine_kind == "fused"
 
@@ -36,18 +36,15 @@ def test_auto_routes_coordinated_to_online():
     assert p.engine_kind == "online"
 
 
-def test_auto_falls_back_to_reference_for_non_fusable():
-    class NotFusable(BCSProtocol):
-        fusable = False
+def test_reference_engine_is_chosen_only_by_name():
+    class NoKernel(BCSProtocol):
+        vectorizable = False
 
-    p = plan(
-        RunSpec(
-            protocols=("BCS", "NF"),
-            workload=cfg(),
-            factories={"NF": NotFusable},
-        )
+    spec = dict(
+        protocols=("BCS", "NK"), workload=cfg(), factories={"NK": NoKernel}
     )
-    assert p.engine_kind == "reference"
+    assert plan(RunSpec(**spec)).engine_kind == "fused"
+    assert plan(RunSpec(engine="reference", **spec)).engine_kind == "reference"
 
 
 def test_auto_with_trace_never_selects_online():

@@ -27,7 +27,7 @@ def test_coordinated_baselines_are_registered():
         caps = known[name].capabilities
         assert caps.coordinated
         assert not caps.replayable
-        assert not caps.fusable
+        assert not caps.vectorizable
         assert not caps.counters_only
         assert known[name].scheme is not None
         assert known[name].factory is None
@@ -84,19 +84,21 @@ def test_factory_override_trumps_registry_and_adds_names():
 
 
 def test_factory_capabilities_read_off_override():
-    class NotFusable(BCSProtocol):
-        fusable = False
+    class NoKernel(BCSProtocol):
+        vectorizable = False
 
-    (entry,) = resolve_protocols(["X"], factories={"X": NotFusable})
+    (entry,) = resolve_protocols(["X"], factories={"X": NoKernel})
     assert entry.capabilities.replayable
-    assert not entry.capabilities.fusable
+    assert not entry.capabilities.vectorizable
     with pytest.raises(CapabilityError):
-        resolve_protocols(["X"], factories={"X": NotFusable}, require="fusable")
+        resolve_protocols(
+            ["X"], factories={"X": NoKernel}, require="vectorizable"
+        )
 
 
 def test_incoherent_capability_declaration_rejected():
     class Impossible(BCSProtocol):
-        coordinated = True  # but replayable/fusable stay True
+        coordinated = True  # but replayable stays True
 
     with pytest.raises(ValueError, match="coordinated"):
         resolve_protocols(["Bad"], factories={"Bad": Impossible})

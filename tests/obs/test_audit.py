@@ -2,13 +2,15 @@
 
 The audit's job is to catch a *broken* protocol or engine, so most of
 these tests inject deliberately broken protocol stubs through the
-``factories`` override of :func:`audit_trace` and assert the breach is
-reported as the right structured :class:`AuditViolation` kind:
+``factories`` override of :func:`audit_trace` / :class:`RunSpec` and
+assert the breach is reported as the right structured
+:class:`AuditViolation` kind:
 
 * a protocol that defers its forced checkpoints past delivery leaves an
   orphan message on its own recovery line (``orphan-message``);
-* a protocol whose behaviour depends on hidden global state diverges
-  between the reference and fused engines (``fused-divergence``);
+* a protocol whose behaviour depends on hidden global state, or a
+  batch kernel that miscounts, diverges between the audited run and
+  the reference replay (``engine-divergence``);
 * a protocol that logs decreasing or silently repeated indices trips
   ``index-monotonicity``;
 * a protocol whose counters disagree with its log trips
@@ -22,11 +24,12 @@ import pickle
 
 import pytest
 
-from repro.core.replay import replay, replay_fused
+from repro.core.replay import replay
 from repro.core.trace import EventType, build_trace
+from repro.engine import RunSpec, execute
 from repro.obs.audit import (
     COUNTER_MISMATCH,
-    FUSED_DIVERGENCE,
+    ENGINE_DIVERGENCE,
     INDEX_MONOTONICITY,
     ORPHAN_MESSAGE,
     AuditViolation,
@@ -51,6 +54,36 @@ def two_host_trace():
         (6.0, EventType.SEND, 0, 3, 1),
         (7.0, EventType.RECEIVE, 1, 3, 0),
     ])
+
+
+def handoff_trace():
+    """Like :func:`two_host_trace`, but host 1 also switches cell
+    before replying, so under BCS both the first and the second
+    receive force a checkpoint: a stub that skips every other receive
+    diverges from clean BCS whichever receive it skips first."""
+    return build_trace(2, 2, [
+        (1.0, EventType.CELL_SWITCH, 0, -1, 0, 1),
+        (2.0, EventType.SEND, 0, 1, 1),
+        (3.0, EventType.RECEIVE, 1, 1, 0),
+        (3.5, EventType.CELL_SWITCH, 1, -1, 0, 1),
+        (4.0, EventType.SEND, 1, 2, 0),
+        (5.0, EventType.RECEIVE, 0, 2, 1),
+        (6.0, EventType.SEND, 0, 3, 1),
+        (7.0, EventType.RECEIVE, 1, 3, 0),
+    ])
+
+
+def audited(engine, name, cls, trace=None):
+    """An audited *engine* run of stub *cls* registered as *name*."""
+    return execute(
+        RunSpec(
+            protocols=(name,),
+            trace=trace or two_host_trace(),
+            engine=engine,
+            factories={name: cls},
+            audit=True,
+        )
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -140,6 +173,20 @@ def flaky_bcs_class():
     return FlakyBCS
 
 
+class LyingKernelBCS(BCSProtocol):
+    """A BCS whose batch kernel claims one forced checkpoint too many:
+    only the vectorized engine runs it, so only an audit that checks
+    the run's own instances sees it."""
+
+    name = "BCS-lying-kernel"
+
+    @classmethod
+    def vectorized_replay(cls, vt, instances):
+        super().vectorized_replay(vt, instances)
+        for instance in instances:
+            instance.n_forced += 1
+
+
 # ---------------------------------------------------------------------------
 # detection
 # ---------------------------------------------------------------------------
@@ -175,13 +222,9 @@ def test_delayed_force_is_caught_as_orphan_message():
 
 
 def test_stateful_protocol_is_caught_as_fused_divergence():
-    violations = audit_trace(
-        two_host_trace(),
-        ["BCS-flaky"],
-        factories={"BCS-flaky": flaky_bcs_class()},
-    )
-    assert [v.kind for v in violations] == [FUSED_DIVERGENCE]
-    assert "counters differ" in violations[0].detail
+    violations = audited("fused", "BCS-flaky", flaky_bcs_class()).violations
+    assert [v.kind for v in violations] == [ENGINE_DIVERGENCE]
+    assert "fused vs reference counters differ" in violations[0].detail
 
 
 def test_repeated_index_without_replacement_is_caught():
@@ -224,33 +267,63 @@ def test_check_protocol_invariants_passes_clean_run():
 
 
 # ---------------------------------------------------------------------------
-# strict mode: replay(audit=True) raises
+# the production audit path: RunSpec(audit=True) checks the run itself
 # ---------------------------------------------------------------------------
 
-
-def test_replay_audit_mode_raises_on_broken_protocol():
-    with pytest.raises(AuditViolation) as exc:
-        replay(two_host_trace(), LyingCountersBCS(2, 2), audit=True)
-    assert exc.value.kind == COUNTER_MISMATCH
+AUDITED_ENGINES = ("fused", "vectorized")
 
 
-def test_replay_fused_audit_mode_raises_on_divergence():
-    with pytest.raises(AuditViolation) as exc:
-        replay_fused(
-            two_host_trace(), [flaky_bcs_class()(2, 2)], audit=True
-        )
-    assert exc.value.kind == FUSED_DIVERGENCE
+@pytest.mark.parametrize("engine", AUDITED_ENGINES)
+def test_audited_run_reports_counter_mismatch(engine):
+    result = audited(engine, "BCS-lying", LyingCountersBCS)
+    assert COUNTER_MISMATCH in {v.kind for v in result.violations}
+    assert result.observer_errors == []
 
 
-def test_replay_audit_mode_is_silent_on_clean_protocol():
-    clean = replay(two_host_trace(), BCSProtocol(2, 2), audit=True)
-    audited = replay_fused(
-        two_host_trace(), [BCSProtocol(2, 2)], audit=True
-    )[0]
-    assert (
-        audited.protocol.counter_signature()
-        == clean.protocol.counter_signature()
+@pytest.mark.parametrize("engine", AUDITED_ENGINES)
+def test_audited_run_reports_engine_divergence(engine):
+    result = audited(engine, "BCS-flaky", flaky_bcs_class(), handoff_trace())
+    divergences = [
+        v for v in result.violations if v.kind == ENGINE_DIVERGENCE
+    ]
+    assert divergences
+    assert divergences[0].detail.startswith(f"{engine} vs reference")
+
+
+@pytest.mark.parametrize("engine", AUDITED_ENGINES)
+def test_audited_run_is_silent_on_clean_protocol(engine):
+    result = audited(engine, "BCS-clean", BCSProtocol)
+    assert result.engine_kind == engine
+    assert result.violations == []
+    assert result.observer_errors == []
+
+
+def test_audited_vectorized_run_checks_its_own_counters():
+    result = audited("vectorized", "BCS-lying-kernel", LyingKernelBCS)
+    kinds = {v.kind for v in result.violations}
+    assert ENGINE_DIVERGENCE in kinds
+    divergence = next(
+        v for v in result.violations if v.kind == ENGINE_DIVERGENCE
     )
+    assert "vectorized vs reference" in divergence.detail
+    assert "n_forced" in divergence.detail
+
+
+def test_audit_with_partial_factory_overrides_audits_every_protocol():
+    """Overriding one name must not hide the registry from the audit:
+    every protocol of the run is rebuilt through its plan entry."""
+    result = execute(
+        RunSpec(
+            protocols=("BCS", "QBC"),
+            trace=two_host_trace(),
+            engine="fused",
+            factories={"BCS": DelayedForceBCS},
+            audit=True,
+        )
+    )
+    assert result.observer_errors == []
+    assert ORPHAN_MESSAGE in {v.kind for v in result.violations}
+    assert {v.protocol for v in result.violations} == {"BCS"}
 
 
 # ---------------------------------------------------------------------------
@@ -271,13 +344,13 @@ def test_violation_pickles_through_the_pool_contract():
 
 def test_violation_str_and_dict_carry_coordinates():
     v = AuditViolation(
-        FUSED_DIVERGENCE, "QBC", "boom", seed=4, t_switch=1000.0
+        ENGINE_DIVERGENCE, "QBC", "boom", seed=4, t_switch=1000.0
     )
     text = str(v)
-    assert "fused-divergence(QBC)" in text
+    assert "engine-divergence(QBC)" in text
     assert "seed=4" in text and "t_switch=1000" in text
     d = v.as_dict()
-    assert d["kind"] == FUSED_DIVERGENCE and d["seed"] == 4
+    assert d["kind"] == ENGINE_DIVERGENCE and d["seed"] == 4
 
 
 # ---------------------------------------------------------------------------

@@ -104,6 +104,6 @@ def test_rollback_restores_clock_and_send_flag():
 def test_registered_and_fusable_but_not_vectorizable():
     from repro.engine import resolve_protocols
 
-    (entry,) = resolve_protocols(["FDAS"], require="fusable")
+    (entry,) = resolve_protocols(["FDAS"], require="replayable")
     assert entry.capabilities.replayable
     assert not entry.capabilities.vectorizable

@@ -31,7 +31,6 @@ RAW_DRIVERS = frozenset(
         "replay_fused",
         "replay_vectorized",
         "replay_vectorized_batch",
-        "replay_many",
         "run_online",
         "run_coordinated",
     }

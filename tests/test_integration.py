@@ -10,18 +10,18 @@ model) and are checked here on seeded paper-style runs.
 import pytest
 
 from repro.analysis.overhead import estimate_overhead
-from repro.core.replay import replay, replay_many
+from repro.core.replay import replay, replay_fused
 from repro.protocols import BCSProtocol, QBCProtocol, TwoPhaseProtocol
 from repro.workload import WorkloadConfig, generate_trace
 
 
 def totals(trace, n_hosts, n_mss):
-    res = replay_many(
+    res = replay_fused(
         trace,
         [
-            lambda: TwoPhaseProtocol(n_hosts, n_mss),
-            lambda: BCSProtocol(n_hosts, n_mss),
-            lambda: QBCProtocol(n_hosts, n_mss),
+            TwoPhaseProtocol(n_hosts, n_mss),
+            BCSProtocol(n_hosts, n_mss),
+            QBCProtocol(n_hosts, n_mss),
         ],
     )
     return {r.metrics.protocol: r for r in res}

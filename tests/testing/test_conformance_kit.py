@@ -127,21 +127,25 @@ def test_example_plugin_class_passes_via_factory_injection():
     assert {"recovery-line", "consistency-oracle"} <= passed
 
 
-def test_non_fusable_protocol_gets_the_structural_audit():
+def test_hidden_shared_state_fails_engine_equivalence_and_audit():
+    """Instances that share hidden class-level state break the fused
+    contract; the equivalence battery and the audit both catch it."""
+    import itertools
+
     from repro.protocols.bcs import BCSProtocol
 
-    class UnfusedBCS(BCSProtocol):
-        fusable = False
-        vectorizable = False
+    class SharedTickBCS(BCSProtocol):
+        tick = itertools.count()
 
-    with pytest.raises(BatterySkipped, match="not fusable"):
-        run_battery(
-            "engine-equivalence", "UNFUSED", factories={"UNFUSED": UnfusedBCS}
-        )
-    detail = run_battery(
-        "audit-cleanliness", "UNFUSED", factories={"UNFUSED": UnfusedBCS}
-    )
-    assert "structural audit" in detail
+        def on_receive(self, host, piggyback, src, now):
+            if next(type(self).tick) % 2 == 0:
+                super().on_receive(host, piggyback, src, now)
+
+    factories = {"SHARED": SharedTickBCS}
+    with pytest.raises(ConformanceFailure, match="diverge from reference"):
+        run_battery("engine-equivalence", "SHARED", factories=factories)
+    with pytest.raises(ConformanceFailure, match="engine-divergence"):
+        run_battery("audit-cleanliness", "SHARED", factories=factories)
 
 
 def test_conformance_suite_merges_factory_names():

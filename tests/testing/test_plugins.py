@@ -77,7 +77,7 @@ def test_entry_point_class_is_registered_under_entry_name(plugin_path):
     assert origin.kind == "plugin"
     assert "demo" in str(origin)
     # and it resolves like any builtin
-    (entry,) = resolve_protocols(["DEMO"], require="fusable")
+    (entry,) = resolve_protocols(["DEMO"], require="replayable")
     assert entry.capabilities.replayable
 
 
