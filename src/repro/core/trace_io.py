@@ -1,10 +1,13 @@
 """Trace serialization: save/load traces for sharing and offline replay.
 
-Format: a single ``.npz`` file holding the event columns as compact
-numpy arrays plus the trace header/metadata as a JSON string.  A
-50k-time-unit trace (~300k events) round-trips in well under a second
-and compresses to a few hundred KiB, so recorded workloads can ship
-with papers or bug reports and be replayed bit-identically elsewhere.
+Format: a single ``.npz`` file holding the event columns as numpy
+arrays plus the trace header/metadata as a JSON string.  The members
+are stored uncompressed (``np.savez``): about 56 bytes per event, so a
+20k-event Fig. 1 trace is ~1.1 MB and a save or a verified load takes
+a few milliseconds -- less than generating the trace again.  Recorded
+workloads can ship with papers or bug reports and be replayed
+bit-identically elsewhere.  Files written deflated (zlib level 1, or
+numpy's ``savez_compressed``) read the same way.
 
 Every file carries a SHA-256 digest over the event columns and header,
 so a truncated or bit-flipped file is detected at load time
@@ -12,7 +15,9 @@ so a truncated or bit-flipped file is detected at load time
 the trace cache relies on this to treat corrupt entries as misses.
 
 A load is column-native: it decodes the stored columns, checks the
-digest and returns a column-backed trace
+digest, validates the columns with numpy (:func:`validate_columns`, the
+invariants of :meth:`Trace.validate <repro.core.trace.Trace.validate>`)
+and returns a column-backed trace
 (:meth:`~repro.core.trace.Trace.from_columns`) without building a
 single :class:`~repro.core.trace.TraceEvent`.  The columns are the
 trace's array lowering as they are, and :meth:`Trace.compiled` lowers
@@ -31,7 +36,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import struct
 import zipfile
 from pathlib import Path
@@ -40,7 +44,7 @@ from typing import Union
 import numpy as np
 
 from repro.core.compiled import FLOAT_DTYPE, INT_DTYPE, ArrayColumns
-from repro.core.trace import EventType, Trace
+from repro.core.trace import EventType, Trace, TraceError, TraceEvent
 
 #: Format version written into every file, and the only one read.  It
 #: stores the *compiled* columns (pinned ``int64``/``float64`` dtypes,
@@ -95,32 +99,13 @@ def save_trace(trace: Trace, path: Union[str, Path]) -> None:
     header_json = json.dumps(header)
     columns = {name: getattr(cols, name) for name in _COLUMNS}
     digest = _column_digest(header_json, columns.values())
-    _write_npz(
+    # Stored members: zlib would cost more than generating the trace.
+    np.savez(
         path,
         header=np.frombuffer(header_json.encode("utf-8"), dtype=np.uint8),
         digest=np.frombuffer(digest.encode("ascii"), dtype=np.uint8),
         **columns,
     )
-
-
-def _write_npz(path: Union[str, Path], **arrays: np.ndarray) -> None:
-    """``np.savez_compressed`` at zlib level 1.
-
-    The same members in the same order (``<name>.npy``, deflated,
-    zip64), so ``np.load`` reads the file as it reads any npz; level 1
-    writes a cache entry about 3x faster than numpy's default level 6
-    for about 10% more bytes.
-    """
-    path = os.fspath(path)
-    if not path.endswith(".npz"):
-        path += ".npz"
-    with zipfile.ZipFile(
-        path, mode="w", compression=zipfile.ZIP_DEFLATED,
-        compresslevel=1, allowZip64=True,
-    ) as zipf:
-        for name, arr in arrays.items():
-            with zipf.open(name + ".npy", "w", force_zip64=True) as fid:
-                np.lib.format.write_array(fid, arr, allow_pickle=False)
 
 
 def load_trace(
@@ -129,19 +114,22 @@ def load_trace(
     """Read a trace written by :func:`save_trace`.
 
     Yields a column-backed trace whose events are built only when
-    first read.  Validates the trace structurally unless
-    ``validate=False`` (validation builds the events).  ``verify=True``
-    additionally recomputes the stored SHA-256 column digest and raises
+    first read.  Validates the columns structurally
+    (:func:`validate_columns`, which builds no events) unless
+    ``validate=False``.  ``verify=True`` additionally recomputes the
+    stored SHA-256 column digest and raises
     :class:`TraceIntegrityError` on mismatch.  Any file that is not a
     current-format trace -- another format version, no stored digest,
     a truncated zip, garbage bytes, missing arrays -- is reported as a
-    :class:`TraceIntegrityError` as well (a ``ValueError``).
+    :class:`TraceIntegrityError` as well (a ``ValueError``); a
+    decodable but structurally invalid trace raises
+    :class:`~repro.core.trace.TraceError`.
     """
     path = Path(path)
     if not path.exists() and path.with_suffix(path.suffix + ".npz").exists():
         path = path.with_suffix(path.suffix + ".npz")
     try:
-        trace = _load_trace_inner(path, verify=verify)
+        cols, meta = _load_columns(path, verify=verify)
     except TraceIntegrityError:
         raise
     except (
@@ -157,10 +145,15 @@ def load_trace(
         raise TraceIntegrityError(
             f"cannot decode trace file {path}: {exc!r}"
         ) from exc
-    return trace.validate() if validate else trace
+    if validate:
+        validate_columns(cols)
+    # The stored columns *are* the compiled arrays: the trace is backed
+    # by them, so the fused and vectorized engines lower from them (or
+    # use them as they are) and no TraceEvent is built unless asked for.
+    return Trace.from_columns(cols, meta)
 
 
-def _load_trace_inner(path: Path, verify: bool) -> Trace:
+def _load_columns(path: Path, verify: bool) -> tuple[ArrayColumns, dict]:
     with np.load(path) as data:
         header_json = bytes(data["header"]).decode("utf-8")
         header = json.loads(header_json)
@@ -192,9 +185,6 @@ def _load_trace_inner(path: Path, verify: bool) -> Trace:
         etype.min() < min(EventType) or etype.max() > max(EventType)
     ):
         raise ValueError("unknown event type code in the etype column")
-    # The stored columns *are* the compiled arrays: the trace is backed
-    # by them, so the fused and vectorized engines lower from them (or
-    # use them as they are) and no TraceEvent is built unless asked for.
     cols = ArrayColumns(
         n_hosts=int(header["n_hosts"]),
         n_mss=int(header["n_mss"]),
@@ -209,4 +199,157 @@ def _load_trace_inner(path: Path, verify: bool) -> Trace:
             for name, column in columns.items()
         },
     )
-    return Trace.from_columns(cols, dict(header["meta"]))
+    return cols, dict(header["meta"])
+
+
+def _repeats(values: np.ndarray) -> np.ndarray:
+    """Mask of the entries equal to their predecessor."""
+    mask = np.zeros(len(values), dtype=bool)
+    mask[1:] = values[1:] == values[:-1]
+    return mask
+
+
+def validate_columns(cols: ArrayColumns) -> None:
+    """Check *cols* against the invariants of :meth:`Trace.validate`,
+    in numpy passes and without building a :class:`TraceEvent`.
+
+    The loop in :meth:`Trace.validate` stops at its first defect, so
+    every state it reads there (messages sent and consumed so far, each
+    host's connected flag) is what the columns say before that event.
+    Each check below therefore flags every event that breaks it,
+    computed from the columns as if no earlier event were bad; the
+    earliest flag (ties broken in the loop's check order) is the
+    loop's defect and raises the loop's message.  A trace that passes
+    must also carry the ``slot`` column and send/receive counts the
+    engines read, as :func:`~repro.core.compiled.array_columns` builds
+    them.
+
+    Raises
+    ------
+    TraceError
+        On the first defect, as :meth:`Trace.validate` would.
+    """
+    n = cols.n_events
+    time, etype, host = cols.time, cols.etype, cols.host
+    msg_id, peer, cell = cols.msg_id, cols.peer, cols.cell
+    is_send = etype == EventType.SEND
+    is_recv = etype == EventType.RECEIVE
+    is_switch = etype == EventType.CELL_SWITCH
+    is_down = etype == EventType.DISCONNECT
+    is_up = etype == EventType.RECONNECT
+
+    # Each host's connected flag before each event: +1 per disconnect,
+    # -1 per reconnect, summed over the host's earlier events (a stable
+    # sort by host keeps each host's events in trace order).
+    by_host = np.argsort(host, kind="stable")
+    step = is_down.astype(np.int64) - is_up
+    running = np.cumsum(step[by_host]) - step[by_host]
+    sorted_host = host[by_host]
+    first = np.flatnonzero(~_repeats(sorted_host))
+    running -= np.repeat(running[first], np.diff(first, append=n))
+    offline = np.empty(n, dtype=bool)
+    offline[by_host] = running != 0
+
+    # Message matching: each id's first send, and repeats in trace order.
+    sends = np.flatnonzero(is_send)
+    recvs = np.flatnonzero(is_recv)
+    sends_by_id = sends[np.argsort(msg_id[sends], kind="stable")]
+    repeat_send = _repeats(msg_id[sends_by_id])
+    first_send = sends_by_id[~repeat_send]
+    first_ids = msg_id[first_send]
+    recv_ids = msg_id[recvs]
+    # The first send of each receive's id, or n where there is none.
+    origin = np.full(len(recvs), n)
+    if len(first_ids):
+        at = np.minimum(np.searchsorted(first_ids, recv_ids), len(first_ids) - 1)
+        origin = np.where(first_ids[at] == recv_ids, first_send[at], n)
+    never_sent = origin > recvs
+    recv_order = np.argsort(recv_ids, kind="stable")
+    repeat_recv = np.empty(len(recvs), dtype=bool)
+    repeat_recv[recv_order] = _repeats(recv_ids[recv_order])
+    wrong_peer = ~never_sent & (peer[np.minimum(origin, n - 1)] != host[recvs])
+
+    def rows(selected, mask):
+        flags = np.zeros(n, dtype=bool)
+        flags[selected[mask]] = True
+        return flags
+
+    def event(i):
+        return TraceEvent(
+            float(time[i]), EventType(int(etype[i])), int(host[i]),
+            int(msg_id[i]), int(peer[i]), int(cell[i]),
+        )
+
+    def origin_peer(i):
+        return int(peer[origin[np.searchsorted(recvs, i)]])
+
+    # (flags, message) in the loop's check order for one event.
+    checks = (
+        (
+            np.diff(time, prepend=time[:1]) < 0,
+            lambda i: f"events out of order: {event(i)} "
+            f"after t={float(time[i - 1])}",
+        ),
+        (
+            (host < 0) | (host >= cols.n_hosts),
+            lambda i: f"unknown host in {event(i)}",
+        ),
+        (
+            offline & (is_send | is_recv | is_switch | is_down),
+            lambda i: {
+                EventType.SEND: "disconnected host sends",
+                EventType.RECEIVE: "disconnected host receives",
+                EventType.CELL_SWITCH: "disconnected host switches cell",
+                EventType.DISCONNECT: "double disconnect",
+            }[int(etype[i])] + f": {event(i)}",
+        ),
+        (
+            ~offline & is_up,
+            lambda i: f"reconnect while connected: {event(i)}",
+        ),
+        (
+            rows(sends_by_id, repeat_send),
+            lambda i: f"duplicate send of msg {int(msg_id[i])}",
+        ),
+        (
+            rows(recvs, never_sent),
+            lambda i: f"receive of never-sent msg {int(msg_id[i])}: "
+            f"{event(i)}",
+        ),
+        (
+            rows(recvs, repeat_recv),
+            lambda i: f"msg {int(msg_id[i])} consumed twice",
+        ),
+        (
+            rows(recvs, wrong_peer),
+            lambda i: f"msg {int(msg_id[i])} sent to {origin_peer(i)} "
+            f"but received by {int(host[i])}",
+        ),
+        (
+            is_switch & ((cell < 0) | (cell >= cols.n_mss)),
+            lambda i: f"switch to unknown cell: {event(i)}",
+        ),
+    )
+    defects = [
+        (int(np.argmax(flags)), rank)
+        for rank, (flags, _) in enumerate(checks)
+        if flags.any()
+    ]
+    if defects:
+        i, rank = min(defects)
+        raise TraceError(checks[rank][1](i))
+
+    slot = np.full(n, -1, dtype=np.int64)
+    slot[sends] = np.arange(len(sends))
+    slot[recvs] = np.searchsorted(sends, origin)
+    if (len(sends), len(recvs)) != (cols.n_sends, cols.n_receives):
+        raise TraceError(
+            f"header counts {cols.n_sends} sends / {cols.n_receives} "
+            f"receives, columns hold {len(sends)} / {len(recvs)}"
+        )
+    if not np.array_equal(slot, cols.slot):
+        bad = int(np.argmax(slot != cols.slot))
+        raise TraceError(
+            f"slot column disagrees with message matching at {event(bad)}: "
+            f"stored {int(cols.slot[bad])}, expected {int(slot[bad])}"
+        )

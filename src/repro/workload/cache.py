@@ -1,8 +1,9 @@
 """Content-addressed trace cache.
 
-Trace generation dominates sweep cost (a sim_time=4000 run spends ~20x
-longer in :func:`~repro.workload.driver.generate_trace` than in the
-fused replay of all three paper protocols), and sweeps regenerate the
+Trace generation is a large share of sweep cost (on a Fig. 6 cell
+:func:`~repro.workload.driver.generate_trace` costs about as much as
+the fused replay of all three paper protocols; on the event loop that
+serves other workload models, ~20x as much), and sweeps regenerate the
 *same* traces constantly: re-running a figure after a protocol tweak,
 evaluating a new protocol on the standard grid, benchmarking.  Because
 generation is a pure function of :class:`WorkloadConfig` (the seed is a
@@ -25,8 +26,11 @@ Two tiers:
   CLI invocations hit instead of regenerate.  A disk hit decodes the
   stored columns and checks their digest; it returns a column-backed
   trace that the fused and vectorized engines replay without building
-  per-event objects, so it costs milliseconds where generating the
-  trace costs hundreds.  An entry that fails the check -- damaged, or
+  per-event objects.  Entries are stored uncompressed (~56 bytes per
+  event), so on a Fig. 6 cell at ``sim_time=2000`` a verified hit and a
+  save each cost ~2-3 ms against ~10 ms to generate the trace (the
+  columnar generator; the event loop of other workload models costs
+  ~19 us per event).  An entry that fails the check -- damaged, or
   written in an older trace format -- is evicted and regenerated, so
   a stale entry costs one miss.
 

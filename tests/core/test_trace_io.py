@@ -2,6 +2,7 @@
 
 import json
 import pickle
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -150,26 +151,56 @@ def test_short_slot_column_is_rejected(tmp_path):
         load_trace(path, validate=False, verify=True)
 
 
+def _write_deflated(path, arrays, level):
+    """The same npz members deflated at zlib *level*: what the cache
+    wrote before its members were stored (level 1) and what
+    ``np.savez_compressed`` writes (numpy's default, level 6)."""
+    with zipfile.ZipFile(
+        path, mode="w", compression=zipfile.ZIP_DEFLATED,
+        compresslevel=level, allowZip64=True,
+    ) as zf:
+        for name, arr in arrays.items():
+            with zf.open(name + ".npy", "w", force_zip64=True) as fid:
+                np.lib.format.write_array(fid, arr, allow_pickle=False)
+
+
 def test_level6_npz_still_loads(tmp_path):
-    """A file written by ``np.savez_compressed`` at numpy's default
-    level (every cache entry before the level-1 writer) reads back
-    identically, digest included."""
-    trace = generate_trace(WorkloadConfig(sim_time=300.0, seed=2))
+    """Files deflated at zlib level 1 (every cache entry written before
+    members were stored) and at numpy's default level 6 read back
+    identically, digest included -- and an old entry in a cache
+    directory is a disk hit that replays to the same counters."""
+    cfg = WorkloadConfig(sim_time=300.0, seed=2)
+    trace = generate_trace(cfg)
     path = tmp_path / "t.npz"
     save_trace(trace, path)
     with np.load(path) as data:
         arrays = {k: data[k] for k in data.files}
-    level6 = tmp_path / "level6.npz"
-    np.savez_compressed(level6, **arrays)
-    a = array_columns(load_trace(path, verify=True))
-    b = array_columns(load_trace(level6, verify=True))
-    for name in ("etype", "time", "host", "msg_id", "peer", "cell", "slot"):
-        assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+    expected = _counters(trace, "fused")
+    for level in (1, 6):
+        old = tmp_path / f"level{level}.npz"
+        _write_deflated(old, arrays, level)
+        a = array_columns(load_trace(path, verify=True))
+        b = array_columns(load_trace(old, verify=True))
+        for name in ("etype", "time", "host", "msg_id", "peer", "cell", "slot"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+
+        cache_dir = tmp_path / f"cache{level}"
+        cache_dir.mkdir()
+        entry = cache_dir / f"{config_key(cfg)}.npz"
+        old.rename(entry)
+        cache = TraceCache(max_entries=0, disk_dir=cache_dir)
+        hit = cache.get_or_generate(cfg)
+        assert cache.stats()["disk_hits"] == 1
+        assert cache.stats()["corrupt_evictions"] == cache.stats()["misses"] == 0
+        with np.load(entry) as data:  # served as it is, not rewritten
+            assert bytes(data["digest"]) == bytes(arrays["digest"])
+        with zipfile.ZipFile(entry) as zf:
+            assert zf.getinfo("time.npy").compress_type == zipfile.ZIP_DEFLATED
+        assert _counters(hit, "fused") == expected
+        assert _counters(hit, "vectorized") == expected
 
 
 def test_npz_members_keep_numpy_names_and_order(tmp_path):
-    import zipfile
-
     trace = generate_trace(WorkloadConfig(sim_time=200.0, seed=3))
     path = tmp_path / "t.npz"
     save_trace(trace, path)
@@ -180,7 +211,7 @@ def test_npz_members_keep_numpy_names_and_order(tmp_path):
         for name in ("header", "digest", "time", "etype", "host",
                      "msg_id", "peer", "cell", "slot")
     ]
-    assert {i.compress_type for i in infos} == {zipfile.ZIP_DEFLATED}
+    assert {i.compress_type for i in infos} == {zipfile.ZIP_STORED}
 
 
 # -- column-backed disk hits: a loaded trace is the generated one ----------
