@@ -15,17 +15,22 @@ the one sanctioned raw call site outside the engine, allowlisted by
 
 Besides the pytest-benchmark timings, the headline engine numbers
 (fused-replay and vectorized-replay speedups, multi-seed batch
-speedup, engine overhead, trace-cache speedup, the fresh-trace cell)
-are appended to ``BENCH_engine.json`` in the working directory so CI
-can archive the trend without parsing benchmark output -- and gate
+speedup, engine overhead, trace-cache speedup, the fresh-trace cell,
+the figure path's cold-start import) are appended to
+``BENCH_engine.json`` in the working directory so CI can archive the
+trend without parsing benchmark output -- and gate
 ``vectorized_ms``, ``disk_hit_ms``, ``save_ms``, ``generate_ms`` and
 ``fresh_cell_ms`` against regressions (see .github/workflows/ci.yml).
 """
 
 import json
 import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
+import repro
 from repro.core.replay import replay_fused
 from repro.core.trace_io import load_trace, save_trace
 from repro.des import Environment
@@ -404,3 +409,54 @@ def test_fresh_cell(benchmark, tmp_path):
     }
     benchmark.extra_info.update(payload)
     _record("fresh_cell", payload)
+
+
+#: What a figure run imports before its first cell (perfbench's
+#: ``child.import_program`` imports the same modules).
+FIGURE_PATH_IMPORT = (
+    "import repro.engine, repro.experiments.runner, "
+    "repro.experiments.figures, repro.experiments.validation, "
+    "repro.workload.cache"
+)
+
+
+def _fresh_import():
+    """(import seconds, repro modules loaded) in a new interpreter."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    code = (
+        "import json, sys, time; t0 = time.perf_counter(); "
+        f"{FIGURE_PATH_IMPORT}; "
+        "took = time.perf_counter() - t0; "
+        "print(json.dumps([took, sum(m.split('.')[0] == 'repro' "
+        "for m in sys.modules)]))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env=env,
+        timeout=120,
+    )
+    took, modules = json.loads(out.stdout.strip().splitlines()[-1])
+    return took, modules
+
+
+def test_cold_start(benchmark):
+    """The figure path's import in a fresh interpreter: ``import_ms``
+    is the best of 5 and ``repro_modules`` the number of ``repro``
+    modules it loads.  ``import_ms`` is reported, not gated (it moves
+    with host load); the module set is gated by
+    ``tests/test_import_contracts.py``."""
+    runs = benchmark.pedantic(
+        lambda: [_fresh_import() for _ in range(5)], rounds=1, iterations=1
+    )
+    assert len({modules for _, modules in runs}) == 1
+    payload = {
+        "import_ms": round(min(took for took, _ in runs) * 1e3, 1),
+        "repro_modules": runs[0][1],
+    }
+    benchmark.extra_info.update(payload)
+    _record("cold_start", payload)

@@ -6,14 +6,9 @@
 * :mod:`~repro.analysis.analytical` -- closed-form count predictions
   cross-checking the simulator.
 * :mod:`~repro.analysis.overhead` -- energy/bandwidth/storage proxies.
-* :mod:`~repro.analysis.timeseries` -- checkpoint rates over time,
-  warm-up truncation, burstiness.
-* :mod:`~repro.analysis.crossover` -- checkpoint premium vs failure
-  cost break-even analysis.
 """
 
 from repro.analysis.analytical import AnalyticalEstimates, estimate
-from repro.analysis.crossover import CrossoverResult, cost_sweep
 from repro.analysis.overhead import CostModel, OverheadReport, estimate_overhead
 from repro.analysis.plotting import ascii_plot
 from repro.analysis.stats import (
@@ -23,31 +18,17 @@ from repro.analysis.stats import (
     summarize,
     within_tolerance,
 )
-from repro.analysis.timeseries import (
-    burstiness,
-    rate_series,
-    steady_state_rate,
-    warmup_cutoff,
-    window_counts,
-)
 
 __all__ = [
     "AnalyticalEstimates",
     "CostModel",
-    "CrossoverResult",
     "OverheadReport",
     "SampleSummary",
     "ascii_plot",
-    "burstiness",
     "confidence_interval",
-    "cost_sweep",
     "estimate",
     "estimate_overhead",
-    "rate_series",
     "relative_spread",
-    "steady_state_rate",
     "summarize",
-    "warmup_cutoff",
-    "window_counts",
     "within_tolerance",
 ]

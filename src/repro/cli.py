@@ -306,14 +306,16 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_replay(args) -> int:
+    from repro.core.trace import TraceError
     from repro.core.trace_io import TraceIntegrityError, load_trace
     from repro.engine import RunSpec, execute
 
     try:
         trace = load_trace(args.trace)
-    except TraceIntegrityError as exc:
-        # Damaged, or written in a trace format this version no longer
-        # reads: the message names the problem; regenerate the file.
+    except (TraceIntegrityError, TraceError) as exc:
+        # Damaged, written in a trace format this version no longer
+        # reads, or decodable but structurally invalid (say, a receive
+        # of a never-sent message): the message names the problem.
         print(exc, file=sys.stderr)
         return EXIT_USAGE
     result = execute(

@@ -48,6 +48,8 @@ import time
 from dataclasses import asdict, dataclass, field
 from typing import Any, Optional, Sequence
 
+from repro.experiments.progress import ProgressReporter
+
 #: The TaskError.kind vocabulary.  ``worker-crash`` is a task that
 #: tried to take its worker down (``SystemExit``, a broken pipe) and was
 #: caught; ``worker-lost`` means a whole shard worker vanished (process
@@ -489,8 +491,6 @@ def execute(
     tuples (``tasks[i][1]`` / ``tasks[i][2]`` are the task's t_switch
     and seed).
     """
-    from repro.experiments.progress import ProgressReporter
-
     specs = [_TaskSpec(i, t[1], t[2], tuple(t)) for i, t in enumerate(tasks)]
     report = ExecutionReport(outcomes=[None] * len(specs))
     config_hash = sweep_config_hash(config)

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-import networkx as nx
 import numpy as np
 
 from repro.des.rng import RandomStreams
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 class MoveKind(enum.Enum):
@@ -117,10 +119,13 @@ class GraphWalkCellChooser(CellChooser):
     Models cells with a physical neighbourhood structure: a host can
     only roam into an adjacent cell.  The default topology is a cycle
     (cells along a road); pass any connected :class:`networkx.Graph`
-    whose nodes are ``0..n_mss-1``.
+    whose nodes are ``0..n_mss-1``.  networkx is imported here, not at
+    module level, so the paper's uniform model never loads it.
     """
 
     def __init__(self, n_mss: int, graph: Optional[nx.Graph] = None):
+        import networkx as nx
+
         if graph is None:
             graph = nx.cycle_graph(n_mss)
         if set(graph.nodes) != set(range(n_mss)):

@@ -6,7 +6,8 @@
 * :mod:`~repro.workload.registry` -- the workload-model registry:
   :class:`WorkloadModel` + :func:`register_workload` discovery, typed
   errors with did-you-mean suggestions, ``NAME[:k=v,...]`` spec
-  parsing.  Builtin models live in :mod:`~repro.workload.models`.
+  parsing.  Builtin models live in :mod:`~repro.workload.models`,
+  which this package imports so they are registered from the start.
 * :func:`~repro.workload.driver.generate_trace` -- run the full mobile
   system simulation and emit a protocol-independent
   :class:`~repro.core.trace.Trace`.
@@ -44,6 +45,10 @@ from repro.workload.registry import (
     workload_names,
 )
 from repro.workload.scenarios import figure_config, paper_scenarios
+
+# The builtin models register themselves on import; loading them with
+# the package keeps that cost out of the first cell of a sweep.
+from repro.workload import models  # noqa: F401  (registration side effect)
 
 __all__ = [
     "OnlineResult",

@@ -258,14 +258,8 @@ def register_workload(name: str):
     return deco
 
 
-def _ensure_builtins() -> None:
-    """Import the builtin models so their registrations exist."""
-    import repro.workload.models  # noqa: F401  (registration side effect)
-
-
 def workload_names() -> list[str]:
     """Sorted names of every registered workload model."""
-    _ensure_builtins()
     return sorted(_REGISTRY)
 
 
@@ -275,7 +269,6 @@ def get_workload(name: str) -> type[WorkloadModel]:
     Raises :class:`UnknownWorkloadError` (with did-you-mean
     suggestions) when no such model exists.
     """
-    _ensure_builtins()
     try:
         return _REGISTRY[name]
     except KeyError:

@@ -65,6 +65,43 @@ def test_replay_unreadable_trace_file_exits_2(tmp_path, capsys):
     assert "format version 1" in capsys.readouterr().err
 
 
+def test_replay_structurally_invalid_trace_exits_2(tmp_path, capsys):
+    """A file that decodes and verifies but holds a receive with no
+    matching send ends in a one-line message, not a traceback."""
+    import numpy as np
+
+    from repro.core.compiled import ArrayColumns
+    from repro.core.trace import EventType, Trace
+    from repro.core.trace_io import save_trace
+
+    def col(*values, dtype="int64"):
+        return np.array(values, dtype=dtype)
+
+    cols = ArrayColumns(
+        n_hosts=2,
+        n_mss=2,
+        sim_time=10.0,
+        n_events=1,
+        n_sends=0,
+        n_receives=1,
+        etype=col(int(EventType.RECEIVE)),
+        time=col(1.0, dtype="float64"),
+        host=col(1),
+        msg_id=col(4),
+        peer=col(0),
+        cell=col(-1),
+        slot=col(-1),
+    )
+    path = tmp_path / "bad.npz"
+    save_trace(Trace.from_columns(cols, {}), path)
+    rc = main(["replay", "--trace", str(path), "--protocols", "BCS"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("receive of never-sent msg 4")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
 def test_recovery_unknown_protocol_exits_2(capsys):
     rc = main(["recovery", "--sim-time", "200", "--protocol", "NOPE"])
     assert rc == 2

@@ -16,9 +16,21 @@ rules the unified engine refactor established are checked here with
    through ``Engine.run``.  ``benchmarks/bench_engine.py`` is the one
    documented exception: it calls ``replay_fused`` directly to measure
    the engine layer's overhead against the raw loop.
+
+One contract is checked at run time, in a fresh interpreter:
+
+3. **The figure path starts lean, and a sweep imports nothing** --
+   importing what a figure run uses leaves ``networkx`` unloaded (only
+   the graph cell-choice extension needs it), and running sweeps adds
+   no module to ``sys.modules``: every import is paid as set-up, none
+   inside a timed cell.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
@@ -155,3 +167,80 @@ def test_contract_allowlist_is_current():
     assert path.exists()
     tree = ast.parse(path.read_text(), filename=str(path))
     assert any(name == "replay_fused" for name, _ in _called_names(tree))
+
+
+#: What the fresh interpreter of the runtime contract runs: import the
+#: figure path, then sweep, then generate a graph cell-choice trace.
+_RUNTIME_PROBE = """
+import json, sys
+import repro.engine
+import repro.experiments.figures
+import repro.experiments.runner
+import repro.experiments.validation
+import repro.workload.cache
+from repro.engine.registry import known_protocols
+from repro.experiments.figures import figure_sweep_config
+from repro.experiments.runner import run_sweep
+
+cache_dir = sys.argv[1]
+networkx_on_import = "networkx" in sys.modules
+zoo = sorted(n for n, e in known_protocols().items()
+             if e.capabilities.replayable)
+before = set(sys.modules)
+fused = run_sweep(figure_sweep_config(
+    6, sim_time=300.0, seeds=(0, 1), t_switch_values=(100.0, 1000.0),
+    engine="fused", cache_dir=cache_dir, progress=False))
+auto = run_sweep(figure_sweep_config(
+    4, sim_time=300.0, seeds=(0,), t_switch_values=(100.0, 1000.0),
+    protocols=zoo, engine="auto", cache_dir=cache_dir, progress=False))
+imported = sorted(set(sys.modules) - before)
+
+from repro.core.trace import EventType
+from repro.workload import WorkloadConfig, generate_trace
+graph = generate_trace(WorkloadConfig(
+    sim_time=300.0, seed=1, t_switch=10.0, cell_chooser="graph"))
+steps = [(e.cell - e.peer) % graph.n_mss for e in graph.events
+         if e.etype is EventType.CELL_SWITCH]
+print(json.dumps({
+    "networkx_on_import": networkx_on_import,
+    "imported_by_sweeps": imported,
+    "zoo": zoo,
+    "cells": [len(r.telemetry) for r in (fused, auto)],
+    "errors": [len(r.errors) for r in (fused, auto)],
+    "graph_steps": sorted(set(steps)),
+    "graph_n_mss": graph.n_mss,
+    "graph_switches": len(steps),
+}))
+"""
+
+
+def test_figure_path_skips_networkx_and_sweeps_import_nothing(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC.parent), env.get("PYTHONPATH")) if p
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", _RUNTIME_PROBE, str(tmp_path / "cache")],
+        capture_output=True,
+        text=True,
+        check=True,
+        env=env,
+        timeout=300,
+    )
+    report = json.loads(out.stdout.strip().splitlines()[-1])
+    assert not report["networkx_on_import"], (
+        "importing the figure path loaded networkx; only "
+        "GraphWalkCellChooser may import it, and only when built"
+    )
+    assert report["imported_by_sweeps"] == [], (
+        "a sweep imported modules inside its timed cells; load them with "
+        "the package that uses them: " + ", ".join(report["imported_by_sweeps"])
+    )
+    assert len(report["zoo"]) >= 8
+    assert report["cells"] == [4, 2]
+    assert report["errors"] == [0, 0]
+    # The graph chooser still builds: on its default cycle every
+    # switch moves to a neighbouring cell.
+    assert report["graph_switches"] > 100
+    n_mss = report["graph_n_mss"]
+    assert set(report["graph_steps"]) <= {1, n_mss - 1}
