@@ -14,9 +14,9 @@ the one sanctioned raw call site outside the engine, allowlisted by
 ``tests/test_import_contracts.py``).
 
 Besides the pytest-benchmark timings, the headline engine numbers
-(fused-replay and vectorized-replay speedups, multi-seed batch
-speedup, engine overhead, trace-cache speedup, the fresh-trace cell,
-the figure path's cold-start import) are appended to
+(fused-replay and vectorized-replay speedups, engine overhead,
+trace-cache speedup, the fresh-trace cell, the figure path's
+cold-start import) are appended to
 ``BENCH_engine.json`` in the working directory so CI can archive the
 trend without parsing benchmark output -- and gate
 ``vectorized_ms``, ``disk_hit_ms``, ``save_ms``, ``generate_ms`` and
@@ -25,6 +25,7 @@ trend without parsing benchmark output -- and gate
 
 import json
 import os
+import statistics
 import subprocess
 import sys
 import time
@@ -48,6 +49,9 @@ BENCH_JSON = os.environ.get("REPRO_BENCH_ENGINE_JSON", "BENCH_engine.json")
 
 #: Rounds of the few-ms disk-tier timings (``save_ms``, ``disk_hit_ms``).
 CACHE_ROUNDS = 15
+
+#: Interleaved raw/engine rounds of ``test_engine_overhead``.
+OVERHEAD_ROUNDS = 21
 
 
 def _record(case: str, payload: dict) -> None:
@@ -182,68 +186,19 @@ def test_fused_replay_speedup(benchmark):
     )
 
 
-def test_vectorized_batch_speedup(benchmark):
-    """Batching N seeds into one row-block grid must beat N sequential
-    fused passes: the per-pass numpy overheads (lowering, closure,
-    kernel launches) amortize across the batch."""
-    from repro.engine import execute_batch
-
-    seeds = tuple(range(8))
-    configs = [WorkloadConfig(sim_time=4000.0, seed=s) for s in seeds]
-    traces = {s: generate_trace(c) for s, c in zip(seeds, configs)}
-    for trace in traces.values():
-        trace.compiled()
-
-    fused_specs = [
-        RunSpec(
-            protocols=PAPER_PROTOCOLS, trace=traces[s], engine="fused",
-            counters_only=True,
-        )
-        for s in seeds
-    ]
-    vec_specs = [
-        RunSpec(
-            protocols=PAPER_PROTOCOLS, trace=traces[s], engine="vectorized",
-            counters_only=True,
-        )
-        for s in seeds
-    ]
-
-    seq_time, seq_results = _best(
-        lambda: [execute(s) for s in fused_specs], rounds=3
-    )
-    batch_time, batch_results = benchmark.pedantic(
-        lambda: _best(lambda: execute_batch(vec_specs), rounds=3),
-        rounds=1, iterations=1,
-    )
-    for seq, bat in zip(seq_results, batch_results):
-        for ref, got in zip(seq.outcomes, bat.outcomes):
-            assert ref.metrics.stats.n_total == got.metrics.stats.n_total
-    speedup = seq_time / batch_time
-    payload = {
-        "n_seeds": len(seeds),
-        "sequential_fused_ms": round(seq_time * 1e3, 2),
-        "batch_ms": round(batch_time * 1e3, 2),
-        "batch_speedup": round(speedup, 2),
-    }
-    benchmark.extra_info.update(payload)
-    _record("vectorized_batch", payload)
-    assert speedup >= 1.1, (
-        f"batched vectorized replay only {speedup:.2f}x faster than "
-        f"{len(seeds)} sequential fused passes "
-        f"({batch_time*1e3:.1f}ms vs {seq_time*1e3:.1f}ms)"
-    )
-
-
 def test_engine_overhead(benchmark):
     """The engine layer is dispatch + bookkeeping only: a fused run
     through :func:`repro.engine.execute` must stay within a few percent
     of the raw :func:`~repro.core.replay.replay_fused` call it wraps.
     The two paths are timed interleaved (raw, engine, raw, engine, ...)
-    so load drift on the host hits both equally; the 10% gate is far
-    above plan-resolution cost but far below any real regression (an
-    accidental trace recompile or per-event observer work would be
-    2x+, not 1.1x)."""
+    and the gate reads the median of the per-round engine/raw ratios:
+    both calls of a round share the host's load at that moment, and the
+    median drops the rounds a load spike split unevenly.  (A ratio of
+    two best-of-N times, the earlier statistic, pairs minima from
+    different moments and swung from -13% to +28% on a shared 2-core
+    host.)  The 10% gate is far above plan-resolution cost but far
+    below any real regression (an accidental trace recompile or
+    per-event observer work would be 2x+, not 1.1x)."""
     cfg = WorkloadConfig(sim_time=4000.0, seed=0)
     trace = generate_trace(cfg)
     trace.compiled()
@@ -265,34 +220,38 @@ def test_engine_overhead(benchmark):
     def engined():
         return execute(spec)
 
-    def interleaved(rounds=11):
-        raw_best = engine_best = float("inf")
+    def interleaved(rounds=OVERHEAD_ROUNDS):
+        raw_times, engine_times = [], []
         raw_results = engine_result = None
         for _ in range(rounds):
             t0 = time.perf_counter()
             raw_results = raw()
-            raw_best = min(raw_best, time.perf_counter() - t0)
+            raw_times.append(time.perf_counter() - t0)
             t0 = time.perf_counter()
             engine_result = engined()
-            engine_best = min(engine_best, time.perf_counter() - t0)
-        return raw_best, raw_results, engine_best, engine_result
+            engine_times.append(time.perf_counter() - t0)
+        return raw_times, raw_results, engine_times, engine_result
 
-    raw_time, raw_results, engine_time, engine_result = benchmark.pedantic(
+    raw_times, raw_results, engine_times, engine_result = benchmark.pedantic(
         interleaved, rounds=1, iterations=1
     )
     for rr, outcome in zip(raw_results, engine_result.outcomes):
         assert rr.metrics.stats.n_total == outcome.metrics.stats.n_total
-    overhead = engine_time / raw_time - 1.0
+    overhead = statistics.median(
+        e / r for e, r in zip(engine_times, raw_times)
+    ) - 1.0
     payload = {
-        "raw_fused_ms": round(raw_time * 1e3, 2),
-        "engine_fused_ms": round(engine_time * 1e3, 2),
+        "raw_fused_ms": round(min(raw_times) * 1e3, 2),
+        "engine_fused_ms": round(min(engine_times) * 1e3, 2),
         "overhead_pct": round(100 * overhead, 2),
+        "rounds": len(raw_times),
     }
     benchmark.extra_info.update(payload)
     _record("engine_overhead", payload)
-    assert engine_time <= raw_time * 1.10, (
-        f"engine adds {100*overhead:.1f}% over raw replay_fused "
-        f"({engine_time*1e3:.2f}ms vs {raw_time*1e3:.2f}ms)"
+    assert overhead <= 0.10, (
+        f"engine adds {100*overhead:.1f}% over raw replay_fused (median "
+        f"of {len(raw_times)} paired rounds; best {min(engine_times)*1e3:.2f}"
+        f"ms vs {min(raw_times)*1e3:.2f}ms)"
     )
 
 

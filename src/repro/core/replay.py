@@ -29,7 +29,7 @@ a reference replay.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.core import compiled as _compiled
 from repro.core.metrics import CheckpointStats, ProtocolRunMetrics
@@ -234,64 +234,12 @@ def replay_vectorized(
         _require_kernel(protocol)
     vt = vectorized_trace(trace)
     for protocol in protocols:
-        type(protocol).vectorized_replay(vt, [protocol])
+        type(protocol).vectorized_replay(vt, protocol)
 
-    vt0 = vt.blocks[0]
     return [
         ReplayResult(
             protocol=p,
-            metrics=_run_metrics(trace, p, vt0.n_sends, vt0.n_receives, seed),
+            metrics=_run_metrics(trace, p, vt.n_sends, vt.n_receives, seed),
         )
         for p in protocols
     ]
-
-
-def replay_vectorized_batch(
-    traces: Sequence[Trace],
-    factories: Sequence[Callable[[], CheckpointingProtocol]],
-    seeds: Optional[Sequence[Optional[int]]] = None,
-) -> list[list[ReplayResult]]:
-    """Replay *several traces* through fresh instances of each protocol
-    in one row-block batch: all traces become blocks of a single
-    :class:`~repro.core.vectorized.VectorizedTrace` and every
-    protocol's kernel runs once over the whole grid.
-
-    Returns one result row per trace (each a list parallel to
-    *factories*), exactly as ``[replay_vectorized(t, ...) for t in
-    traces]`` would -- but with the per-pass numpy overheads amortized
-    across the batch.  *seeds* (one per trace) is threaded into each
-    row's metrics like :func:`replay`'s *seed*: a None entry, or no
-    list at all, falls back to that trace's ``meta["seed"]``.
-    """
-    from repro.core.vectorized import VectorizedTrace
-
-    grid = [[factory() for _ in traces] for factory in factories]
-    for instances in grid:
-        for trace, protocol in zip(traces, instances):
-            _check_replayable(trace, protocol)
-            _require_kernel(protocol)
-    vt = VectorizedTrace.from_traces(traces)
-    for instances in grid:
-        type(instances[0]).vectorized_replay(vt, instances)
-    if seeds is None:
-        seeds = [None] * len(traces)
-    results: list[list[ReplayResult]] = []
-    for b, (trace, seed) in enumerate(zip(traces, seeds)):
-        block = vt.blocks[b]
-        results.append(
-            [
-                ReplayResult(
-                    protocol=instances[b],
-                    metrics=_run_metrics(
-                        trace,
-                        instances[b],
-                        block.n_sends,
-                        block.n_receives,
-                        seed,
-                    ),
-                )
-                for instances in grid
-            ]
-        )
-    return results
-

@@ -10,15 +10,9 @@ checkpoint rules run as *batch kernels* -- segmented scans and boolean
 masks over whole columns (see the ``vectorized_replay`` classmethods in
 :mod:`repro.protocols`).
 
-Row-block batching
-------------------
-
-A :class:`VectorizedTrace` is built from one or *several* traces at
-once ("blocks", e.g. one per seed or sweep point, keyed by the
-content-addressed trace cache).  Blocks are laid out as consecutive
-row blocks of the same concatenated arrays -- segment ``b * n_hosts +
-h`` holds host *h* of block *b* -- so one kernel invocation replays a
-whole (point, seed) grid: batching adds segments, not passes.
+A :class:`VectorizedTrace` holds one trace: segment *h* is host *h*'s
+time-ordered event stream, and one kernel invocation fills one
+protocol instance.
 
 The causality fixpoint
 ----------------------
@@ -56,7 +50,7 @@ basic triggers plus one segmented scan; see
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 from repro.core import compiled as _compiled
 from repro.core.compiled import array_columns
@@ -90,8 +84,8 @@ def seg_cumsum(values, starts):
 
 def seg_scan(values, starts, ufunc):
     """Per-segment inclusive ``ufunc.accumulate`` (along axis 0 for 2-D
-    values).  Segment count is small (hosts x blocks), so a
-    per-segment accumulate loop beats any branch-free encoding."""
+    values).  Segment count is small (one per host), so a per-segment
+    accumulate loop beats any branch-free encoding."""
     import numpy as np  # noqa: F401 - callers pass numpy ufuncs
 
     out = np.empty_like(values)
@@ -178,7 +172,7 @@ class _Subset:
 
     ``idx`` holds positions in the *permuted* event domain, ``starts``
     the segment boundaries within these arrays (length
-    ``n_segments + 1``).
+    ``n_hosts + 1``).
     """
 
     idx: "np.ndarray"  # noqa: F821 - numpy imported lazily
@@ -189,30 +183,22 @@ class _Subset:
 
 @dataclass(slots=True, frozen=True)
 class VectorizedTrace:
-    """One or more traces lowered to per-host segmented numpy columns.
+    """One trace lowered to per-host segmented numpy columns.
 
-    Events of all blocks are concatenated and stably permuted into
-    segment-major order: segment ``b * n_hosts + h`` is the time-ordered
-    event stream of host *h* in block *b*, a contiguous slice
-    ``[seg_starts[s], seg_starts[s+1])`` of every permuted column.
+    Events are stably permuted into segment-major order: segment *h*
+    is the time-ordered event stream of host *h*, a contiguous slice
+    ``[seg_starts[h], seg_starts[h+1])`` of every permuted column.
     ``perm`` maps a permuted position back to the event's position in
-    the concatenated original order (block offsets included) -- the
-    total order checkpoint logs are materialized in.
-
-    Send slots are globally renumbered across blocks (block *b*'s slots
-    shifted by the preceding blocks' send counts), so one flat
-    piggyback array serves the whole batch.
+    the trace -- the total order checkpoint logs are materialized in.
     """
 
-    blocks: tuple
-    n_blocks: int
     n_hosts: int
-    n_segments: int
     n_events: int
     n_sends: int
-    #: Permuted position -> concatenated original event position.
+    n_receives: int
+    #: Permuted position -> original event position.
     perm: "np.ndarray"  # noqa: F821
-    #: Segment id of each permuted position (sorted, block-major).
+    #: Segment (host) id of each permuted position (sorted).
     seg_p: "np.ndarray"  # noqa: F821
     etype_p: "np.ndarray"  # noqa: F821
     time_p: "np.ndarray"  # noqa: F821
@@ -243,54 +229,20 @@ class VectorizedTrace:
 
     # -- construction ------------------------------------------------------
     @classmethod
-    def from_traces(cls, traces: Sequence[Trace]) -> "VectorizedTrace":
-        """Partition *traces* into one segment-major row-block layout."""
+    def from_trace(cls, trace: Trace) -> "VectorizedTrace":
+        """Partition *trace* into its segment-major layout."""
         import numpy as np
 
-        if not traces:
-            raise ValueError("need at least one trace")
-        blocks = tuple(array_columns(t) for t in traces)
-        n_hosts = blocks[0].n_hosts
-        for b in blocks[1:]:
-            if b.n_hosts != n_hosts:
-                raise ValueError(
-                    "all batched traces must share n_hosts "
-                    f"({n_hosts} vs {b.n_hosts})"
-                )
-        n_blocks = len(blocks)
-        n_segments = n_blocks * n_hosts
-
-        if n_blocks == 1:
-            (b0,) = blocks
-            etype, time, cell, slot = b0.etype, b0.time, b0.cell, b0.slot
-            seg = b0.host
-        else:
-            etype = np.concatenate([b.etype for b in blocks])
-            time = np.concatenate([b.time for b in blocks])
-            cell = np.concatenate([b.cell for b in blocks])
-            seg = np.concatenate(
-                [b.host + i * n_hosts for i, b in enumerate(blocks)]
-            )
-            slot_off = [0]
-            for b in blocks[:-1]:
-                slot_off.append(slot_off[-1] + b.n_sends)
-            slot = np.concatenate(
-                [
-                    np.where(b.slot >= 0, b.slot + off, -1)
-                    for b, off in zip(blocks, slot_off)
-                ]
-            )
-        n_events = int(etype.shape[0])
-        n_sends = int(sum(b.n_sends for b in blocks))
-
-        perm = np.argsort(seg, kind="stable")
-        seg_p = seg[perm]
-        etype_p = etype[perm]
-        time_p = time[perm]
-        cell_p = cell[perm]
-        slot_p = slot[perm]
+        cols = array_columns(trace)
+        n_hosts = cols.n_hosts
+        perm = np.argsort(cols.host, kind="stable")
+        seg_p = cols.host[perm]
+        etype_p = cols.etype[perm]
+        time_p = cols.time[perm]
+        cell_p = cols.cell[perm]
+        slot_p = cols.slot[perm]
         seg_starts = np.concatenate(
-            ([0], np.cumsum(np.bincount(seg_p, minlength=n_segments)))
+            ([0], np.cumsum(np.bincount(seg_p, minlength=n_hosts)))
         )
         ev_lengths = np.diff(seg_starts)
 
@@ -306,7 +258,7 @@ class VectorizedTrace:
 
         def subset(mask, with_slot=False):
             idx = np.flatnonzero(mask)
-            counts = np.bincount(seg_p[idx], minlength=n_segments)
+            counts = np.bincount(seg_p[idx], minlength=n_hosts)
             starts = np.concatenate(([0], np.cumsum(counts)))
             return _Subset(
                 idx=idx,
@@ -327,12 +279,10 @@ class VectorizedTrace:
         change = subset(is_change)
 
         return cls(
-            blocks=blocks,
-            n_blocks=n_blocks,
             n_hosts=n_hosts,
-            n_segments=n_segments,
-            n_events=n_events,
-            n_sends=n_sends,
+            n_events=int(etype_p.shape[0]),
+            n_sends=cols.n_sends,
+            n_receives=cols.n_receives,
             perm=perm,
             seg_p=seg_p,
             etype_p=etype_p,
@@ -357,18 +307,12 @@ class VectorizedTrace:
         """Segment id of every entry of *sub*."""
         return self.seg_p[sub.idx]
 
-    def block_bounds(self, sub: _Subset, block: int) -> "tuple[int, int]":
-        """Slice bounds of *sub*'s arrays belonging to *block*."""
-        lo = int(sub.starts[block * self.n_hosts])
-        hi = int(sub.starts[(block + 1) * self.n_hosts])
-        return lo, hi
-
     def seg_last(self, values, sub: _Subset, fill):
         """Per segment: last entry of *values* (aligned with *sub*), or
         *fill* for segments without such events."""
         import numpy as np
 
-        out = np.full(self.n_segments, fill, dtype=values.dtype)
+        out = np.full(self.n_hosts, fill, dtype=values.dtype)
         ends = sub.starts[1:]
         nonempty = ends > sub.starts[:-1]
         out[nonempty] = values[ends[nonempty] - 1]
@@ -376,11 +320,11 @@ class VectorizedTrace:
 
 
 def vectorized_trace(trace: Trace) -> VectorizedTrace:
-    """Single-block :class:`VectorizedTrace` of *trace*, cached on the
-    instance like :meth:`Trace.compiled` (keyed on the event count)."""
+    """The :class:`VectorizedTrace` of *trace*, cached on the instance
+    like :meth:`Trace.compiled` (keyed on the event count)."""
     vt = trace.cached_lowering("_vectorized_cache")
     if vt is None:
-        vt = VectorizedTrace.from_traces([trace])
+        vt = VectorizedTrace.from_trace(trace)
         trace._vectorized_cache = (len(trace), vt)
     return vt
 
@@ -400,7 +344,7 @@ class _MaskClosure:
     position order, the receive positions where a source's bit first
     arrives **via a message**; ``t_*`` additionally includes each
     source's instant arrival at its own host.  ``*_starts`` are
-    segment boundaries (length ``n_segments + 1``).
+    segment boundaries (length ``n_hosts + 1``).
     """
 
     n_sources: int
@@ -432,24 +376,13 @@ def mask_closure(vt: VectorizedTrace) -> _MaskClosure:
     recv, send, basic = vt.recv, vt.send, vt.basic
     nb = int(basic.idx.shape[0])
     src_ids = np.arange(nb, dtype=np.int64)
-
-    # Bits are allocated per block: sources can never cross blocks
-    # (separate traces), so block-local bit positions keep the word
-    # count at the densest single block instead of growing with the
-    # batch.  A block-local bit maps back to source id
-    # ``block_base[block] + bit``.
-    seg_of_basic = vt.seg_p[basic.idx]
-    block_of_basic = seg_of_basic // vt.n_hosts
-    nb_block = np.bincount(block_of_basic, minlength=vt.n_blocks)
-    block_base = np.concatenate(([0], np.cumsum(nb_block)))
-    local = src_ids - block_base[block_of_basic]
-    n_words = max(1, -(-int(nb_block.max(initial=0)) // 64))
+    n_words = max(1, -(-nb // 64))
 
     # Cumulative own-source masks along each segment, sampled at sends.
     own_ev = np.zeros((vt.n_events, n_words), dtype=np.uint64)
     if nb:
-        own_ev[basic.idx, local // 64] = np.uint64(1) << (
-            local % 64
+        own_ev[basic.idx, src_ids // 64] = np.uint64(1) << (
+            src_ids % 64
         ).astype(np.uint64)
     own_cum = seg_scan(own_ev, vt.seg_starts, np.bitwise_or)
     own_at_send = own_cum[send.idx]
@@ -477,7 +410,6 @@ def mask_closure(vt: VectorizedTrace) -> _MaskClosure:
     # extraction is O(arrivals), not O(events).
     fresh = rm_incl & ~seg_shift(rm_incl, recv.starts, 0)
     seg_of_recv = vt.seg_p[recv.idx]
-    block_base_l = block_base.tolist()
     a_pos: list = []
     a_src: list = []
     a_row: list = []
@@ -486,10 +418,9 @@ def mask_closure(vt: VectorizedTrace) -> _MaskClosure:
         for r in np.flatnonzero(fresh.any(axis=1)).tolist():
             p = int(recv.idx[r])
             s = int(seg_of_recv[r])
-            src0 = block_base_l[s // vt.n_hosts]
             for w in range(n_words):
                 v = int(fresh[r, w])
-                base = src0 + (w << 6)
+                base = w << 6
                 while v:
                     low = v & -v
                     a_pos.append(p)
@@ -505,7 +436,7 @@ def mask_closure(vt: VectorizedTrace) -> _MaskClosure:
         rarr_row=np.asarray(a_row, dtype=np.int64),
         rarr_seg=rarr_seg,
         rarr_starts=np.concatenate(
-            ([0], np.cumsum(np.bincount(rarr_seg, minlength=vt.n_segments)))
+            ([0], np.cumsum(np.bincount(rarr_seg, minlength=vt.n_hosts)))
         ),
     )
     vt.scratch["mask_closure"] = clo
@@ -623,8 +554,8 @@ def index_trajectory(vt: VectorizedTrace, qbc: bool) -> IndexTrajectory:
     sn_after: list = [0] * nb
     armed_l: list = [False] * nb
     rn_l: list = [0] * nb
-    sn_seg = [0] * vt.n_segments
-    rn_seg = [-1] * vt.n_segments
+    sn_seg = [0] * vt.n_hosts
+    rn_seg = [-1] * vt.n_hosts
     jump_s: list = []
     jump_r: list = []
     jump_v: list = []
@@ -698,7 +629,7 @@ def index_trajectory(vt: VectorizedTrace, qbc: bool) -> IndexTrajectory:
         jump_seg=jump_seg,
         jump_row=jump_row,
         jump_index=jump_index,
-        n_jump_seg=np.bincount(jump_seg, minlength=vt.n_segments),
+        n_jump_seg=np.bincount(jump_seg, minlength=vt.n_hosts),
         sn_final=sn_final,
         rn_final=rn_final,
     )

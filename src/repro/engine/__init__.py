@@ -30,7 +30,6 @@ from repro.engine.engines import (
     RunResult,
     engine_for,
     execute,
-    execute_batch,
 )
 from repro.engine.errors import (
     CapabilityError,
@@ -107,7 +106,6 @@ __all__ = [
     "discover_plugins",
     "engine_for",
     "execute",
-    "execute_batch",
     "known_names",
     "known_protocols",
     "plan",

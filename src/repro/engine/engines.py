@@ -1,7 +1,7 @@
 """The two execution engines behind one interface.
 
 Every way this repository evaluates a protocol -- reference replay,
-fused single-pass replay, vectorized batch kernels, online
+fused single-pass replay, vectorized numpy kernels, online
 discrete-event simulation (CIC protocols in the loop *and* the
 coordinated baselines) -- is an :class:`Engine` driving a validated
 :class:`~repro.engine.spec.ExecutionPlan`:
@@ -10,12 +10,10 @@ coordinated baselines) -- is an :class:`Engine` driving a validated
   in the pass they run over the shared schedule: ``reference`` (one
   :func:`repro.core.replay.replay` per protocol, the semantic
   baseline), ``fused`` (one compiled-trace pass,
-  :func:`repro.core.replay.replay_fused`) and ``vectorized`` (batch
-  kernels over array columns,
+  :func:`repro.core.replay.replay_fused`) and ``vectorized`` (numpy
+  kernels over the trace's array columns,
   :func:`repro.core.replay.replay_vectorized`, for protocols that
   declare ``vectorizable``).  All three are bit-identical.
-  :func:`execute_batch` extends the vectorized kind across several
-  specs at once (one row-block grid, one kernel pass per protocol).
 * :class:`OnlineEngine` -- :func:`repro.workload.driver.run_online`
   for replayable protocols that need checkpoint latency / GC
   modelling, :func:`repro.core.online.run_coordinated` for the
@@ -43,12 +41,7 @@ from functools import partial
 from typing import Optional, Union
 
 from repro.core.online import CoordinatedResult, run_coordinated
-from repro.core.replay import (
-    replay,
-    replay_fused,
-    replay_vectorized,
-    replay_vectorized_batch,
-)
+from repro.core.replay import replay, replay_fused, replay_vectorized
 from repro.engine.errors import PlanError
 from repro.engine.observers import ObserverError
 from repro.engine.spec import ExecutionPlan, RunSpec, plan as _plan
@@ -184,8 +177,7 @@ class Engine:
     ``run`` is a template method -- timing, span tracing, observer
     fan-out and result assembly live here; subclasses implement
     ``_execute`` and call ``_notify`` (``on_trace`` / ``on_outcome``)
-    as the run unfolds.  :func:`execute_batch` drives the same steps
-    (``_bind``, ``_start``, ``_finish``) for several plans at once.
+    as the run unfolds.
 
     Observer failure isolation: ``on_run_start`` exceptions propagate
     (nothing ran yet; the single-run reuse guards depend on failing
@@ -201,17 +193,6 @@ class Engine:
     def run(self, target: Union[ExecutionPlan, RunSpec]) -> RunResult:
         """Execute *target* (a plan, or a spec planned on the spot)."""
         p = _plan(target) if isinstance(target, RunSpec) else target
-        self._bind(p)
-        run_tags = {"engine": self.kind}
-        if p.spec.run_id:
-            run_tags["run_id"] = p.spec.run_id
-        with self._span("run", **run_tags):
-            self._start()
-            return self._finish(self._execute(p))
-
-    # -- run steps ---------------------------------------------------------
-    def _bind(self, p: ExecutionPlan) -> None:
-        """Attach *p* to this (single-use) engine and start the clock."""
         if p.engine_kind != self.kind:
             raise PlanError(
                 f"plan selected the {p.engine_kind!r} engine; "
@@ -220,34 +201,31 @@ class Engine:
         self._plan = p
         self._tracer = _find_tracer(p.observers)
         self._observer_errors: list[ObserverError] = []
-        self._started = time.perf_counter()
-
-    def _start(self) -> None:
-        for obs in self._plan.observers:
-            obs.on_run_start(self._plan)
-
-    def _finish(self, result: RunResult) -> RunResult:
-        """Stamp the wall time, notify ``on_run_end`` and record the
-        run's metrics."""
-        p = self._plan
-        result.wall_time_s = time.perf_counter() - self._started
-        result.observer_errors.extend(self._observer_errors)
-        for obs in p.observers:
-            with self._span(f"observer:{type(obs).__name__}"):
-                try:
-                    obs.on_run_end(p, result)
-                except Exception as exc:
-                    result.observer_errors.append(
-                        ObserverError(
-                            type(obs).__name__, "on_run_end", repr(exc)
-                        )
-                    )
+        started = time.perf_counter()
         # run_id labels only exist when the spec carries one (the
         # fleet-observability plane); unlabelled runs keep the exact
         # series/tag shapes they always had.
         labels = {"kind": self.kind}
+        run_tags = {"engine": self.kind}
         if p.spec.run_id:
             labels["run_id"] = p.spec.run_id
+            run_tags["run_id"] = p.spec.run_id
+        with self._span("run", **run_tags):
+            for obs in p.observers:
+                obs.on_run_start(p)
+            result = self._execute(p)
+            result.wall_time_s = time.perf_counter() - started
+            result.observer_errors.extend(self._observer_errors)
+            for obs in p.observers:
+                with self._span(f"observer:{type(obs).__name__}"):
+                    try:
+                        obs.on_run_end(p, result)
+                    except Exception as exc:
+                        result.observer_errors.append(
+                            ObserverError(
+                                type(obs).__name__, "on_run_end", repr(exc)
+                            )
+                        )
         reg = _metrics_registry()
         reg.counter("repro_engine_runs_total", **labels).inc()
         reg.histogram("repro_engine_run_seconds", **labels).observe(
@@ -284,14 +262,6 @@ class Engine:
                 )
 
 
-def _fresh_instance(entry, n_hosts: int, n_mss: int, counters_only: bool):
-    """A fresh instance of *entry* in the spec's logging mode."""
-    instance = entry.make(n_hosts, n_mss)
-    if counters_only:
-        instance.log_checkpoints = False
-    return instance
-
-
 #: Replay kind -> the pass driving all of a run's instances at once.
 #: The reference kind has no shared pass: it replays each instance
 #: alone (one ``replay`` span per protocol).
@@ -324,13 +294,17 @@ class ReplayEngine(Engine):
         self.kind = kind
 
     def _execute(self, p: ExecutionPlan) -> RunResult:
-        trace, source = self._acquire()
+        with self._span("trace-acquire") as sp:
+            trace, source = _acquire_trace(p.spec)
+            sp.tags["source"] = source
+        self._notify("on_trace", trace, source)
         seed = _resolve_seed(p.spec)
-        counters_only = p.spec.counters_only
-        instances = [
-            _fresh_instance(e, trace.n_hosts, trace.n_mss, counters_only)
-            for e in p.entries
-        ]
+        instances = []
+        for entry in p.entries:
+            instance = entry.make(trace.n_hosts, trace.n_mss)
+            if p.spec.counters_only:
+                instance.log_checkpoints = False
+            instances.append(instance)
         if self.kind == "reference":
             results = []
             for entry, instance in zip(p.entries, instances):
@@ -339,20 +313,8 @@ class ReplayEngine(Engine):
         else:
             with self._span(f"{self.kind}-pass", protocols=len(instances)):
                 results = _PASSES[self.kind](trace, instances, seed=seed)
-        return self._result(trace, source, seed, results)
-
-    def _acquire(self):
-        """(trace, source tier), announced to the observers."""
-        with self._span("trace-acquire") as sp:
-            trace, source = _acquire_trace(self._plan.spec)
-            sp.tags["source"] = source
-        self._notify("on_trace", trace, source)
-        return trace, source
-
-    def _result(self, trace, source, seed, results) -> RunResult:
-        """Wrap per-protocol replay results, notifying each outcome."""
         outcomes = []
-        for entry, rr in zip(self._plan.entries, results):
+        for entry, rr in zip(p.entries, results):
             outcome = ProtocolOutcome(
                 name=entry.name, protocol=rr.protocol, metrics=rr.metrics
             )
@@ -449,71 +411,3 @@ def execute(spec: Union[RunSpec, ExecutionPlan]) -> RunResult:
     """Plan (if needed) and run *spec* on the engine it selects."""
     p = _plan(spec) if isinstance(spec, RunSpec) else spec
     return engine_for(p.engine_kind).run(p)
-
-
-def execute_batch(specs) -> list[RunResult]:
-    """Run several replay specs as one vectorized row-block batch.
-
-    Each spec is planned individually (trace acquisition included, so
-    the content-addressed cache keys each point as usual), then all
-    traces become blocks of a single
-    :class:`~repro.core.vectorized.VectorizedTrace` and every
-    protocol's kernel runs once over the whole grid via
-    :func:`~repro.core.replay.replay_vectorized_batch`.  Returns one
-    :class:`RunResult` per spec, shaped exactly as
-    ``[execute(s) for s in specs]`` would produce.
-
-    Every plan must land on the vectorized engine and the specs must
-    agree on protocols, host counts and counters mode -- the batch is
-    one grid, not a scheduler.  Each spec gets its own vectorized
-    :class:`ReplayEngine`, so observers, error absorption and run
-    metrics behave as in a single run.
-    """
-    plans = [_plan(s) if isinstance(s, RunSpec) else s for s in specs]
-    if not plans:
-        return []
-    for p in plans:
-        if p.engine_kind != "vectorized":
-            raise PlanError(
-                f"execute_batch drives the vectorized engine only; spec "
-                f"planned to {p.engine_kind!r}"
-            )
-    names = plans[0].protocol_names
-    counters_only = plans[0].spec.counters_only
-    for p in plans[1:]:
-        if p.protocol_names != names:
-            raise PlanError(
-                "execute_batch specs must agree on protocols: "
-                f"{names} vs {p.protocol_names}"
-            )
-        if p.spec.counters_only != counters_only:
-            raise PlanError(
-                "execute_batch specs must agree on counters_only"
-            )
-
-    engines = [ReplayEngine("vectorized") for _ in plans]
-    for engine, p in zip(engines, plans):
-        engine._bind(p)
-        engine._start()
-    acquired = [engine._acquire() for engine in engines]
-    dims = {(t.n_hosts, t.n_mss) for t, _ in acquired}
-    if len(dims) != 1:
-        raise PlanError(
-            f"execute_batch traces must share (n_hosts, n_mss); got {sorted(dims)}"
-        )
-    (n_hosts, n_mss), = dims
-    seeds = [_resolve_seed(p.spec) for p in plans]
-    grid = replay_vectorized_batch(
-        [t for t, _ in acquired],
-        [
-            partial(_fresh_instance, e, n_hosts, n_mss, counters_only)
-            for e in plans[0].entries
-        ],
-        seeds=seeds,
-    )
-    return [
-        engine._finish(engine._result(trace, source, seed, row))
-        for engine, (trace, source), seed, row in zip(
-            engines, acquired, seeds, grid
-        )
-    ]

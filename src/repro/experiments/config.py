@@ -67,12 +67,13 @@ class SweepConfig:
         variable when set).
     audit:
         Run the invariant audit (:mod:`repro.obs.audit`) on every
-        (point, seed) task: reference-vs-fused counter equivalence,
-        counter/log consistency, index monotonicity and the
-        recovery-line orphan oracle.  Violations are collected into
+        (point, seed) task: the run's own engine checked against a
+        reference replay (``engine-divergence``), counter/log
+        consistency, index monotonicity and the recovery-line orphan
+        oracle.  Violations are collected into
         :attr:`~repro.experiments.runner.SweepResult.violations`.
-        Costs roughly one extra reference replay plus one annotated
-        replay per protocol per task; off by default.
+        Costs roughly one extra annotated reference replay per
+        protocol per task; off by default.
     telemetry_path:
         When set, the sweep's per-task telemetry records
         (:class:`repro.obs.telemetry.TaskTelemetry`) are written there

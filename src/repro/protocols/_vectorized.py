@@ -2,15 +2,15 @@
 
 Each replayable protocol family gets one kernel here, built on the
 segmented primitives of :mod:`repro.core.vectorized`.  A kernel
-receives a :class:`~repro.core.vectorized.VectorizedTrace` (one or more
-trace blocks) plus one fresh protocol instance per block, and must
-leave every instance in *exactly* the state the reference per-event
-replay would: counters, per-host live variables and -- when
-``log_checkpoints`` is on -- the checkpoint log, record for record.
+receives a :class:`~repro.core.vectorized.VectorizedTrace` plus one
+fresh protocol instance, and must leave the instance in *exactly* the
+state the reference per-event replay would: counters, per-host live
+variables and -- when ``log_checkpoints`` is on -- the checkpoint log,
+record for record.
 
 The kernels therefore split cleanly in two:
 
-* **solve** -- numpy passes over the whole batch (segmented cummax,
+* **solve** -- numpy passes over the whole trace (segmented cummax,
   boolean placement masks, the piggyback fixpoint where causality
   demands it);
 * **materialize** -- walk the solved checkpoint placements (orders of
@@ -18,7 +18,7 @@ The kernels therefore split cleanly in two:
   :meth:`~repro.protocols.base.CheckpointingProtocol.take` /
   ``rename_last``, which guarantees counter/log/storage semantics
   can never drift from the base class.  In counters-only mode the
-  walk is skipped and the counters are assigned from per-segment
+  walk is skipped and the counters are assigned from per-host
   tallies directly.
 
 Protocols import this module, never the other way around; the engine
@@ -54,86 +54,69 @@ _FLAVORS = {
 # BCS / QBC / BCS-NS / QBC-NS
 # ---------------------------------------------------------------------------
 
-def index_family_replay(vt: VectorizedTrace, instances, flavor: str) -> None:
-    """Replay one index-family protocol over every block of *vt*."""
+def index_family_replay(vt: VectorizedTrace, inst, flavor: str) -> None:
+    """Replay one index-family protocol over *vt* into *inst*."""
     import numpy as np
 
     qbc, nosend = _FLAVORS[flavor]
     traj = index_trajectory(vt, qbc)
     basic = vt.basic
-    n_hosts = vt.n_hosts
 
+    inst.sn = traj.sn_final.tolist()
+    if qbc:
+        inst.rn = traj.rn_final.tolist()
     if nosend:
         jump_forced = nosend_classification(vt, traj)
-        n_forced_seg = np.bincount(
-            traj.jump_seg[jump_forced], minlength=vt.n_segments
-        )
-        n_renamed_seg = traj.n_jump_seg - n_forced_seg
-    else:
-        # Without the no-send rule every jump is a forced take.
-        jump_forced = None
-        n_forced_seg = traj.n_jump_seg
-        n_renamed_seg = None
-    n_basic_seg = np.diff(basic.starts)
-    if qbc:
-        n_replaced_seg = seg_counts(~traj.armed, basic.starts)
-    else:
-        n_replaced_seg = np.zeros(vt.n_segments, dtype=np.int64)
-
-    if nosend:
         # Final sent-since-checkpoint flag: a send after the last
         # flag-clearing event (basic trigger or forced jump).
         sp_end = vt.seg_last(vt.send.idx, vt.send, -1)
         reset_end = vt.seg_last(basic.idx, basic, -1)
-        fp_end = np.full(vt.n_segments, -1, dtype=np.int64)
+        fp_end = np.full(vt.n_hosts, -1, dtype=np.int64)
         if jump_forced.any():
             np.maximum.at(
                 fp_end,
                 traj.jump_seg[jump_forced],
                 vt.recv.idx[traj.jump_row[jump_forced]],
             )
-        sent_flag = sp_end > np.maximum(reset_end, fp_end)
+        inst.sent_since_ckpt = (
+            sp_end > np.maximum(reset_end, fp_end)
+        ).tolist()
+    else:
+        jump_forced = None
 
-    for b, inst in enumerate(instances):
-        lo_s, hi_s = b * n_hosts, (b + 1) * n_hosts
-        sn_final = traj.sn_final[lo_s:hi_s]
-        inst.sn = sn_final.tolist()
-        if qbc:
-            inst.rn = traj.rn_final[lo_s:hi_s].tolist()
-        if nosend:
-            inst.sent_since_ckpt = sent_flag[lo_s:hi_s].tolist()
-        if inst.log_checkpoints:
-            _materialize_index_family(
-                vt, inst, traj, b, qbc, nosend, jump_forced
-            )
-        else:
-            inst.n_basic += int(n_basic_seg[lo_s:hi_s].sum())
-            inst.n_forced += int(n_forced_seg[lo_s:hi_s].sum())
-            if n_renamed_seg is not None:
-                inst.n_renamed += int(n_renamed_seg[lo_s:hi_s].sum())
-            inst.n_replaced += int(n_replaced_seg[lo_s:hi_s].sum())
-            per_host = (n_basic_seg + n_forced_seg)[lo_s:hi_s]
-            for h in range(n_hosts):
-                inst.per_host_total[h] += int(per_host[h])
-                inst.last_index[h] = int(sn_final[h])
+    if inst.log_checkpoints:
+        _materialize_index_family(vt, inst, traj, qbc, nosend, jump_forced)
+        return
+    if nosend:
+        n_forced_seg = np.bincount(
+            traj.jump_seg[jump_forced], minlength=vt.n_hosts
+        )
+        inst.n_renamed += int((traj.n_jump_seg - n_forced_seg).sum())
+    else:
+        # Without the no-send rule every jump is a forced take.
+        n_forced_seg = traj.n_jump_seg
+    n_basic_seg = np.diff(basic.starts)
+    inst.n_basic += int(n_basic_seg.sum())
+    inst.n_forced += int(n_forced_seg.sum())
+    if qbc:
+        inst.n_replaced += int(seg_counts(~traj.armed, basic.starts).sum())
+    per_host = n_basic_seg + n_forced_seg
+    for h in range(vt.n_hosts):
+        inst.per_host_total[h] += int(per_host[h])
+        inst.last_index[h] = int(traj.sn_final[h])
 
 
-def _materialize_index_family(vt, inst, traj, block, qbc, nosend, jump_forced):
-    """Apply one block's solved checkpoints through take()/rename_last()
-    in original event order."""
-    import numpy as np
-
-    n_hosts = vt.n_hosts
+def _materialize_index_family(vt, inst, traj, qbc, nosend, jump_forced):
+    """Apply the solved checkpoints through take()/rename_last() in
+    original event order."""
     ops = []  # (original position, kind, host, index, time, *extras)
 
-    lo, hi = vt.block_bounds(vt.basic, block)
-    sl = slice(lo, hi)
-    b_pos = vt.perm[vt.basic.idx[sl]].tolist()
-    b_host = (vt.seg_p[vt.basic.idx[sl]] % n_hosts).tolist()
-    b_time = vt.basic.time[sl].tolist()
-    b_index = traj.sn_after_basic[sl].tolist()
-    b_armed = traj.armed[sl].tolist()
-    b_rn = traj.rn_at_basic[sl].tolist()
+    b_pos = vt.perm[vt.basic.idx].tolist()
+    b_host = vt.seg_p[vt.basic.idx].tolist()
+    b_time = vt.basic.time.tolist()
+    b_index = traj.sn_after_basic.tolist()
+    b_armed = traj.armed.tolist()
+    b_rn = traj.rn_at_basic.tolist()
     for k in range(len(b_pos)):
         if qbc:
             md = {"rn": b_rn[k]}
@@ -149,17 +132,12 @@ def _materialize_index_family(vt, inst, traj, block, qbc, nosend, jump_forced):
              replaced, md)
         )
 
-    # Jump arrays are segment-major, so one block is a contiguous span.
-    jlo = int(np.searchsorted(traj.jump_seg, block * n_hosts))
-    jhi = int(np.searchsorted(traj.jump_seg, (block + 1) * n_hosts))
-    rows = traj.jump_row[jlo:jhi]
+    rows = traj.jump_row
     j_pos = vt.perm[vt.recv.idx[rows]].tolist()
-    j_host = (traj.jump_seg[jlo:jhi] % n_hosts).tolist()
+    j_host = traj.jump_seg.tolist()
     j_time = vt.recv.time[rows].tolist()
-    j_index = traj.jump_index[jlo:jhi].tolist()
-    j_forced = (
-        jump_forced[jlo:jhi].tolist() if nosend else [True] * len(j_pos)
-    )
+    j_index = traj.jump_index.tolist()
+    j_forced = jump_forced.tolist() if nosend else [True] * len(j_pos)
     for k in range(len(j_pos)):
         if not j_forced[k]:
             ops.append(
@@ -189,8 +167,8 @@ def _materialize_index_family(vt, inst, traj, block, qbc, nosend, jump_forced):
 # UNC (periodic independent checkpointing)
 # ---------------------------------------------------------------------------
 
-def unc_replay(vt: VectorizedTrace, instances) -> None:
-    """Replay the uncoordinated baseline over every block of *vt*.
+def unc_replay(vt: VectorizedTrace, inst) -> None:
+    """Replay the uncoordinated baseline over *vt* into *inst*.
 
     No piggybacks, so no fixpoint: per host, the next checkpoint is
     whichever comes first of the next basic trigger and the first
@@ -198,72 +176,68 @@ def unc_replay(vt: VectorizedTrace, instances) -> None:
     walk advances checkpoint-to-checkpoint (bisecting the message-time
     list), so it is O(checkpoints log events), not O(events).
     """
-    n_hosts = vt.n_hosts
     basic, msg = vt.basic, vt.msg
-
-    for b, inst in enumerate(instances):
-        period = inst.period
-        logging = inst.log_checkpoints
-        ops = []
-        for h in range(n_hosts):
-            s = b * n_hosts + h
-            b_lo, b_hi = int(basic.starts[s]), int(basic.starts[s + 1])
-            m_lo, m_hi = int(msg.starts[s]), int(msg.starts[s + 1])
-            b_pos = basic.idx[b_lo:b_hi].tolist()
-            b_time = basic.time[b_lo:b_hi].tolist()
-            m_pos = msg.idx[m_lo:m_hi].tolist()
-            m_time = msg.time[m_lo:m_hi].tolist()
-            t_last = inst._last_ckpt_time[h]
-            count = inst.count[h]
-            taken = 0
-            ib, im = 0, 0
-            nb, nm = len(b_pos), len(m_time)
-            while True:
-                # First message event from im that the reference
-                # predicate (now - t_last >= period) accepts.  Bisect on
-                # t_last + period lands within rounding of the exact
-                # boundary; the predicate is monotone in the event time,
-                # so a local adjustment recovers bit-exactness.
-                k = bisect_left(m_time, t_last + period, im)
-                while k > im and m_time[k - 1] - t_last >= period:
-                    k -= 1
-                while k < nm and m_time[k] - t_last < period:
-                    k += 1
-                bpos = b_pos[ib] if ib < nb else None
-                mpos = m_pos[k] if k < nm else None
-                if bpos is None and mpos is None:
-                    break
-                if mpos is None or (bpos is not None and bpos < mpos):
-                    pos, now = bpos, b_time[ib]
-                    ib += 1
-                else:
-                    pos, now = mpos, m_time[k]
-                if logging:
-                    # Sort key is the *original* event position -- the
-                    # subsets hold permuted (segment-major) positions.
-                    ops.append((int(vt.perm[pos]), h, count, now))
-                count += 1
-                taken += 1
-                t_last = now
-                im = bisect_right(m_pos, pos)
-            inst.count[h] = count
-            inst._last_ckpt_time[h] = t_last
-            if not logging:
-                inst.n_basic += taken
-                inst.per_host_total[h] += taken
-                inst.last_index[h] = count - 1
-        if logging:
-            ops.sort(key=lambda op: op[0])
-            for _, host, index, now in ops:
-                inst.take(host, index, "basic", now)
+    period = inst.period
+    logging = inst.log_checkpoints
+    ops = []
+    for h in range(vt.n_hosts):
+        b_lo, b_hi = int(basic.starts[h]), int(basic.starts[h + 1])
+        m_lo, m_hi = int(msg.starts[h]), int(msg.starts[h + 1])
+        b_pos = basic.idx[b_lo:b_hi].tolist()
+        b_time = basic.time[b_lo:b_hi].tolist()
+        m_pos = msg.idx[m_lo:m_hi].tolist()
+        m_time = msg.time[m_lo:m_hi].tolist()
+        t_last = inst._last_ckpt_time[h]
+        count = inst.count[h]
+        taken = 0
+        ib, im = 0, 0
+        nb, nm = len(b_pos), len(m_time)
+        while True:
+            # First message event from im that the reference predicate
+            # (now - t_last >= period) accepts.  Bisect on t_last +
+            # period lands within rounding of the exact boundary; the
+            # predicate is monotone in the event time, so a local
+            # adjustment recovers bit-exactness.
+            k = bisect_left(m_time, t_last + period, im)
+            while k > im and m_time[k - 1] - t_last >= period:
+                k -= 1
+            while k < nm and m_time[k] - t_last < period:
+                k += 1
+            bpos = b_pos[ib] if ib < nb else None
+            mpos = m_pos[k] if k < nm else None
+            if bpos is None and mpos is None:
+                break
+            if mpos is None or (bpos is not None and bpos < mpos):
+                pos, now = bpos, b_time[ib]
+                ib += 1
+            else:
+                pos, now = mpos, m_time[k]
+            if logging:
+                # Sort key is the *original* event position -- the
+                # subsets hold permuted (segment-major) positions.
+                ops.append((int(vt.perm[pos]), h, count, now))
+            count += 1
+            taken += 1
+            t_last = now
+            im = bisect_right(m_pos, pos)
+        inst.count[h] = count
+        inst._last_ckpt_time[h] = t_last
+        if not logging:
+            inst.n_basic += taken
+            inst.per_host_total[h] += taken
+            inst.last_index[h] = count - 1
+    if logging:
+        ops.sort(key=lambda op: op[0])
+        for _, host, index, now in ops:
+            inst.take(host, index, "basic", now)
 
 
 # ---------------------------------------------------------------------------
 # TP (two-phase)
 # ---------------------------------------------------------------------------
 
-def tp_replay(vt: VectorizedTrace, instances) -> None:
-    """Replay TP over every block of *vt*.
+def tp_replay(vt: VectorizedTrace, inst) -> None:
+    """Replay TP over *vt* into *inst*.
 
     Placement is purely local (the phase flag), so it needs no
     fixpoint: a receive is forced iff its host sent after its last
@@ -279,7 +253,6 @@ def tp_replay(vt: VectorizedTrace, instances) -> None:
     """
     import numpy as np
 
-    n_hosts = vt.n_hosts
     recv, send, basic = vt.recv, vt.send, vt.basic
 
     # -- placement ---------------------------------------------------------
@@ -298,7 +271,7 @@ def tp_replay(vt: VectorizedTrace, instances) -> None:
     fidx = np.flatnonzero(forced_mask)
     f_hi = np.searchsorted(fidx, recv.starts[1:])
     f_lo = np.searchsorted(fidx, recv.starts[:-1])
-    last_forced = np.full(vt.n_segments, -1, dtype=np.int64)
+    last_forced = np.full(vt.n_hosts, -1, dtype=np.int64)
     has_forced = f_hi > f_lo
     if fidx.size:
         last_forced[has_forced] = recv.idx[fidx[f_hi[has_forced] - 1]]
@@ -312,8 +285,14 @@ def tp_replay(vt: VectorizedTrace, instances) -> None:
         np.arange(vt.change.idx.shape[0], dtype=np.int64), vt.change, -1
     )
 
-    logging = any(inst.log_checkpoints for inst in instances)
-    if logging:
+    initial_cells = list(inst.cell)
+    inst.cell = [
+        int(vt.change_cell[c]) if c >= 0 else initial_cells[h]
+        for h, c in enumerate(last_change_seg.tolist())
+    ]
+    inst.phase = phase_send.astype(int).tolist()
+    inst.count = (n_ckpt_seg + 1).tolist()
+    if inst.log_checkpoints:
         # The per-event checkpoint index (a full-domain segmented
         # cumsum) is only needed to number and materialize records.
         is_ckpt = np.zeros(vt.n_events, dtype=np.int64)
@@ -321,32 +300,17 @@ def tp_replay(vt: VectorizedTrace, instances) -> None:
         is_ckpt[recv.idx[forced_mask]] = 1
         ckpt_cum = seg_cumsum(is_ckpt, vt.seg_starts)
         vecs = _tp_vectors(vt, ckpt_cum, forced_mask)
-
-    for b, inst in enumerate(instances):
-        lo_s, hi_s = b * n_hosts, (b + 1) * n_hosts
-        seg_ids = range(lo_s, hi_s)
-        initial_cells = list(inst.cell)
-        final_cells = [
-            int(vt.change_cell[last_change_seg[s]])
-            if last_change_seg[s] >= 0
-            else initial_cells[s - lo_s]
-            for s in seg_ids
-        ]
-        inst.cell = final_cells
-        inst.phase = [int(phase_send[s]) for s in seg_ids]
-        inst.count = [int(n_ckpt_seg[s]) + 1 for s in seg_ids]
-        if inst.log_checkpoints:
-            _materialize_tp(vt, inst, b, vecs, initial_cells)
-        else:
-            inst.n_basic += int(n_basic_seg[lo_s:hi_s].sum())
-            inst.n_forced += int(n_forced_seg[lo_s:hi_s].sum())
-            for h in range(n_hosts):
-                inst.per_host_total[h] += int(n_ckpt_seg[lo_s + h])
-                inst.last_index[h] = int(n_ckpt_seg[lo_s + h])
+        _materialize_tp(vt, inst, vecs, initial_cells)
+    else:
+        inst.n_basic += int(n_basic_seg.sum())
+        inst.n_forced += int(n_forced_seg.sum())
+        for h in range(vt.n_hosts):
+            inst.per_host_total[h] += int(n_ckpt_seg[h])
+            inst.last_index[h] = int(n_ckpt_seg[h])
 
 
 def _tp_vectors(vt, ckpt_cum, forced_mask):
-    """Solve TP's CKPT dependency-vector fixpoint over the whole batch.
+    """Solve TP's CKPT dependency-vector fixpoint over the whole trace.
 
     The piggyback of send *s* by host *h* is a full n-vector: own entry
     = h's checkpoint count at *s* (placement-determined, no fixpoint
@@ -360,7 +324,7 @@ def _tp_vectors(vt, ckpt_cum, forced_mask):
 
     recv, send = vt.recv, vt.send
     r_before_send = vt.last_recv_at[send.idx]
-    send_host = (vt.seg_p[send.idx] % vt.n_hosts).astype(np.int64)
+    send_host = vt.seg_p[send.idx]
     own_at_send = ckpt_cum[send.idx]
     state = {}
 
@@ -390,25 +354,22 @@ def _tp_vectors(vt, ckpt_cum, forced_mask):
     }
 
 
-def _materialize_tp(vt, inst, block, vecs, initial_cells):
-    """Build one block's TP checkpoint records (with CKPT/LOC metadata)
-    and final live vectors, then apply them through take()."""
+def _materialize_tp(vt, inst, vecs, initial_cells):
+    """Build TP's checkpoint records (with CKPT/LOC metadata) and final
+    live vectors, then apply them through take()."""
     import numpy as np
 
     n_hosts = vt.n_hosts
     recv, basic = vt.recv, vt.basic
     m_incl, m_excl = vecs["m_incl"], vecs["m_excl"]
     forced_mask, ckpt_cum = vecs["forced_mask"], vecs["ckpt_cum"]
-    lo_s = block * n_hosts
 
     # Checkpoint rows: basics (inclusive merge view -- all receives
     # strictly precede the trigger) and forced receives (exclusive view
     # -- TP checkpoints *before* merging the incoming vectors).
-    b_lo, b_hi = vt.block_bounds(basic, block)
-    b_ids = basic.idx[b_lo:b_hi]
+    b_ids = basic.idx
     b_rows = gather(m_incl, vt.last_recv_at[b_ids], -1)
-    r_lo, r_hi = vt.block_bounds(recv, block)
-    f_pick = np.flatnonzero(forced_mask[r_lo:r_hi]) + r_lo
+    f_pick = np.flatnonzero(forced_mask)
     f_ids = recv.idx[f_pick]
     f_rows = m_excl[f_pick] if f_pick.size else np.full(
         (0, n_hosts), -1, dtype=np.int64
@@ -417,7 +378,7 @@ def _materialize_tp(vt, inst, block, vecs, initial_cells):
     ids = np.concatenate([b_ids, f_ids])
     rows = np.concatenate([b_rows, f_rows])
     reasons = ["basic"] * len(b_ids) + ["forced"] * len(f_ids)
-    hosts = (vt.seg_p[ids] % n_hosts).astype(np.int64)
+    hosts = vt.seg_p[ids]
     indices = ckpt_cum[ids]
     rows[np.arange(len(ids)), hosts] = indices  # own entry: the new index
 
@@ -459,14 +420,8 @@ def _materialize_tp(vt, inst, block, vecs, initial_cells):
     # Final live dependency vectors: inclusive merge over everything
     # received, own entry at the final index (cc covers every index a
     # vector entry can reference, so LOC lookups stay in the table).
-    last_r = np.asarray(
-        [
-            int(recv.starts[s + 1]) - 1
-            if recv.starts[s + 1] > recv.starts[s]
-            else -1
-            for s in range(lo_s, lo_s + n_hosts)
-        ],
-        dtype=np.int64,
+    last_r = np.where(
+        recv.starts[1:] > recv.starts[:-1], recv.starts[1:] - 1, -1
     )
     final_m = gather(m_incl, last_r, -1)
     own_final = np.asarray(

@@ -72,9 +72,10 @@ class CheckpointingProtocol:
     #: (communication-induced ones can; coordinated ones need online
     #: mode because their control messages perturb the schedule).
     replayable: bool = True
-    #: Whether the protocol ships a batch kernel (a
-    #: ``vectorized_replay`` classmethod) for the vectorized engine
-    #: (:mod:`repro.core.vectorized`).
+    #: Whether the protocol ships a batch kernel for the vectorized
+    #: engine (:mod:`repro.core.vectorized`): a
+    #: ``vectorized_replay(cls, vt, instance)`` classmethod that fills
+    #: one fresh *instance* from one trace's ``VectorizedTrace``.
     vectorizable: bool = False
     #: True for coordinated baselines (Chandy-Lamport, Koo-Toueg,
     #: Prakash-Singhal): they inject control messages into the

@@ -97,12 +97,12 @@ class NoSendBCSProtocol(_NoSendMixin):
     vectorizable = True
 
     @classmethod
-    def vectorized_replay(cls, vt, instances) -> None:
+    def vectorized_replay(cls, vt, instance) -> None:
         """Batch kernel: BCS dynamics plus the no-send forced/rename
         split (see :mod:`repro.protocols._vectorized`)."""
         from repro.protocols._vectorized import index_family_replay
 
-        index_family_replay(vt, instances, "bcs_ns")
+        index_family_replay(vt, instance, "bcs_ns")
 
     def on_receive(self, host: int, piggyback: int, src: int, now: float) -> None:
         self._receive_index(host, piggyback, now)
@@ -126,12 +126,12 @@ class NoSendQBCProtocol(_NoSendMixin):
     vectorizable = True
 
     @classmethod
-    def vectorized_replay(cls, vt, instances) -> None:
+    def vectorized_replay(cls, vt, instance) -> None:
         """Batch kernel: QBC dynamics plus the no-send forced/rename
         split (see :mod:`repro.protocols._vectorized`)."""
         from repro.protocols._vectorized import index_family_replay
 
-        index_family_replay(vt, instances, "qbc_ns")
+        index_family_replay(vt, instance, "qbc_ns")
 
     def __init__(self, n_hosts: int, n_mss: int = 1):
         super().__init__(n_hosts, n_mss)

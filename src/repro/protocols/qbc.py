@@ -37,13 +37,13 @@ class QBCProtocol(CheckpointingProtocol):
     vectorizable = True
 
     @classmethod
-    def vectorized_replay(cls, vt, instances) -> None:
+    def vectorized_replay(cls, vt, instance) -> None:
         """Batch kernel: the index-family trajectory with QBC's armed
         (``rn = sn``) basic rule (see
         :mod:`repro.protocols._vectorized`)."""
         from repro.protocols._vectorized import index_family_replay
 
-        index_family_replay(vt, instances, "qbc")
+        index_family_replay(vt, instance, "qbc")
 
     def __init__(self, n_hosts: int, n_mss: int = 1):
         super().__init__(n_hosts, n_mss)

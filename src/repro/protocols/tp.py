@@ -46,13 +46,13 @@ class TwoPhaseProtocol(CheckpointingProtocol):
     vectorizable = True
 
     @classmethod
-    def vectorized_replay(cls, vt, instances) -> None:
+    def vectorized_replay(cls, vt, instance) -> None:
         """Batch kernel: local phase-flag placement plus the CKPT/LOC
         matrix fixpoint in logging mode (see
         :mod:`repro.protocols._vectorized`)."""
         from repro.protocols._vectorized import tp_replay
 
-        tp_replay(vt, instances)
+        tp_replay(vt, instance)
 
     def __init__(self, n_hosts: int, n_mss: int = 1, initial_cells=None):
         super().__init__(n_hosts, n_mss)

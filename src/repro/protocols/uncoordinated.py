@@ -25,12 +25,12 @@ class UncoordinatedProtocol(CheckpointingProtocol):
     vectorizable = True
 
     @classmethod
-    def vectorized_replay(cls, vt, instances) -> None:
+    def vectorized_replay(cls, vt, instance) -> None:
         """Batch kernel: checkpoint-to-checkpoint walk over the period
         boundaries (see :mod:`repro.protocols._vectorized`)."""
         from repro.protocols._vectorized import unc_replay
 
-        unc_replay(vt, instances)
+        unc_replay(vt, instance)
 
     def __init__(self, n_hosts: int, n_mss: int = 1, period: float = 100.0):
         if period <= 0:

@@ -7,9 +7,6 @@ Covers the pieces the equivalence suites take for granted:
 * the npz cache tier stores those columns natively -- a disk hit seeds
   the per-trace array cache, and a format-v1 entry is evicted and
   rewritten in place at the current format on first read;
-* the batch entry points (``replay_vectorized_batch`` over raw traces,
-  ``execute_batch`` over engine specs) match their sequential
-  counterparts result for result;
 * protocols without kernels are rejected with a typed error.
 """
 
@@ -20,33 +17,16 @@ import pytest
 
 from repro.core import trace_io
 from repro.core.compiled import FLOAT_DTYPE, INT_DTYPE, array_columns
-from repro.core.replay import (
-    replay,
-    replay_vectorized,
-    replay_vectorized_batch,
-)
+from repro.core.replay import replay, replay_vectorized
 from repro.core.vectorized import VectorizationError, vectorized_trace
-from repro.engine import RunSpec, execute, execute_batch
-from repro.engine.errors import PlanError
 from repro.protocols.base import registry
 from repro.workload import WorkloadConfig, generate_trace
 from repro.workload.cache import TraceCache, config_key
-
-VECTORIZABLE = sorted(
-    name
-    for name, cls in registry.items()
-    if getattr(cls, "vectorizable", False)
-)
-
 
 def cfg(**kw):
     defaults = dict(sim_time=300.0, p_switch=0.8, seed=0)
     defaults.update(kw)
     return WorkloadConfig(**defaults)
-
-
-def _signatures(trace, results):
-    return [r.protocol.counter_signature() for r in results]
 
 
 # -- dtype pinning (satellite: explicit column dtypes) ---------------------
@@ -156,31 +136,6 @@ def test_v1_cache_entry_is_upgraded_in_place(tmp_path):
     assert getattr(again, "_array_columns_cache", None) is not None
 
 
-# -- batch replay ----------------------------------------------------------
-
-
-def test_replay_vectorized_batch_matches_sequential_passes():
-    traces = [generate_trace(cfg(seed=s)) for s in (0, 1, 2)]
-    factories = [
-        (lambda name=name: registry[name](10, 3)) for name in VECTORIZABLE
-    ]
-    rows = replay_vectorized_batch(traces, factories)
-    assert len(rows) == len(traces)
-    for trace, row in zip(traces, rows):
-        sequential = replay_vectorized(
-            trace, [f() for f in factories]
-        )
-        assert _signatures(trace, row) == _signatures(trace, sequential)
-        for got, want in zip(row, sequential):
-            assert [
-                (c.host, c.index, c.reason, c.time)
-                for c in got.protocol.checkpoints
-            ] == [
-                (c.host, c.index, c.reason, c.time)
-                for c in want.protocol.checkpoints
-            ]
-
-
 def test_replay_vectorized_rejects_protocol_without_kernels():
     trace = generate_trace(cfg())
     bqf = registry["BQF"](trace.n_hosts, trace.n_mss)
@@ -191,52 +146,3 @@ def test_replay_vectorized_rejects_protocol_without_kernels():
 def test_vectorized_trace_is_cached_per_trace():
     trace = generate_trace(cfg())
     assert vectorized_trace(trace) is vectorized_trace(trace)
-
-
-# -- engine batch entry point ----------------------------------------------
-
-
-def test_execute_batch_matches_per_spec_execute():
-    specs = [
-        RunSpec(
-            protocols=("TP", "BCS", "QBC"),
-            workload=cfg(seed=s),
-            engine="vectorized",
-        )
-        for s in (0, 1, 2)
-    ]
-    # A spec seed that differs from its trace's: execute stamps the
-    # spec's, and so must the batch.
-    specs.append(
-        RunSpec(
-            protocols=("TP", "BCS", "QBC"),
-            trace=generate_trace(cfg(seed=0)),
-            engine="vectorized",
-            seed=7,
-        )
-    )
-    batched = execute_batch(specs)
-    for spec, got in zip(specs, batched):
-        want = execute(spec)
-        assert got.engine_kind == "vectorized"
-        assert got.seed == want.seed
-        for name in ("TP", "BCS", "QBC"):
-            assert got.outcome(name).metrics == want.outcome(name).metrics
-    assert [m.seed for m in batched[-1].metrics.values()] == [7, 7, 7]
-
-
-def test_execute_batch_rejects_non_vectorized_plans():
-    with pytest.raises(PlanError, match="vectorized engine only"):
-        execute_batch(
-            [RunSpec(protocols=("BCS",), workload=cfg(), engine="fused")]
-        )
-
-
-def test_execute_batch_rejects_mixed_protocol_sets():
-    with pytest.raises(PlanError, match="agree on protocols"):
-        execute_batch(
-            [
-                RunSpec(protocols=("BCS",), workload=cfg(seed=0)),
-                RunSpec(protocols=("TP",), workload=cfg(seed=1)),
-            ]
-        )

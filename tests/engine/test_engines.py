@@ -42,9 +42,22 @@ def test_prebuilt_trace_is_reported_as_provided():
     assert result.seed == trace.meta.get("seed")
 
 
-def test_spec_seed_overrides_workload_seed():
-    result = execute(RunSpec(protocols=("BCS",), workload=cfg(seed=3), seed=9))
+@pytest.mark.parametrize("source", ["workload", "trace"])
+@pytest.mark.parametrize("engine", ["reference", "fused", "vectorized"])
+def test_spec_seed_overrides_workload_seed(engine, source):
+    # A pre-built trace carries its own seed in meta; the spec's seed
+    # wins over it as it does over the workload's.
+    if source == "workload":
+        inputs = {"workload": cfg(seed=3)}
+    else:
+        inputs = {"trace": generate_trace(cfg(seed=3))}
+    result = execute(
+        RunSpec(
+            protocols=("TP", "BCS", "QBC"), engine=engine, seed=9, **inputs
+        )
+    )
     assert result.seed == 9
+    assert [o.metrics.seed for o in result.outcomes] == [9, 9, 9]
 
 
 def test_cache_tiers_are_detected(tmp_path):

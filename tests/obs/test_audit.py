@@ -181,10 +181,9 @@ class LyingKernelBCS(BCSProtocol):
     name = "BCS-lying-kernel"
 
     @classmethod
-    def vectorized_replay(cls, vt, instances):
-        super().vectorized_replay(vt, instances)
-        for instance in instances:
-            instance.n_forced += 1
+    def vectorized_replay(cls, vt, instance):
+        super().vectorized_replay(vt, instance)
+        instance.n_forced += 1
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,6 @@ RAW_DRIVERS = frozenset(
         "replay",
         "replay_fused",
         "replay_vectorized",
-        "replay_vectorized_batch",
         "run_online",
         "run_coordinated",
     }
