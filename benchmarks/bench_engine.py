@@ -7,22 +7,28 @@ trace generation and cheaper replay).
 The replay cases run through the unified execution engine
 (:mod:`repro.engine`), so the timings cover the full production path:
 plan resolution, observer dispatch and result assembly, not just the
-inner loops.  ``test_engine_overhead`` pins the cost of that layer --
-a fused run through the engine must stay within a few percent of
-calling :func:`repro.core.replay.replay_fused` directly (this file is
-the one sanctioned raw call site outside the engine, allowlisted by
-``tests/test_import_contracts.py``).
+inner loops.  A ``fused`` request plans the batch kernels whenever
+every protocol ships them, so the cases that time the per-event loop
+hide the kernels (:func:`repro.testing.loop_factories`) and check
+that the run really took the loop.  ``test_engine_overhead`` pins the
+cost of the engine layer -- a loop run through the engine must stay
+within a few percent of calling :func:`repro.core.replay.replay_fused`
+directly (this file is the one sanctioned raw call site outside the
+engine, allowlisted by ``tests/test_import_contracts.py``).
+``test_long_horizon`` holds the kernels to the loop on one dense cell
+at two horizons, and to linear growth between them.
 
 Besides the pytest-benchmark timings, the headline engine numbers
 (fused-replay and vectorized-replay speedups, engine overhead,
-trace-cache speedup, the fresh-trace cell, the figure path's
-cold-start import) are appended to
+trace-cache speedup, the fresh-trace cell, the long-horizon cell, the
+figure path's cold-start import) are appended to
 ``BENCH_engine.json`` in the working directory so CI can archive the
 trend without parsing benchmark output -- and gate
 ``vectorized_ms``, ``disk_hit_ms``, ``save_ms``, ``generate_ms`` and
 ``fresh_cell_ms`` against regressions (see .github/workflows/ci.yml).
 """
 
+import dataclasses
 import json
 import os
 import statistics
@@ -32,18 +38,26 @@ import time
 from pathlib import Path
 
 import repro
+from repro.core.compiled import array_columns
 from repro.core.replay import replay_fused
+from repro.core.trace import Trace
 from repro.core.trace_io import load_trace, save_trace
 from repro.des import Environment
 from repro.engine import RunSpec, execute, resolve_protocols
 from repro.experiments.config import SweepConfig
+from repro.experiments.figures import figure_sweep_config
 from repro.experiments.runner import run_sweep
+from repro.testing import loop_factories
 from repro.workload import TraceCache, WorkloadConfig, generate_trace
 
 N_EVENTS = 50_000
 
 #: The paper's three protocols, the fused engine's standard cargo.
 PAPER_PROTOCOLS = ("TP", "BCS", "QBC")
+
+#: Factory overrides that keep the paper protocols on the per-event
+#: loop when a spec asks for ``engine="fused"``.
+LOOP = loop_factories(PAPER_PROTOCOLS)
 
 BENCH_JSON = os.environ.get("REPRO_BENCH_ENGINE_JSON", "BENCH_engine.json")
 
@@ -52,6 +66,14 @@ CACHE_ROUNDS = 15
 
 #: Interleaved raw/engine rounds of ``test_engine_overhead``.
 OVERHEAD_ROUNDS = 21
+
+#: ``test_long_horizon``'s horizons (the second double the first) and
+#: its gates: kernels within this factor of the loop at each horizon,
+#: and kernel time growing by at most this factor between them.
+LONG_HORIZONS = (40_000.0, 80_000.0)
+LONG_ROUNDS = 5
+LONG_VS_LOOP = 1.5
+LONG_GROWTH = 2.3
 
 
 def _record(case: str, payload: dict) -> None:
@@ -127,10 +149,10 @@ def test_replay_throughput(benchmark):
 
 def test_fused_replay_speedup(benchmark):
     """The sweep engine's core claims: one fused counters-only pass
-    over TP+BCS+QBC beats three sequential reference replays by >= 2x,
-    and the vectorized batch kernels beat the fused pass by >= 10x on
-    a warm trace -- all with identical N_tot / n_basic / n_forced, all
-    paths through the engine layer."""
+    (the per-event loop) over TP+BCS+QBC beats three sequential
+    reference replays by >= 2x, and the vectorized batch kernels beat
+    that loop by >= 10x on a warm trace -- all with identical N_tot /
+    n_basic / n_forced, all paths through the engine layer."""
     cfg = WorkloadConfig(sim_time=4000.0, seed=0)
     trace = generate_trace(cfg)
     trace.compiled()  # the sweep compiles once per trace; warm it here
@@ -140,7 +162,7 @@ def test_fused_replay_speedup(benchmark):
     )
     fused_spec = RunSpec(
         protocols=PAPER_PROTOCOLS, trace=trace, engine="fused",
-        counters_only=True,
+        counters_only=True, factories=LOOP,
     )
     vec_spec = RunSpec(
         protocols=PAPER_PROTOCOLS, trace=trace, engine="vectorized",
@@ -157,6 +179,7 @@ def test_fused_replay_speedup(benchmark):
         lambda: _best(lambda: execute(fused_spec), rounds=7),
         rounds=1, iterations=1,
     )
+    assert fused_result.engine_kind == "fused"
     for ref, fus, vec in zip(
         seq_result.outcomes, fused_result.outcomes, vec_result.outcomes
     ):
@@ -214,7 +237,7 @@ def test_engine_overhead(benchmark):
 
     spec = RunSpec(
         protocols=PAPER_PROTOCOLS, trace=trace, engine="fused",
-        counters_only=True,
+        counters_only=True, factories=LOOP,
     )
 
     def engined():
@@ -235,6 +258,7 @@ def test_engine_overhead(benchmark):
     raw_times, raw_results, engine_times, engine_result = benchmark.pedantic(
         interleaved, rounds=1, iterations=1
     )
+    assert engine_result.engine_kind == "fused"  # the loop on both sides
     for rr, outcome in zip(raw_results, engine_result.outcomes):
         assert rr.metrics.stats.n_total == outcome.metrics.stats.n_total
     overhead = statistics.median(
@@ -259,18 +283,20 @@ def test_trace_cache_warm_vs_cold(benchmark, tmp_path):
     """Warm (memory or disk) cache lookups must be far cheaper than
     regeneration; a warm end-to-end sweep regenerates nothing.
 
-    ``generate_ms`` is the best of 3 fresh ``generate_trace`` calls
-    (the columnar passes: this paper-model config is eligible), without
-    the cache miss's save.  ``save_ms`` is that save alone (best of
-    ``CACHE_ROUNDS`` ``save_trace`` calls) and ``disk_bytes_per_event``
-    the size of the entry it writes; ``disk_hit_ms`` is the best of
-    ``CACHE_ROUNDS`` verified loads through a memory-less cache.  The
-    save and the hit each take a few ms, so CI's 20% gate on them only
-    holds with many rounds."""
+    ``generate_ms`` is the best of ``CACHE_ROUNDS`` fresh
+    ``generate_trace`` calls (the columnar passes: this paper-model
+    config is eligible), without the cache miss's save.  ``save_ms`` is
+    that save alone (best of ``CACHE_ROUNDS`` ``save_trace`` calls) and
+    ``disk_bytes_per_event`` the size of the entry it writes;
+    ``disk_hit_ms`` is the best of ``CACHE_ROUNDS`` verified loads
+    through a memory-less cache.  Each of the three takes a few ms, so
+    CI's 20% gate on them only holds with many rounds."""
     cfg = WorkloadConfig(sim_time=2000.0, seed=0)
     cache = TraceCache(disk_dir=tmp_path)
 
-    cold_time, generated = _best(lambda: generate_trace(cfg), rounds=3)
+    cold_time, generated = _best(
+        lambda: generate_trace(cfg), rounds=CACHE_ROUNDS
+    )
     trace = cache.get_or_generate(cfg)
     assert len(trace) == len(generated)
     warm_time, warm = benchmark.pedantic(
@@ -331,11 +357,12 @@ def test_trace_cache_warm_vs_cold(benchmark, tmp_path):
 
 def test_fresh_cell(benchmark, tmp_path):
     """What one warm sweep cell pays after the disk load: the fused
-    ``execute`` of the paper protocols over a column-backed trace that
-    was never lowered before -- the columns-to-dispatch-program
-    lowering, the replay and the engine layer, without the load itself
-    (that is ``disk_hit_ms``).  Every round loads a fresh trace, so no
-    round reuses a cached lowering."""
+    ``execute`` of the paper protocols (which plans their batch
+    kernels) over a column-backed trace that was never lowered before
+    -- the vectorized lowering, the reachability closure, the kernels
+    and the engine layer, without the load itself (that is
+    ``disk_hit_ms``).  Every round loads a fresh trace, so no round
+    reuses a cached lowering."""
     cfg = WorkloadConfig(sim_time=4000.0, seed=0)
     generated = generate_trace(cfg)
     path = tmp_path / "cell.npz"
@@ -368,6 +395,73 @@ def test_fresh_cell(benchmark, tmp_path):
     }
     benchmark.extra_info.update(payload)
     _record("fresh_cell", payload)
+
+
+def test_long_horizon(benchmark):
+    """The kernels stay linear in the horizon.
+
+    Fig. 1's ``T_switch``=100 cell has the most basic checkpoints per
+    horizon of any figure cell, which is what made a one-bit-per-basic
+    closure quadratic.  At each of ``LONG_HORIZONS`` the paper
+    protocols run counters-only over a fresh (never lowered) copy of
+    the trace, best of ``LONG_ROUNDS``, on the kernels and on the
+    per-event loop: the kernels must stay within ``LONG_VS_LOOP`` of
+    the loop, and doubling the horizon may grow their time by at most
+    ``LONG_GROWTH``."""
+    base = figure_sweep_config(
+        1, sim_time=LONG_HORIZONS[0], t_switch_values=(100.0,)
+    ).base
+
+    def timed(trace, engine, factories):
+        best, result = float("inf"), None
+        for _ in range(LONG_ROUNDS):
+            fresh = Trace.from_columns(array_columns(trace), dict(trace.meta))
+            spec = RunSpec(
+                protocols=PAPER_PROTOCOLS, trace=fresh, engine=engine,
+                counters_only=True, factories=factories,
+            )
+            t0 = time.perf_counter()
+            result = execute(spec)
+            best = min(best, time.perf_counter() - t0)
+        assert result.engine_kind == engine
+        return best, [o.n_total for o in result.outcomes]
+
+    def measure():
+        rows = []
+        for sim_time in LONG_HORIZONS:
+            trace = generate_trace(
+                dataclasses.replace(
+                    base, sim_time=sim_time, t_switch=100.0, seed=0
+                )
+            )
+            vec_s, vec_totals = timed(trace, "vectorized", None)
+            loop_s, loop_totals = timed(trace, "fused", LOOP)
+            assert vec_totals == loop_totals
+            rows.append((sim_time, len(trace), vec_s, loop_s))
+        return rows
+
+    rows = benchmark.pedantic(measure, rounds=1, iterations=1)
+    payload = {
+        f"{int(sim_time)}": {
+            "trace_events": n_events,
+            "vectorized_ms": round(vec_s * 1e3, 1),
+            "loop_ms": round(loop_s * 1e3, 1),
+        }
+        for sim_time, n_events, vec_s, loop_s in rows
+    }
+    growth = rows[1][2] / rows[0][2]
+    payload["growth"] = round(growth, 2)
+    benchmark.extra_info.update(payload)
+    _record("long_horizon", payload)
+    for sim_time, _, vec_s, loop_s in rows:
+        assert vec_s <= LONG_VS_LOOP * loop_s, (
+            f"kernels {vec_s*1e3:.0f}ms vs loop {loop_s*1e3:.0f}ms at "
+            f"sim_time {sim_time:g} (> {LONG_VS_LOOP}x)"
+        )
+    assert growth <= LONG_GROWTH, (
+        f"kernel time grew {growth:.2f}x from sim_time "
+        f"{LONG_HORIZONS[0]:g} to {LONG_HORIZONS[1]:g} (> {LONG_GROWTH}x)"
+    )
 
 
 #: What a figure run imports before its first cell (perfbench's

@@ -577,8 +577,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--engine", choices=("auto", "fused", "vectorized"), default="fused",
         help="replay strategy per (point, seed) task (bit-identical "
-        "results; 'vectorized' runs batch kernels, 'auto' picks it "
-        "when every protocol supports it)",
+        "results; 'fused' and 'auto' run the batch kernels when every "
+        "protocol ships them and the per-event loop otherwise, "
+        "'vectorized' requires the kernels)",
     )
     p.add_argument(
         "--workload", default=None, metavar="NAME[:K=V,...]",
@@ -740,7 +741,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--engine", choices=("auto", "reference", "fused", "vectorized"),
         default="fused",
-        help="replay engine (bit-identical results across all four)",
+        help="replay engine (bit-identical results across all four; "
+        "'fused' and 'auto' run the batch kernels when every protocol "
+        "ships them)",
     )
     p.set_defaults(fn=_cmd_compare)
 

@@ -32,6 +32,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.core import compiled as _compiled
+from repro.core import vectorized as _vectorized
 from repro.core.metrics import CheckpointStats, ProtocolRunMetrics
 from repro.core.trace import EventType, Trace
 from repro.protocols.base import CheckpointingProtocol
@@ -84,9 +85,7 @@ def _run_metrics(
 def _require_kernel(protocol: CheckpointingProtocol) -> None:
     """Reject a protocol that ships no vectorized kernel."""
     if not protocol.vectorizable:
-        from repro.core.vectorized import VectorizationError
-
-        raise VectorizationError(
+        raise _vectorized.VectorizationError(
             f"protocol {protocol.name} has no vectorized kernel; "
             "use replay_fused"
         )
@@ -227,12 +226,11 @@ def replay_vectorized(
     -- counters, live state and (in logging mode) the checkpoint log --
     which the equivalence suite asserts per protocol.
     """
-    from repro.core.vectorized import vectorized_trace
-
     for protocol in protocols:
         _check_replayable(trace, protocol)
         _require_kernel(protocol)
-    vt = vectorized_trace(trace)
+    # Through the module, so a wrapped lowering (perfbench) is observed.
+    vt = _vectorized.vectorized_trace(trace)
     for protocol in protocols:
         type(protocol).vectorized_replay(vt, protocol)
 

@@ -36,9 +36,11 @@ fixpoint over protocol **values** (sequence numbers) needs one pass
 per effective index increase -- the longest causal chain of ``+1``
 steps, which grows with trace length.  The index family therefore
 never iterates on values.  Instead :func:`mask_closure` runs the
-fixpoint over **reachability bitmasks**: which basic triggers have
-causally reached each host at each point.  Those sources are static
-(a basic's bit does not depend on any protocol value), so each pass
+fixpoint over **reachability**: which basic triggers have causally
+reached each host at each point, as a bitmask or -- since a host's
+basics in any causal past are a prefix of its timeline -- one count
+per host, whichever is narrower.  Those sources are static (a basic's
+reachability does not depend on any protocol value), so each pass
 extends every causal chain by at least one whole message hop and the
 iteration count is the communication graph's hop depth -- a handful
 regardless of how high the indices climb.  Protocol values are then
@@ -200,10 +202,7 @@ class VectorizedTrace:
     perm: "np.ndarray"  # noqa: F821
     #: Segment (host) id of each permuted position (sorted).
     seg_p: "np.ndarray"  # noqa: F821
-    etype_p: "np.ndarray"  # noqa: F821
     time_p: "np.ndarray"  # noqa: F821
-    cell_p: "np.ndarray"  # noqa: F821
-    slot_p: "np.ndarray"  # noqa: F821
     seg_starts: "np.ndarray"  # noqa: F821
     #: Receives / sends / basic triggers (CELL_SWITCH + DISCONNECT) /
     #: message events (SEND + RECEIVE) / cell-value changes
@@ -239,8 +238,6 @@ class VectorizedTrace:
         seg_p = cols.host[perm]
         etype_p = cols.etype[perm]
         time_p = cols.time[perm]
-        cell_p = cols.cell[perm]
-        slot_p = cols.slot[perm]
         seg_starts = np.concatenate(
             ([0], np.cumsum(np.bincount(seg_p, minlength=n_hosts)))
         )
@@ -264,7 +261,7 @@ class VectorizedTrace:
                 idx=idx,
                 starts=starts,
                 time=time_p[idx],
-                slot=slot_p[idx] if with_slot else None,
+                slot=cols.slot[perm[idx]] if with_slot else None,
             )
 
         def last_at(mask, sub):
@@ -285,17 +282,14 @@ class VectorizedTrace:
             n_receives=cols.n_receives,
             perm=perm,
             seg_p=seg_p,
-            etype_p=etype_p,
             time_p=time_p,
-            cell_p=cell_p,
-            slot_p=slot_p,
             seg_starts=seg_starts,
             recv=recv,
             send=send,
             basic=basic,
             msg=msg,
             change=change,
-            change_cell=cell_p[change.idx],
+            change_cell=cols.cell[perm[change.idx]],
             last_recv_at=last_at(is_recv, recv),
             last_send_at=last_at(is_send, send),
             last_basic_at=last_at(is_basic, basic),
@@ -303,10 +297,6 @@ class VectorizedTrace:
         )
 
     # -- conveniences ------------------------------------------------------
-    def seg_of_subset(self, sub: _Subset) -> "np.ndarray":  # noqa: F821
-        """Segment id of every entry of *sub*."""
-        return self.seg_p[sub.idx]
-
     def seg_last(self, values, sub: _Subset, fill):
         """Per segment: last entry of *values* (aligned with *sub*), or
         *fill* for segments without such events."""
@@ -340,10 +330,9 @@ class _MaskClosure:
     Protocol-independent: derived purely from the message graph and the
     basic-trigger positions, so one closure serves BCS, QBC and both
     no-send variants (it is cached in ``vt.scratch``).  Each basic
-    trigger is a *source*; ``rarr_*`` lists, per segment and in
-    position order, the receive positions where a source's bit first
-    arrives **via a message**; ``t_*`` additionally includes each
-    source's instant arrival at its own host.  ``*_starts`` are
+    trigger is a *source*; ``rarr_*`` lists, per segment, in position
+    order and then by source id, the receive positions where a source
+    first arrives **via a message**.  ``rarr_starts`` holds the
     segment boundaries (length ``n_hosts + 1``).
     """
 
@@ -355,18 +344,50 @@ class _MaskClosure:
     rarr_starts: "np.ndarray"  # noqa: F821
 
 
+def _count_dtype(per_host):
+    """The narrowest count type that holds every host's basic count."""
+    import numpy as np
+
+    return np.dtype(np.int16 if per_host.max(initial=0) < 2**15 else np.int32)
+
+
+def closure_uses_counts(vt: VectorizedTrace) -> bool:
+    """Whether :func:`mask_closure` encodes *vt*'s reachability as one
+    count per basic-owning host (True) or as a bitmask (False).
+
+    Both say the same: host *h*'s basic triggers are ordered along its
+    timeline, so the ones in any event's causal past are a prefix of
+    them, and the prefix length carries every bit the mask does.  The
+    narrower row wins, an ``int32`` per owning host against ``uint64``
+    words of one bit per basic: the mask on a short trace, where the
+    basics fit a few words, the counts once it outgrows the host
+    count (their width is fixed; the mask's grows with the horizon).
+    Counts are stored as ``int16`` while they fit, which halves the
+    memory the fixpoint streams without moving the crossover, where
+    both take the same time.
+    """
+    import numpy as np
+
+    n_words = -(-int(vt.basic.idx.shape[0]) // 64)
+    n_owners = int(np.count_nonzero(np.diff(vt.basic.starts)))
+    return 4 * n_owners < 8 * n_words
+
+
 def mask_closure(vt: VectorizedTrace) -> _MaskClosure:
     """Compute (or fetch cached) the causal reachability closure of
     *vt*'s basic triggers.
 
-    Sources are packed into uint64 bitmask words.  The fixpoint runs
-    over per-send *mask* piggybacks -- set union instead of max -- so
-    its sources are static and each pass extends reachability by a
-    full message hop: iterations track the hop depth of the
-    communication graph, not the magnitude of any protocol counter.
-    The converged per-receive masks are then diffed along each host's
+    The fixpoint runs over per-send reachability piggybacks -- set
+    union instead of max -- so its sources are static and each pass
+    extends reachability by a full message hop: iterations track the
+    hop depth of the communication graph, not the magnitude of any
+    protocol counter.  A piggyback row is a bitmask (one bit per
+    basic, union by ``bitwise_or``) or a count per basic-owning host
+    (union by ``maximum``), whichever is narrower for *vt*
+    (:func:`closure_uses_counts`); the result is the same.  The
+    converged per-receive rows are then diffed along each host's
     timeline to extract first arrivals; everything downstream works on
-    those (tiny) arrival lists, never on masks again.
+    those (tiny) arrival lists, never on the rows again.
     """
     cached = vt.scratch.get("mask_closure")
     if cached is not None:
@@ -375,65 +396,85 @@ def mask_closure(vt: VectorizedTrace) -> _MaskClosure:
 
     recv, send, basic = vt.recv, vt.send, vt.basic
     nb = int(basic.idx.shape[0])
-    src_ids = np.arange(nb, dtype=np.int64)
-    n_words = max(1, -(-nb // 64))
+    owners = np.flatnonzero(np.diff(basic.starts))
+    owner_base = basic.starts[owners]
+    # Basics of the sender in its own causal past at each send: a
+    # prefix of its basic-subset range, of this length.
+    send_seg = vt.seg_p[send.idx]
+    last_b = vt.last_basic_at[send.idx]
+    own_n = np.where(last_b >= 0, last_b - basic.starts[send_seg] + 1, 0)
 
-    # Cumulative own-source masks along each segment, sampled at sends.
-    own_ev = np.zeros((vt.n_events, n_words), dtype=np.uint64)
-    if nb:
-        own_ev[basic.idx, src_ids // 64] = np.uint64(1) << (
-            src_ids % 64
-        ).astype(np.uint64)
-    own_cum = seg_scan(own_ev, vt.seg_starts, np.bitwise_or)
-    own_at_send = own_cum[send.idx]
+    if closure_uses_counts(vt):
+        ufunc = np.maximum
+        col = np.zeros(vt.n_hosts, dtype=np.int64)
+        col[owners] = np.arange(owners.shape[0])
+        own_at_send = np.zeros(
+            (send.idx.shape[0], owners.shape[0]),
+            _count_dtype(np.diff(basic.starts)),
+        )
+        owned = np.flatnonzero(own_n)
+        own_at_send[owned, col[send_seg[owned]]] = own_n[owned]
+    else:
+        ufunc = np.bitwise_or
+        n_words = max(1, -(-nb // 64))
+        # prefix[k]: the low k bits set, for k in 0..64.
+        prefix = np.array([(1 << k) - 1 for k in range(65)], dtype=np.uint64)
+        lo = basic.starts[send_seg]
+        hi = lo + own_n
+        own_at_send = np.empty((send.idx.shape[0], n_words), np.uint64)
+        for w in range(n_words):
+            a = np.clip(lo - 64 * w, 0, 64)
+            b = np.clip(hi - 64 * w, 0, 64)
+            own_at_send[:, w] = prefix[b] & ~prefix[a]
     r_before_send = vt.last_recv_at[send.idx]
+    # Piggybacks stay in send-subset order; a receive reads the row of
+    # the send that shares its slot.
+    send_row = np.empty(vt.n_sends, dtype=np.int64)
+    send_row[send.slot] = np.arange(send.idx.shape[0])
+    recv_src_row = send_row[recv.slot]
 
     state: dict = {}
 
     def step(pbm):
-        rm = pbm[recv.slot]
-        rm_incl = seg_scan(rm, recv.starts, np.bitwise_or)
+        rm_incl = seg_scan(pbm[recv_src_row], recv.starts, ufunc)
         state["rm_incl"] = rm_incl
-        out = np.empty_like(pbm)
-        out[send.slot] = own_at_send | gather(rm_incl, r_before_send, 0)
-        return out
+        return ufunc(own_at_send, gather(rm_incl, r_before_send, 0))
 
-    pbm0 = np.zeros((vt.n_sends, n_words), dtype=np.uint64)
-    if vt.n_sends:
-        pbm0[send.slot] = own_at_send
-    fixpoint(pbm0, step, vt.n_events + 2, "reachability-closure")
+    fixpoint(own_at_send, step, vt.n_events + 2, "reachability-closure")
     rm_incl = state["rm_incl"]
 
-    # First arrivals via messages: bits newly present vs the host's
-    # previous receive.  Bits only ever get added, so the total number
-    # of fresh-bit rows is at most sources x hosts -- the Python bit
-    # extraction is O(arrivals), not O(events).
-    fresh = rm_incl & ~seg_shift(rm_incl, recv.starts, 0)
-    seg_of_recv = vt.seg_p[recv.idx]
-    a_pos: list = []
-    a_src: list = []
-    a_row: list = []
-    a_seg: list = []
-    if nb:
-        for r in np.flatnonzero(fresh.any(axis=1)).tolist():
-            p = int(recv.idx[r])
-            s = int(seg_of_recv[r])
-            for w in range(n_words):
-                v = int(fresh[r, w])
-                base = w << 6
-                while v:
-                    low = v & -v
-                    a_pos.append(p)
-                    a_row.append(r)
-                    a_seg.append(s)
-                    a_src.append(base + low.bit_length() - 1)
-                    v ^= low
-    rarr_seg = np.asarray(a_seg, dtype=np.int64)
+    # First arrivals via messages: the sources newly present vs the
+    # host's previous receive.  Per (receive row, owner) they are a
+    # run of consecutive source ids, from the old prefix length to
+    # the new one; only rows where anything changed are read.
+    prev = seg_shift(rm_incl, recv.starts, 0)
+    rows = np.flatnonzero((rm_incl != prev).any(axis=1))
+    if ufunc is np.maximum:
+        new_n = rm_incl[rows].astype(np.int64)
+        old_n = prev[rows].astype(np.int64)
+    else:
+        def prefix_lengths(masks):
+            bits = np.unpackbits(
+                masks.astype("<u8", copy=False).view(np.uint8),
+                axis=1, bitorder="little",
+            )[:, :nb]
+            return np.add.reduceat(bits, owner_base, axis=1, dtype=np.int64)
+
+        new_n = prefix_lengths(rm_incl[rows])
+        old_n = prefix_lengths(prev[rows])
+    hit_r, hit_o = np.nonzero(new_n > old_n)
+    runs = new_n[hit_r, hit_o] - old_n[hit_r, hit_o]
+    first = owner_base[hit_o] + old_n[hit_r, hit_o]
+    of_run = np.repeat(np.arange(runs.shape[0]), runs)
+    offset = np.arange(of_run.shape[0]) - (np.cumsum(runs) - runs)[of_run]
+    rarr_row = rows[hit_r][of_run]
+    rarr_pos = recv.idx[rarr_row]
+    rarr_seg = vt.seg_p[rarr_pos]
     clo = _MaskClosure(
         n_sources=nb,
-        rarr_pos=np.asarray(a_pos, dtype=np.int64),
-        rarr_src=np.asarray(a_src, dtype=np.int64),
-        rarr_row=np.asarray(a_row, dtype=np.int64),
+        rarr_pos=rarr_pos,
+        rarr_src=first[of_run] + offset,
+        rarr_row=rarr_row,
         rarr_seg=rarr_seg,
         rarr_starts=np.concatenate(
             ([0], np.cumsum(np.bincount(rarr_seg, minlength=vt.n_hosts)))

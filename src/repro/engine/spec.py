@@ -19,11 +19,19 @@ Engine selection
   engine that can drive coordination rounds);
 * otherwise, if every protocol ships batch kernels -> the
   **vectorized** replay (fused contract, no per-event dispatch);
-* otherwise -> the **fused** single-pass replay.
+* otherwise -> the **fused** single-pass replay, the per-event loop.
+
+``engine="fused"`` asks for one shared replay pass over the trace, and
+plans exactly like ``auto`` on a replayable set: the batch kernels
+when every protocol ships them (the plan and the result then report
+``"vectorized"``), the per-event loop otherwise.  A protocol built
+without kernels -- FDAS, BQF, most plugins, or a factory passed
+through :func:`repro.testing.without_kernels` -- keeps its whole set
+on the loop.
 
 The **reference** per-protocol replay runs only when named.  Naming
-an engine explicitly turns the same conditions into hard
-:class:`~repro.engine.errors.CapabilityError` checks.
+``reference``, ``vectorized`` or ``online`` turns the same conditions
+into hard :class:`~repro.engine.errors.CapabilityError` checks.
 """
 
 from __future__ import annotations
@@ -67,7 +75,8 @@ class RunSpec:
     workload: Optional["WorkloadConfig"] = None  # noqa: F821
     #: Pre-built trace to replay (replay engines only).
     trace: Optional["Trace"] = None  # noqa: F821
-    #: Engine preference: one of :data:`ENGINE_KINDS`.
+    #: Engine preference: one of :data:`ENGINE_KINDS` (``"fused"``
+    #: plans the kernels when every protocol ships them; module doc).
     engine: str = "auto"
     #: Skip checkpoint logs; every protocol must declare
     #: ``supports_counters_only`` and the engine must be a replay one.
@@ -310,6 +319,12 @@ def plan(spec: RunSpec) -> ExecutionPlan:
     kind = spec.engine
     if kind == "auto":
         kind = _select_engine(spec, entries)
+    elif kind == "fused" and all(
+        e.capabilities.vectorizable for e in entries
+    ):
+        # One shared pass: the kernels are that pass whenever every
+        # protocol ships them (bit-identical to the loop).
+        kind = "vectorized"
     _check_engine_fit(kind, entries)
 
     if kind == "online":

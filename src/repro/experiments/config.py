@@ -29,11 +29,14 @@ class SweepConfig:
         replay engine, so every name must satisfy the chosen
         ``engine``'s capability gate.
     engine:
-        Replay engine per (point, seed) task: ``"fused"`` (default),
-        ``"vectorized"`` (batch kernels; every protocol must declare
-        ``vectorizable``) or ``"auto"`` (vectorized when possible,
-        fused otherwise).  Results are bit-identical across the three;
-        this only trades execution strategy.
+        Replay engine per (point, seed) task: ``"fused"`` (default:
+        one shared pass -- the batch kernels when every protocol ships
+        them, as for the paper's TP/BCS/QBC, the per-event loop
+        otherwise), ``"vectorized"`` (batch kernels; every protocol
+        must declare ``vectorizable``) or ``"auto"`` (the same choice
+        as ``"fused"`` on a sweep's replayable set).  Results are
+        bit-identical across the three; this only trades execution
+        strategy.
     workload:
         Workload-model spec ``NAME[:key=value,...]`` (e.g.
         ``"zipf:alpha=1.1"``) resolved through the workload registry

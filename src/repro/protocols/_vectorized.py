@@ -32,6 +32,7 @@ from bisect import bisect_left, bisect_right
 
 from repro.core.vectorized import (
     VectorizedTrace,
+    fixpoint,
     gather,
     index_trajectory,
     nosend_classification,
@@ -340,8 +341,6 @@ def _tp_vectors(vt, ckpt_cum, forced_mask):
     pb0 = np.full((vt.n_sends, vt.n_hosts), -1, dtype=np.int64)
     if vt.n_sends:
         pb0[send.slot, send_host] = own_at_send
-    from repro.core.vectorized import fixpoint
-
     fixpoint(pb0, step, vt.n_events + 2, "tp-vectors")
     m_incl = state.get("m_incl")
     if m_incl is None:  # no receives anywhere: nothing ever merged

@@ -13,6 +13,7 @@ of hosts.
 
 from __future__ import annotations
 
+from repro.protocols._vectorized import index_family_replay
 from repro.protocols.base import CheckpointingProtocol, register
 
 
@@ -27,8 +28,6 @@ class BCSProtocol(CheckpointingProtocol):
         """Batch kernel: the index-family trajectory with BCS's
         unconditional basic increment (see
         :mod:`repro.protocols._vectorized`)."""
-        from repro.protocols._vectorized import index_family_replay
-
         index_family_replay(vt, instance, "bcs")
 
     def __init__(self, n_hosts: int, n_mss: int = 1):

@@ -32,6 +32,7 @@ rule.
 
 from __future__ import annotations
 
+from repro.protocols._vectorized import index_family_replay
 from repro.protocols.base import CheckpointingProtocol, register
 
 
@@ -100,8 +101,6 @@ class NoSendBCSProtocol(_NoSendMixin):
     def vectorized_replay(cls, vt, instance) -> None:
         """Batch kernel: BCS dynamics plus the no-send forced/rename
         split (see :mod:`repro.protocols._vectorized`)."""
-        from repro.protocols._vectorized import index_family_replay
-
         index_family_replay(vt, instance, "bcs_ns")
 
     def on_receive(self, host: int, piggyback: int, src: int, now: float) -> None:
@@ -129,8 +128,6 @@ class NoSendQBCProtocol(_NoSendMixin):
     def vectorized_replay(cls, vt, instance) -> None:
         """Batch kernel: QBC dynamics plus the no-send forced/rename
         split (see :mod:`repro.protocols._vectorized`)."""
-        from repro.protocols._vectorized import index_family_replay
-
         index_family_replay(vt, instance, "qbc_ns")
 
     def __init__(self, n_hosts: int, n_mss: int = 1):

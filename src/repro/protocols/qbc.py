@@ -27,6 +27,7 @@ wins -- the integration suite asserts the statistical dominance.
 
 from __future__ import annotations
 
+from repro.protocols._vectorized import index_family_replay
 from repro.protocols.base import CheckpointingProtocol, register
 
 
@@ -41,8 +42,6 @@ class QBCProtocol(CheckpointingProtocol):
         """Batch kernel: the index-family trajectory with QBC's armed
         (``rn = sn``) basic rule (see
         :mod:`repro.protocols._vectorized`)."""
-        from repro.protocols._vectorized import index_family_replay
-
         index_family_replay(vt, instance, "qbc")
 
     def __init__(self, n_hosts: int, n_mss: int = 1):

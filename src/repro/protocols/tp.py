@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from typing import Optional
 
+from repro.protocols._vectorized import tp_replay
 from repro.protocols.base import CheckpointingProtocol, register
 
 _RECV = 0
@@ -50,8 +51,6 @@ class TwoPhaseProtocol(CheckpointingProtocol):
         """Batch kernel: local phase-flag placement plus the CKPT/LOC
         matrix fixpoint in logging mode (see
         :mod:`repro.protocols._vectorized`)."""
-        from repro.protocols._vectorized import tp_replay
-
         tp_replay(vt, instance)
 
     def __init__(self, n_hosts: int, n_mss: int = 1, initial_cells=None):

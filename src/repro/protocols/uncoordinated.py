@@ -15,6 +15,7 @@ graph search in :mod:`repro.core.consistency`);
 
 from __future__ import annotations
 
+from repro.protocols._vectorized import unc_replay
 from repro.protocols.base import CheckpointingProtocol, register
 
 
@@ -28,8 +29,6 @@ class UncoordinatedProtocol(CheckpointingProtocol):
     def vectorized_replay(cls, vt, instance) -> None:
         """Batch kernel: checkpoint-to-checkpoint walk over the period
         boundaries (see :mod:`repro.protocols._vectorized`)."""
-        from repro.protocols._vectorized import unc_replay
-
         unc_replay(vt, instance)
 
     def __init__(self, n_hosts: int, n_mss: int = 1, period: float = 100.0):

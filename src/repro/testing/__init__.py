@@ -27,7 +27,9 @@ from repro.testing.conformance import (
     check_conformance,
     conformance_suite,
     default_config,
+    loop_factories,
     run_battery,
+    without_kernels,
 )
 from repro.testing.strategies import FIGURE_CORNERS, traces, workload_configs
 
@@ -41,7 +43,9 @@ __all__ = [
     "check_conformance",
     "conformance_suite",
     "default_config",
+    "loop_factories",
     "run_battery",
     "traces",
     "workload_configs",
+    "without_kernels",
 ]

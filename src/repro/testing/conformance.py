@@ -22,8 +22,9 @@ hypothesis property test on random traces.  The batteries:
     (coordinated) -- the determinism every sweep, cache and audit
     feature rests on.
 ``engine-equivalence``
-    Reference, fused and (where kernels exist) vectorized replay agree
-    bit for bit: counters, full checkpoint trails and recovery lines.
+    Reference, fused (the per-event loop, kernels hidden) and (where
+    kernels exist) vectorized replay agree bit for bit: counters, full
+    checkpoint trails and recovery lines.
 ``recovery-line``
     The protocol's on-the-fly recovery line *materialises*: every
     demanded (host, index) resolves to a checkpoint that was actually
@@ -79,7 +80,9 @@ __all__ = [
     "check_conformance",
     "conformance_suite",
     "default_config",
+    "loop_factories",
     "run_battery",
+    "without_kernels",
 ]
 
 #: name -> callable(n_hosts, n_mss) building a fresh protocol instance.
@@ -119,6 +122,30 @@ class BatterySkipped(Exception):
         super().__init__(reason)
 
 
+def without_kernels(factory):
+    """*factory* with its batch kernels hidden from the planner.
+
+    A ``fused`` request plans the vectorized engine when every protocol
+    ships kernels; a protocol built through the returned subclass keeps
+    the per-event loop, which is how the loop stays under test.  A
+    factory without kernels comes back unchanged.
+    """
+    if not getattr(factory, "vectorizable", False):
+        return factory
+    return type(factory.__name__, (factory,), {"vectorizable": False})
+
+
+def loop_factories(
+    names: Sequence[str], factories: Optional[FactoryMap] = None
+) -> dict:
+    """Factory overrides that keep *names* on the per-event loop when
+    passed as ``RunSpec(factories=...)`` (see :func:`without_kernels`)."""
+    return {
+        entry.name: without_kernels(entry.factory)
+        for entry in resolve_protocols(names, factories=factories)
+    }
+
+
 def default_config() -> WorkloadConfig:
     """The kit's deterministic workload: small enough that the full
     battery set stays subsecond per protocol, busy enough (handoffs,
@@ -154,11 +181,11 @@ class _Context:
     def fail(self, battery: str, detail: str) -> "ConformanceFailure":
         return ConformanceFailure(self.name, battery, detail)
 
-    def run(self, engine: str, **kw):
+    def run(self, engine: str, factories: Optional[FactoryMap] = None, **kw):
         spec = RunSpec(
             protocols=(self.name,),
             engine=engine,
-            factories=self.factories,
+            factories=factories or self.factories,
             **kw,
         )
         return execute(spec).outcomes[0]
@@ -304,7 +331,10 @@ def _battery_engine_equivalence(ctx: _Context) -> str:
     if not caps.replayable:
         raise BatterySkipped("not replayable; only the online engine applies")
     reference = ctx.run("reference", trace=ctx.trace).protocol
-    others = [("fused", ctx.run("fused", trace=ctx.trace).protocol)]
+    # With its kernels hidden, the protocol's "fused" run is the
+    # per-event loop rather than a second vectorized run.
+    loop = {ctx.name: without_kernels(ctx.entry.factory)}
+    others = [("fused", ctx.run("fused", loop, trace=ctx.trace).protocol)]
     if caps.vectorizable:
         others.append(
             ("vectorized", ctx.run("vectorized", trace=ctx.trace).protocol)

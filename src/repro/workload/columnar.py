@@ -178,13 +178,22 @@ def _steps(
     rng: RandomStreams, host: int, internal_mean: float,
     tl: _Timeline, horizon: float,
 ) -> tuple[np.ndarray, list[float]]:
-    """(executed steps of a connected host, steps that paused it)."""
+    """(executed steps of a connected host, steps that paused it).
+
+    The clock is summed in chunks that end about where the host next
+    disconnects, so a pause restarts it without re-summing the rest
+    of the horizon; a chunk that falls short is continued from its
+    last step (``np.cumsum`` adds in sequence, so the values do not
+    depend on where a chunk ends).
+    """
     name = f"app/internal/{host}"
     delays = np.empty(0)
     active, paused = [], []
     start = 0.0
     while True:
-        need = int((horizon - start) / internal_mean * 1.05) + 32
+        k = np.searchsorted(tl.away, start, "right")
+        until = min(horizon, tl.away[k]) if k < len(tl.away) else horizon
+        need = int((until - start) / internal_mean * 1.05) + 32
         if len(delays) < need:
             delays = np.concatenate((
                 delays,

@@ -18,6 +18,7 @@ from repro.core.trace_io import load_trace, save_trace
 from repro.engine import RunSpec, TelemetryObserver, execute
 from repro.protocols import QBCProtocol
 from repro.protocols.base import registry
+from repro.testing import loop_factories
 from repro.testing.strategies import traces
 from repro.workload import TraceCache, WorkloadConfig, config_key, generate_trace
 from repro.workload import cache as cache_mod
@@ -407,6 +408,7 @@ def test_fused_execute_on_disk_hit_never_builds_events(disk_hit, monkeypatch):
             protocols=PAPER_PROTOCOLS,
             workload=cfg,
             engine="fused",
+            factories=loop_factories(PAPER_PROTOCOLS),
             counters_only=True,
             use_cache=True,
             cache_dir=cache_dir,
@@ -458,6 +460,10 @@ def test_cold_cell_never_builds_events(engine, tmp_path, monkeypatch):
                 protocols=PAPER_PROTOCOLS,
                 workload=GENERATED[0],
                 engine=engine,
+                factories=(
+                    loop_factories(PAPER_PROTOCOLS)
+                    if engine == "fused" else None
+                ),
                 counters_only=True,
                 use_cache=True,
                 cache_dir=str(tmp_path),

@@ -11,6 +11,7 @@ from repro.engine import (
     plan,
 )
 from repro.engine.errors import PlanError
+from repro.testing import loop_factories
 from repro.workload import WorkloadConfig, generate_trace
 
 
@@ -51,11 +52,15 @@ def test_spec_seed_overrides_workload_seed(engine, source):
         inputs = {"workload": cfg(seed=3)}
     else:
         inputs = {"trace": generate_trace(cfg(seed=3))}
+    if engine == "fused":
+        # Kernels hidden, so the fused request runs the per-event loop.
+        inputs["factories"] = loop_factories(("TP", "BCS", "QBC"))
     result = execute(
         RunSpec(
             protocols=("TP", "BCS", "QBC"), engine=engine, seed=9, **inputs
         )
     )
+    assert result.engine_kind == engine
     assert result.seed == 9
     assert [o.metrics.seed for o in result.outcomes] == [9, 9, 9]
 
@@ -91,7 +96,12 @@ def test_engine_kind_mismatch_is_a_plan_error():
 
 def test_engine_accepts_spec_directly():
     result = ReplayEngine("fused").run(
-        RunSpec(protocols=("BCS",), workload=cfg(), engine="fused")
+        RunSpec(
+            protocols=("BCS",),
+            workload=cfg(),
+            engine="fused",
+            factories=loop_factories(("BCS",)),
+        )
     )
     assert result.engine_kind == "fused"
 

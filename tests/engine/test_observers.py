@@ -15,6 +15,7 @@ from repro.engine import (
     TimingObserver,
     execute,
 )
+from repro.testing import loop_factories
 from repro.workload import WorkloadConfig, generate_trace
 
 
@@ -287,6 +288,7 @@ def test_timing_observer_records_fused_phases():
             protocols=("TP", "BCS"),
             workload=cfg(),
             engine="fused",
+            factories=loop_factories(("TP", "BCS")),
             observers=(timing,),
         )
     )

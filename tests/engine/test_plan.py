@@ -6,6 +6,7 @@ from repro.engine import RunSpec, plan
 from repro.engine.errors import CapabilityError, PlanError
 from repro.engine.observers import AuditObserver, RunObserver
 from repro.protocols import BCSProtocol
+from repro.testing import loop_factories
 from repro.workload import WorkloadConfig, generate_trace
 
 
@@ -29,6 +30,35 @@ def test_auto_falls_back_to_fused_without_kernels():
     # set to the fused engine.
     p = plan(RunSpec(protocols=("TP", "BCS", "BQF"), workload=cfg()))
     assert p.engine_kind == "fused"
+
+
+def test_fused_request_plans_kernels_when_all_have_them():
+    p = plan(
+        RunSpec(protocols=("TP", "BCS", "QBC"), workload=cfg(), engine="fused")
+    )
+    assert p.engine_kind == "vectorized"
+
+
+@pytest.mark.parametrize(
+    "protocols", [("TP", "FDAS"), ("BQF",), None], ids=str
+)
+def test_fused_request_keeps_the_loop_without_kernels(protocols):
+    # None is every replayable protocol: the zoo, FDAS and BQF included.
+    spec = RunSpec(protocols=protocols, workload=cfg(), engine="fused")
+    assert plan(spec).engine_kind == "fused"
+
+
+def test_hidden_kernels_keep_a_fused_request_on_the_loop():
+    p = plan(
+        RunSpec(
+            protocols=("TP", "BCS"),
+            workload=cfg(),
+            engine="fused",
+            factories=loop_factories(("TP", "BCS")),
+        )
+    )
+    assert p.engine_kind == "fused"
+    assert not any(e.capabilities.vectorizable for e in p.entries)
 
 
 def test_auto_routes_coordinated_to_online():

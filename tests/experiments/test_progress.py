@@ -203,7 +203,7 @@ def test_sweep_trace_path_writes_merged_chrome_trace(tmp_path):
     # trace_path implies span recording on every task...
     assert all(rec.spans for rec in result.telemetry)
     names = {s["name"] for rec in result.telemetry for s in rec.spans}
-    assert names >= {"run", "trace-acquire", "fused-pass"}
+    assert names >= {"run", "trace-acquire", "vectorized-pass"}
     # ...and the merged timeline lands as trace-event JSON.
     payload = json.loads(path.read_text())
     assert len(payload["traceEvents"]) == sum(

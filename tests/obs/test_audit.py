@@ -39,6 +39,7 @@ from repro.obs.audit import (
 )
 from repro.protocols import BCSProtocol
 from repro.protocols.base import CheckpointingProtocol
+from repro.testing import without_kernels
 
 
 def two_host_trace():
@@ -74,7 +75,11 @@ def handoff_trace():
 
 
 def audited(engine, name, cls, trace=None):
-    """An audited *engine* run of stub *cls* registered as *name*."""
+    """An audited *engine* run of stub *cls* registered as *name*; a
+    ``fused`` run hides the stub's kernels, so it runs the per-event
+    loop."""
+    if engine == "fused":
+        cls = without_kernels(cls)
     return execute(
         RunSpec(
             protocols=(name,),
@@ -316,7 +321,7 @@ def test_audit_with_partial_factory_overrides_audits_every_protocol():
             protocols=("BCS", "QBC"),
             trace=two_host_trace(),
             engine="fused",
-            factories={"BCS": DelayedForceBCS},
+            factories={"BCS": without_kernels(DelayedForceBCS)},
             audit=True,
         )
     )

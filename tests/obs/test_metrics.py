@@ -120,6 +120,7 @@ def test_module_registry_is_process_local_singleton():
 
 def test_engine_runs_populate_the_default_registry():
     from repro.engine import RunSpec, execute
+    from repro.testing import loop_factories
     from repro.workload import WorkloadConfig
 
     before = registry().counter("repro_engine_runs_total", kind="fused").value
@@ -128,6 +129,7 @@ def test_engine_runs_populate_the_default_registry():
             protocols=("TP",),
             workload=WorkloadConfig(sim_time=200.0),
             engine="fused",
+            factories=loop_factories(("TP",)),
             use_cache=False,
         )
     )

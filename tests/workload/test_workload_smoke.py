@@ -16,6 +16,7 @@ import pytest
 from repro.core.compiled import array_columns, compile_trace, lower_columns
 from repro.core.trace import Trace
 from repro.engine import RunSpec, execute
+from repro.testing import loop_factories
 from repro.workload.config import WorkloadConfig
 from repro.workload.driver import generate_streamed, generate_trace
 from repro.workload.registry import workload_names
@@ -50,7 +51,12 @@ def _smoke_config(name, smoke_params) -> WorkloadConfig:
 def test_workload_runs_on_both_engines(name, smoke_params):
     cfg = _smoke_config(name, smoke_params)
     fused = execute(
-        RunSpec(protocols=PROTOCOLS, workload=cfg, engine="fused")
+        RunSpec(
+            protocols=PROTOCOLS,
+            workload=cfg,
+            engine="fused",
+            factories=loop_factories(PROTOCOLS),
+        )
     )
     vectorized = execute(
         RunSpec(protocols=PROTOCOLS, workload=cfg, engine="vectorized")
