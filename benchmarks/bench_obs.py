@@ -1,12 +1,11 @@
 """Observability overhead benchmarks: the full observer stack is cheap.
 
-The observability layer (span tracing, the metrics registry, outcome
-streaming) rides the existing :class:`~repro.engine.RunObserver`
+The observability layer (span tracing, the metrics registry) rides the existing :class:`~repro.engine.RunObserver`
 lifecycle, so its entire cost is a handful of callback dispatches and
 ``perf_counter`` reads per run phase -- nothing per simulation event.
 ``test_observer_stack_overhead`` pins that contract: a fused
 counters-only run with the full stack attached (``TimingObserver`` +
-``MetricsObserver`` + ``StreamObserver``) must stay within 5% of the
+``MetricsObserver``) must stay within 5% of the
 same run with no observers at all.  The two paths are timed interleaved
 (bare, observed, bare, observed, ...) so host load drift hits both
 equally.
@@ -19,13 +18,7 @@ import json
 import os
 import time
 
-from repro.engine import (
-    MetricsObserver,
-    RunSpec,
-    StreamObserver,
-    TimingObserver,
-    execute,
-)
+from repro.engine import MetricsObserver, RunSpec, TimingObserver, execute
 from repro.workload import WorkloadConfig, generate_trace
 
 PAPER_PROTOCOLS = ("TP", "BCS", "QBC")
@@ -53,12 +46,10 @@ def _record(case: str, payload: dict) -> None:
         fh.write("\n")
 
 
-def test_observer_stack_overhead(benchmark, tmp_path):
+def test_observer_stack_overhead(benchmark):
     cfg = WorkloadConfig(sim_time=4000.0, seed=0)
     trace = generate_trace(cfg)
     trace.compiled()  # warm the compiled form, as a sweep would
-
-    stream_path = tmp_path / "outcomes.jsonl"
 
     def bare():
         return execute(
@@ -69,19 +60,13 @@ def test_observer_stack_overhead(benchmark, tmp_path):
         )
 
     def observed():
-        stream = StreamObserver(stream_path)
-        try:
-            return execute(
-                RunSpec(
-                    protocols=PAPER_PROTOCOLS, trace=trace, engine="fused",
-                    counters_only=True,
-                    observers=(
-                        TimingObserver(), MetricsObserver(), stream,
-                    ),
-                )
+        return execute(
+            RunSpec(
+                protocols=PAPER_PROTOCOLS, trace=trace, engine="fused",
+                counters_only=True,
+                observers=(TimingObserver(), MetricsObserver()),
             )
-        finally:
-            stream.close()
+        )
 
     def interleaved(rounds=11):
         bare_best = observed_best = float("inf")

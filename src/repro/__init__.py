@@ -27,14 +27,67 @@ See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-vs-measured record.
 """
 
-from repro.core.metrics import CheckpointStats, ProtocolRunMetrics, gain_percent
-from repro.core.replay import ReplayResult, replay, replay_fused
-from repro.core.trace import EventType, Trace, TraceEvent
-from repro.engine import ExecutionPlan, RunResult, RunSpec, execute, plan
-from repro.experiments.figures import run_figure
-from repro.workload.cache import TraceCache, config_key, shared_cache
-from repro.workload.config import WorkloadConfig
-from repro.workload.driver import OnlineResult, generate_trace, run_online
+from typing import TYPE_CHECKING
+
+#: attribute -> home module, resolved on first access (PEP 562), so
+#: ``import repro.cli`` -- and ``python -m repro --help`` -- loads
+#: neither numpy nor the engine.
+_EXPORTS = {
+    "CheckpointStats": "repro.core.metrics",
+    "ProtocolRunMetrics": "repro.core.metrics",
+    "gain_percent": "repro.core.metrics",
+    "ReplayResult": "repro.core.replay",
+    "replay": "repro.core.replay",
+    "replay_fused": "repro.core.replay",
+    "EventType": "repro.core.trace",
+    "Trace": "repro.core.trace",
+    "TraceEvent": "repro.core.trace",
+    "ExecutionPlan": "repro.engine",
+    "RunResult": "repro.engine",
+    "RunSpec": "repro.engine",
+    "execute": "repro.engine",
+    "plan": "repro.engine",
+    "run_figure": "repro.experiments.figures",
+    "TraceCache": "repro.workload.cache",
+    "config_key": "repro.workload.cache",
+    "shared_cache": "repro.workload.cache",
+    "WorkloadConfig": "repro.workload.config",
+    "OnlineResult": "repro.workload.driver",
+    "generate_trace": "repro.workload.driver",
+    "run_online": "repro.workload.driver",
+}
+
+if TYPE_CHECKING:  # pragma: no cover - static-analysis convenience
+    from repro.core.metrics import (  # noqa: F401
+        CheckpointStats,
+        ProtocolRunMetrics,
+        gain_percent,
+    )
+    from repro.core.replay import (  # noqa: F401
+        ReplayResult,
+        replay,
+        replay_fused,
+    )
+    from repro.core.trace import EventType, Trace, TraceEvent  # noqa: F401
+    from repro.engine import (  # noqa: F401
+        ExecutionPlan,
+        RunResult,
+        RunSpec,
+        execute,
+        plan,
+    )
+    from repro.experiments.figures import run_figure  # noqa: F401
+    from repro.workload.cache import (  # noqa: F401
+        TraceCache,
+        config_key,
+        shared_cache,
+    )
+    from repro.workload.config import WorkloadConfig  # noqa: F401
+    from repro.workload.driver import (  # noqa: F401
+        OnlineResult,
+        generate_trace,
+        run_online,
+    )
 
 __version__ = "1.0.0"
 
@@ -63,3 +116,18 @@ __all__ = [
     "run_online",
     "shared_cache",
 ]
+
+
+def __getattr__(name):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module 'repro' has no attribute {name!r}")
+    import importlib
+
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value  # cache: next access skips __getattr__
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -18,13 +18,14 @@ Subcommands
     of recovery lines, fused-vs-reference equivalence, counter/log
     consistency) and print the violation/telemetry report.
 ``tail``
-    Follow a telemetry / outcome / heartbeat JSONL stream (written by
-    ``figure --telemetry/--stream/--heartbeat``) and print a live
-    summary.  Survives log truncation and rotation.
+    Follow a sweep journal (written by ``figure --journal``: task
+    lines, plus heartbeats and a closing summary while ``--progress``
+    is on) and print a live summary.  Survives log truncation and
+    rotation.
 ``dash``
-    Live TTY dashboard over the same JSONL streams: per-worker
-    throughput, cache-tier hit rates, retry/quarantine counts and
-    per-protocol forced-checkpoint-rate sparklines.
+    Live TTY dashboard over the same journal: per-worker throughput,
+    cache-tier hit rates, retry/quarantine counts and per-protocol
+    forced-checkpoint-rate sparklines.
 ``protocols``
     List every registered protocol -- builtin and plugin-contributed --
     with capabilities and origin, plus any plugin load errors.
@@ -47,8 +48,6 @@ from __future__ import annotations
 import argparse
 import sys
 from typing import Optional, Sequence
-
-from repro.workload.config import WorkloadConfig
 
 #: Standard exit codes (also documented in docs/resilience.md).
 EXIT_OK = 0
@@ -73,7 +72,9 @@ def _add_workload_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _workload_from(args) -> WorkloadConfig:
+def _workload_from(args):
+    from repro.workload.config import WorkloadConfig
+
     extra = {}
     workload = getattr(args, "workload", None)
     if workload:
@@ -114,15 +115,12 @@ def _cmd_figure(args) -> int:
         use_cache=not args.no_cache,
         cache_dir=args.cache_dir,
         audit=args.audit,
-        telemetry_path=args.telemetry,
         task_timeout_s=args.task_timeout,
         max_task_retries=args.retries,
         journal_path=journal,
         resume_from=resume,
         progress=args.progress,
-        heartbeat_path=args.heartbeat,
         trace_path=args.trace,
-        stream_path=args.stream,
         shard_listen=args.shard_listen,
         shard_size=args.shard_size,
         run_id=args.run_id,
@@ -132,10 +130,6 @@ def _cmd_figure(args) -> int:
         obs_refresh_s=args.obs_refresh,
         adaptive_shard_size=args.adaptive_shards,
     )
-    if args.metrics:
-        from repro.obs.metrics import registry
-
-        registry().dump(args.metrics)
     if result.interrupted:
         done = sum(len(p.telemetry) for p in result.points)
         total = len(result.config.t_switch_values) * len(result.config.seeds)
@@ -164,21 +158,6 @@ def _cmd_figure(args) -> int:
         for violation in result.violations:
             print(f"  {violation}")
         ok = ok and audit_report.ok
-    otlp_file = args.otlp if args.otlp and "://" not in args.otlp else None
-    for label, path in (
-        ("telemetry", args.telemetry),
-        ("trace-event JSON", args.trace),
-        ("metrics", args.metrics),
-        ("outcome stream", args.stream),
-        ("heartbeats", args.heartbeat),
-        ("fleet metrics (prometheus)", args.prom),
-        ("fleet OTLP-JSON", otlp_file),
-    ):
-        if path:
-            print(f"\n{label} written to {path}", end="")
-    if any((args.telemetry, args.trace, args.metrics, args.stream,
-            args.heartbeat, args.prom, otlp_file)):
-        print()
     return EXIT_OK if ok else EXIT_FAILURE
 
 
@@ -233,7 +212,6 @@ def _cmd_dash(args) -> int:
 def _cmd_audit(args) -> int:
     from repro.experiments.config import SweepConfig
     from repro.obs.audit import run_audit_grid
-    from repro.obs.telemetry import write_jsonl
 
     base = _workload_from(args)
     try:
@@ -246,6 +224,7 @@ def _cmd_audit(args) -> int:
             use_cache=not args.no_cache,
             cache_dir=args.cache_dir,
             audit=True,
+            journal_path=args.journal,
         ).validate()
     except ValueError as exc:
         print(exc, file=sys.stderr)
@@ -257,13 +236,6 @@ def _cmd_audit(args) -> int:
         print(f"interrupted: {done}/{total} tasks finished")
         return EXIT_INTERRUPTED
     print(grid.report())
-    if args.telemetry:
-        write_jsonl(
-            grid.telemetry,
-            args.telemetry,
-            summary=grid.sweep.telemetry_summary(),
-        )
-        print(f"\ntelemetry written to {args.telemetry}")
     ok = grid.ok and not grid.sweep.errors
     return EXIT_OK if ok else EXIT_FAILURE
 
@@ -607,13 +579,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the invariant audit on every (point, seed) task",
     )
     p.add_argument(
-        "--telemetry", default=None, metavar="PATH",
-        help="write per-task run telemetry (JSONL) to PATH",
-    )
-    p.add_argument(
         "--journal", default=None, metavar="PATH",
-        help="append-only JSONL ledger of completed (point, seed) "
-        "tasks (fsynced; makes the sweep crash-safe)",
+        help="append-only JSONL record of the sweep: one fsynced line "
+        "per completed (point, seed) task with its runs and telemetry "
+        "(makes the sweep crash-safe), plus heartbeats and a closing "
+        "summary while --progress is on; read by 'repro tail'/'dash'",
     )
     p.add_argument(
         "--resume", default=None, metavar="PATH",
@@ -633,8 +603,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--progress", dest="progress", action="store_true", default=None,
-        help="live status line (done/total, rate, ETA) on stderr "
-        "(default: REPRO_PROGRESS env, else TTY detection)",
+        help="live status line (done/total, rate, ETA) on stderr, "
+        "journaled as heartbeats under --journal (default: "
+        "REPRO_PROGRESS env, else TTY detection)",
     )
     p.add_argument(
         "--no-progress", dest="progress", action="store_false",
@@ -644,21 +615,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--trace", default=None, metavar="PATH",
         help="record engine phase spans on every task and write the "
         "merged Chrome trace-event JSON (Perfetto-loadable) to PATH",
-    )
-    p.add_argument(
-        "--metrics", default=None, metavar="PATH",
-        help="dump the process metrics registry after the sweep: JSON "
-        "when PATH ends in .json, Prometheus text exposition otherwise",
-    )
-    p.add_argument(
-        "--stream", default=None, metavar="PATH",
-        help="append one JSONL line per protocol outcome to PATH as "
-        "tasks complete (live result feed; see 'repro tail')",
-    )
-    p.add_argument(
-        "--heartbeat", default=None, metavar="PATH",
-        help="append periodic {\"kind\": \"heartbeat\"} JSONL progress "
-        "records to PATH (machine-readable twin of --progress)",
     )
     p.add_argument(
         "--shard-listen", default=None, metavar="HOST:PORT",
@@ -728,8 +684,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-cache", action="store_true")
     p.add_argument("--cache-dir", default=None)
     p.add_argument(
-        "--telemetry", default=None, metavar="PATH",
-        help="write per-task run telemetry (JSONL) to PATH",
+        "--journal", default=None, metavar="PATH",
+        help="write the audited sweep's journal (per-task runs, "
+        "telemetry and violations, JSONL) to PATH",
     )
     # A shorter default horizon than the figure sweeps: the audit
     # replays each protocol three extra times per task.
@@ -827,12 +784,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "tail",
-        help="follow a telemetry/outcome/heartbeat JSONL stream",
+        help="follow a sweep journal",
     )
     p.add_argument(
-        "path",
-        help="JSONL file written by figure --telemetry, --stream or "
-        "--heartbeat (mixed record kinds are fine)",
+        "path", help="sweep journal written by figure/audit --journal",
     )
     p.add_argument(
         "--once", action="store_true",
@@ -846,12 +801,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "dash",
-        help="live TTY dashboard over a sweep's JSONL stream",
+        help="live TTY dashboard over a sweep journal",
     )
     p.add_argument(
-        "path",
-        help="JSONL file written by figure --stream, --telemetry or "
-        "--heartbeat (mixed record kinds are fine)",
+        "path", help="sweep journal written by figure/audit --journal",
     )
     p.add_argument(
         "--interval", type=float, default=2.0, metavar="SECONDS",
@@ -876,10 +829,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     Codes: 0 = ok, 1 = violations/failed validation/grid holes, 2 =
     usage error (argparse convention), 130 = interrupted.
     """
+    args = build_parser().parse_args(argv)
+    # After parsing: --help and argparse usage errors load no engine.
     from repro.engine import EngineError
     from repro.workload.registry import WorkloadError
 
-    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except (EngineError, WorkloadError) as exc:

@@ -53,7 +53,6 @@ from repro.engine.observers import (
     ObserverError,
     ObserverReuseError,
     RunObserver,
-    StreamObserver,
     TelemetryObserver,
     TimingObserver,
 )
@@ -99,7 +98,6 @@ __all__ = [
     "RunObserver",
     "RunResult",
     "RunSpec",
-    "StreamObserver",
     "TelemetryObserver",
     "TimingObserver",
     "UnknownProtocolError",

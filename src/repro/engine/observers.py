@@ -41,11 +41,10 @@ or mixing counters.
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Optional, Union
+from typing import TYPE_CHECKING, Any, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.trace import Trace
@@ -271,98 +270,3 @@ class TimingObserver(RunObserver):
         from repro.obs.tracing import write_chrome_trace
 
         write_chrome_trace(path, self.tracer.spans)
-
-
-class StreamObserver(RunObserver):
-    """Streams one JSONL line per :class:`ProtocolOutcome` to a sink.
-
-    Built for external dashboards: every outcome appends one
-    self-contained JSON object (``kind: "outcome"``, protocol name,
-    engine kind, seed, checkpoint counters, wall-clock ``ts``) and the
-    run end appends a ``kind: "run"`` line with the run's wall time.
-    Each line is flushed immediately, so a ``tail -f`` (or ``repro
-    tail``) consumer sees outcomes as they happen, and a crash loses
-    at most the line being written.
-
-    The sink is either a path (opened lazily in append mode; several
-    sweep tasks -- or processes -- can share one file, each line is a
-    single ``write``) or an open file-like object (not closed by
-    :meth:`close`; pass ``sys.stdout`` to stream to a pipe).  *labels*
-    are merged into every line -- the sweep runner stamps
-    ``t_switch``/``seed`` so grid cells stay identifiable.
-
-    Reuse: **append-safe** across runs; lines are independent records.
-    """
-
-    def __init__(self, target, labels: Optional[dict] = None):
-        self._path = None
-        self._fh = None
-        self._owns_fh = False
-        if hasattr(target, "write"):
-            self._fh = target
-        else:
-            self._path = os.fspath(target)
-            self._owns_fh = True
-        self.labels = dict(labels or {})
-        self.lines_written = 0
-
-    def _write(self, payload: dict) -> None:
-        if self._fh is None:
-            parent = os.path.dirname(self._path)
-            if parent:
-                os.makedirs(parent, exist_ok=True)
-            self._fh = open(self._path, "a")
-        record = {**self.labels, **payload, "ts": time.time()}
-        # One write call per line: on POSIX, O_APPEND writes of this
-        # size are atomic, so concurrent sweep workers interleave whole
-        # lines, never fragments.
-        self._fh.write(json.dumps(record, sort_keys=True) + "\n")
-        self._fh.flush()
-        self.lines_written += 1
-
-    @staticmethod
-    def _spec_seed(plan) -> Optional[int]:
-        spec = plan.spec
-        if spec.seed is not None:
-            return spec.seed
-        if spec.workload is not None:
-            return spec.workload.seed
-        return None
-
-    def on_outcome(self, plan, outcome) -> None:
-        payload: dict[str, Any] = {
-            "kind": "outcome",
-            "protocol": outcome.name,
-            "engine": plan.engine_kind,
-            "seed": self._spec_seed(plan),
-        }
-        if outcome.metrics is not None:
-            s = outcome.metrics.stats
-            payload.update(
-                n_total=s.n_total,
-                n_basic=s.n_basic,
-                n_forced=s.n_forced,
-                n_replaced=s.n_replaced,
-            )
-        elif outcome.coordinated is not None:
-            payload["n_total"] = outcome.coordinated.n_total
-        self._write(payload)
-
-    def on_run_end(self, plan, result) -> None:
-        self._write(
-            {
-                "kind": "run",
-                "engine": result.engine_kind,
-                "seed": result.seed,
-                "wall_s": result.wall_time_s,
-                "n_outcomes": len(result.outcomes),
-                "trace_source": result.trace_source,
-                "n_violations": len(result.violations),
-            }
-        )
-
-    def close(self) -> None:
-        """Close the sink if this observer opened it."""
-        if self._owns_fh and self._fh is not None:
-            self._fh.close()
-            self._fh = None

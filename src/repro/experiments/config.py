@@ -77,12 +77,6 @@ class SweepConfig:
         :attr:`~repro.experiments.runner.SweepResult.violations`.
         Costs roughly one extra annotated reference replay per
         protocol per task; off by default.
-    telemetry_path:
-        When set, the sweep's per-task telemetry records
-        (:class:`repro.obs.telemetry.TaskTelemetry`) are written there
-        as JSONL (with a trailing summary line) after the sweep.
-        Telemetry is *collected* regardless; this only controls file
-        emission.
     task_timeout_s:
         Per-(point, seed) task deadline in seconds; a task that
         exceeds it is aborted (worker-side alarm, plus the
@@ -115,12 +109,10 @@ class SweepConfig:
         Live status line (done/total, rate, ETA, cache hits, retries)
         on stderr while the sweep runs.  ``None`` (default) defers to
         the ``REPRO_PROGRESS`` environment variable, else to whether
-        stderr is a TTY; True/False force it.  Display-only: results
-        are identical either way.
-    heartbeat_path:
-        When set, the sweep appends one ``{"kind": "heartbeat", ...}``
-        JSONL record there every few seconds -- the machine-readable
-        twin of the progress line (consumed by ``repro tail``).
+        stderr is a TTY; True/False force it.  With a journal, progress
+        also appends ``heartbeat`` lines and one closing ``summary``
+        line to it (read by ``repro tail`` / ``repro dash``).
+        Display-only: results are identical either way.
     trace_spans:
         Attach a :class:`~repro.engine.TimingObserver` to every task so
         its engine phases (trace acquisition, fused pass, observers)
@@ -130,11 +122,6 @@ class SweepConfig:
         as Chrome trace-event JSON (loadable in Perfetto /
         ``chrome://tracing``) after the sweep.  Implies
         ``trace_spans``.
-    stream_path:
-        When set, every task appends one JSONL line per protocol
-        outcome (plus one per run) there as it completes, via
-        :class:`~repro.engine.StreamObserver` -- a live feed of results
-        where telemetry/journal files land only at task completion.
     shard_listen:
         ``"host:port"`` the coordinator listens on for *external*
         shard workers (``repro shard-worker``), in addition to the
@@ -161,13 +148,6 @@ class SweepConfig:
         Prometheus/OTLP sink.  ``None`` with the fleet plane enabled
         derives ``sweep-<config-hash>``; ``None`` with the plane off
         leaves every series exactly as before.
-    obs_fleet:
-        Enable the fleet observability plane
-        (:mod:`repro.obs.fleet`): shard workers ship metric deltas and
-        spans back to the coordinator, which merges them into one
-        ``worker_id``-labelled registry with clock-skew-aligned spans.
-        Implied by ``prom_path`` / ``otlp_path``.  Observability only:
-        results are bit-identical with the plane on or off.
     prom_path:
         Prometheus textfile target for the merged fleet registry,
         rewritten atomically every ``obs_refresh_s`` and once more at
@@ -200,7 +180,6 @@ class SweepConfig:
     use_cache: bool = True
     cache_dir: Optional[str] = None
     audit: bool = False
-    telemetry_path: Optional[str] = None
     task_timeout_s: Optional[float] = None
     max_task_retries: int = 2
     retry_backoff_s: float = 0.05
@@ -208,16 +187,13 @@ class SweepConfig:
     journal_path: Optional[str] = None
     resume_from: Optional[str] = None
     progress: Optional[bool] = None
-    heartbeat_path: Optional[str] = None
     trace_spans: bool = False
     trace_path: Optional[str] = None
-    stream_path: Optional[str] = None
     shard_listen: Optional[str] = None
     shard_size: Optional[int] = None
     shard_heartbeat_s: float = 1.0
     shard_lease_timeout_s: float = 10.0
     run_id: Optional[str] = None
-    obs_fleet: bool = False
     prom_path: Optional[str] = None
     prom_gateway: Optional[str] = None
     otlp_path: Optional[str] = None
@@ -227,12 +203,7 @@ class SweepConfig:
     @property
     def fleet_enabled(self) -> bool:
         """Whether any knob turns the fleet observability plane on."""
-        return bool(
-            self.obs_fleet
-            or self.prom_path
-            or self.prom_gateway
-            or self.otlp_path
-        )
+        return bool(self.prom_path or self.prom_gateway or self.otlp_path)
 
     def validate(self) -> "SweepConfig":
         """Check the sweep parameters; returns self (chainable).

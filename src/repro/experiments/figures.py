@@ -48,16 +48,13 @@ def figure_sweep_config(
     use_cache: bool = True,
     cache_dir: Optional[str] = None,
     audit: bool = False,
-    telemetry_path: Optional[str] = None,
     task_timeout_s: Optional[float] = None,
     max_task_retries: int = 2,
     journal_path: Optional[str] = None,
     resume_from: Optional[str] = None,
     progress: Optional[bool] = None,
-    heartbeat_path: Optional[str] = None,
     trace_spans: bool = False,
     trace_path: Optional[str] = None,
-    stream_path: Optional[str] = None,
     shard_listen: Optional[str] = None,
     shard_size: Optional[int] = None,
     run_id: Optional[str] = None,
@@ -98,16 +95,13 @@ def figure_sweep_config(
         use_cache=use_cache,
         cache_dir=cache_dir,
         audit=audit,
-        telemetry_path=telemetry_path,
         task_timeout_s=task_timeout_s,
         max_task_retries=max_task_retries,
         journal_path=journal_path,
         resume_from=resume_from,
         progress=progress,
-        heartbeat_path=heartbeat_path,
         trace_spans=trace_spans,
         trace_path=trace_path,
-        stream_path=stream_path,
         shard_listen=shard_listen,
         shard_size=shard_size,
         run_id=run_id,
@@ -130,16 +124,13 @@ def run_figure(
     use_cache: bool = True,
     cache_dir: Optional[str] = None,
     audit: bool = False,
-    telemetry_path: Optional[str] = None,
     task_timeout_s: Optional[float] = None,
     max_task_retries: int = 2,
     journal_path: Optional[str] = None,
     resume_from: Optional[str] = None,
     progress: Optional[bool] = None,
-    heartbeat_path: Optional[str] = None,
     trace_spans: bool = False,
     trace_path: Optional[str] = None,
-    stream_path: Optional[str] = None,
     shard_listen: Optional[str] = None,
     shard_size: Optional[int] = None,
     run_id: Optional[str] = None,
@@ -152,14 +143,14 @@ def run_figure(
     """Run one paper figure end to end and return the sweep result.
 
     ``audit=True`` arms the per-task invariant audit (violations land
-    on the result); ``telemetry_path`` writes the run telemetry JSONL.
-    ``journal_path`` / ``resume_from`` make the sweep crash-safe and
-    resumable (see docs/resilience.md).  ``progress`` /
-    ``heartbeat_path`` / ``trace_spans`` / ``trace_path`` /
-    ``stream_path`` are the observability taps (see
-    docs/observability.md).  ``workers`` / ``shard_listen`` route the
-    grid through the fault-tolerant sharded dispatch service
-    (:mod:`repro.experiments.sharded`; see docs/resilience.md).
+    on the result).  ``journal_path`` / ``resume_from`` make the sweep
+    crash-safe and resumable (see docs/resilience.md); the journal is
+    also the sweep's record for ``repro tail`` / ``repro dash``.
+    ``progress`` / ``trace_spans`` / ``trace_path`` are the
+    observability taps (see docs/observability.md).  ``workers`` /
+    ``shard_listen`` route the grid through the fault-tolerant sharded
+    dispatch service (:mod:`repro.experiments.sharded`; see
+    docs/resilience.md).
     ``prom_path`` / ``prom_gateway`` / ``otlp_path`` enable the fleet
     observability plane (merged cross-process metrics + skew-aligned
     spans, see docs/observability.md); ``adaptive_shard_size`` sizes
@@ -176,16 +167,13 @@ def run_figure(
         use_cache=use_cache,
         cache_dir=cache_dir,
         audit=audit,
-        telemetry_path=telemetry_path,
         task_timeout_s=task_timeout_s,
         max_task_retries=max_task_retries,
         journal_path=journal_path,
         resume_from=resume_from,
         progress=progress,
-        heartbeat_path=heartbeat_path,
         trace_spans=trace_spans,
         trace_path=trace_path,
-        stream_path=stream_path,
         shard_listen=shard_listen,
         shard_size=shard_size,
         run_id=run_id,

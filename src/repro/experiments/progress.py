@@ -1,4 +1,4 @@
-"""Live sweep progress: rate, ETA and a heartbeat record stream.
+"""Live sweep progress: rate, ETA and journaled heartbeats.
 
 A big Monte-Carlo sweep is silent for minutes; this module is the
 operator's window into it.  The sweep supervisor
@@ -11,9 +11,10 @@ reporter turns that into:
   | retries 1``) rewritten in place on a TTY and emitted as periodic
   plain lines otherwise, so both an interactive terminal and a CI log
   stay readable;
-* **heartbeat records** -- ``{"kind": "heartbeat", ...}`` JSONL lines
-  appended to an optional path on a fixed cadence, the machine-readable
-  twin of the status line that ``repro tail`` and dashboards consume;
+* **heartbeat records** -- ``{"kind": "heartbeat", ...}`` lines
+  appended to the sweep journal on a fixed cadence while the status
+  line is on, its machine-readable twin that ``repro tail`` and
+  ``repro dash`` read;
 * sweep-level **metrics** (``repro_sweep_tasks_total{status=...}``,
   ``repro_sweep_retries_total``) in the process-local registry
   (:mod:`repro.obs.metrics`).
@@ -21,8 +22,9 @@ reporter turns that into:
 Whether the status line renders at all resolves by precedence:
 an explicit ``enabled`` flag (the CLI's ``--progress`` /
 ``--no-progress``), else the ``REPRO_PROGRESS`` environment variable,
-else whether the output stream is a TTY.  Heartbeats are independent
-of that resolution -- a path given is always written.
+else whether the output stream is a TTY.  The same resolution decides
+whether heartbeats are journaled, so a sweep run with progress off
+writes a journal of header and task lines only.
 
 The reporter is display-only by contract: it never touches task
 results, so a sweep with progress on is value-identical to one with it
@@ -31,7 +33,6 @@ off (asserted in ``tests/experiments/test_progress.py``).
 
 from __future__ import annotations
 
-import json
 import os
 import sys
 import time
@@ -88,10 +89,11 @@ class ProgressReporter:
     enabled:
         Explicit on/off for the status line; ``None`` defers to
         :func:`progress_enabled`.
-    heartbeat_path:
-        When set, one ``{"kind": "heartbeat", ...}`` JSONL line is
-        appended there every ``heartbeat_every_s`` seconds (and once
-        at :meth:`close`), independent of the status-line switch.
+    journal:
+        The sweep's :class:`~repro.experiments.resilience.SweepJournal`.
+        While progress is enabled, one ``{"kind": "heartbeat", ...}``
+        line goes there every ``heartbeat_every_s`` seconds (and once
+        at :meth:`close`); :attr:`journal` stays ``None`` otherwise.
     label:
         Prefix of the status line (default ``"sweep"``).
     """
@@ -101,7 +103,7 @@ class ProgressReporter:
         total: int,
         stream=None,
         enabled: Optional[bool] = None,
-        heartbeat_path=None,
+        journal=None,
         heartbeat_every_s: float = _HEARTBEAT_EVERY_S,
         label: str = "sweep",
     ):
@@ -109,11 +111,8 @@ class ProgressReporter:
         self.stream = stream if stream is not None else sys.stderr
         self.enabled = progress_enabled(enabled, self.stream)
         self.label = label
-        self.heartbeat_path = (
-            os.fspath(heartbeat_path) if heartbeat_path is not None else None
-        )
+        self.journal = journal if self.enabled else None
         self.heartbeat_every_s = heartbeat_every_s
-        self._heartbeat_fh = None
         # Completion accounting.
         self.done = 0  # every terminal outcome (executed/resumed/hole)
         self.executed = 0  # tasks that actually ran to success
@@ -233,10 +232,10 @@ class ProgressReporter:
                 self._render()
                 self._last_render = now
         if (
-            self.heartbeat_path is not None
+            self.journal is not None
             and now - self._last_heartbeat >= self.heartbeat_every_s
         ):
-            self._write_heartbeat()
+            self.journal.heartbeat(self.heartbeat_record())
             self._last_heartbeat = now
 
     def _render(self) -> None:
@@ -272,17 +271,6 @@ class ProgressReporter:
             "workers_alive": self.workers_alive,
         }
 
-    def _write_heartbeat(self) -> None:
-        if self._heartbeat_fh is None:
-            parent = os.path.dirname(self.heartbeat_path)
-            if parent:
-                os.makedirs(parent, exist_ok=True)
-            self._heartbeat_fh = open(self.heartbeat_path, "a")
-        self._heartbeat_fh.write(
-            json.dumps(self.heartbeat_record(), sort_keys=True) + "\n"
-        )
-        self._heartbeat_fh.flush()
-
     # -- teardown -------------------------------------------------------
     def close(self) -> None:
         """Final render + final heartbeat; idempotent."""
@@ -297,14 +285,11 @@ class ProgressReporter:
                     self.stream.flush()
                 except (OSError, ValueError):
                     pass
-        if self.heartbeat_path is not None:
+        if self.journal is not None:
             try:
-                self._write_heartbeat()
+                self.journal.heartbeat(self.heartbeat_record())
             except OSError:
                 pass
-        if self._heartbeat_fh is not None:
-            self._heartbeat_fh.close()
-            self._heartbeat_fh = None
 
 
 def _fmt_duration(seconds: float) -> str:

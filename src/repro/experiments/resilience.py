@@ -161,15 +161,24 @@ def sweep_config_hash(config) -> str:
 # the sweep journal
 # ----------------------------------------------------------------------
 class SweepJournal:
-    """Append-only JSONL ledger of completed sweep tasks.
+    """Append-only JSONL record of a sweep: the one file it writes.
 
     Line 1 is a header ``{"kind": "header", "version": ...,
     "config_hash": ...}``; every completed task appends one
     ``{"kind": "task", ...}`` line carrying its runs, telemetry and
-    audit violations.  The file is *created* atomically (header written
-    to a tmp file, fsynced, renamed into place) and every append is
+    audit violations.  While progress is on, the
+    :class:`~repro.experiments.progress.ProgressReporter` adds
+    ``{"kind": "heartbeat", ...}`` lines, and the sweep closes with one
+    ``{"kind": "summary", "telemetry": ...}`` line
+    (:class:`~repro.obs.telemetry.TelemetrySummary`).  ``repro tail``
+    and ``repro dash`` read all four kinds; :meth:`load` resumes from
+    ``task`` lines alone.
+
+    The file is *created* atomically (header written to a tmp file,
+    fsynced, renamed into place) and every task and summary append is
     flushed and fsynced, so a crash loses at most the line being
     written -- and the loader ignores a torn trailing line.
+    Heartbeats are flushed but not fsynced: resume never reads them.
     """
 
     def __init__(self, path, config_hash: str):
@@ -274,9 +283,7 @@ class SweepJournal:
     ) -> None:
         """Append one completed task; flushed and fsynced before
         returning, so the entry survives any subsequent crash."""
-        if self._fh is None:
-            raise RuntimeError("journal is not open")
-        entry = {
+        self._append({
             "kind": "task",
             "t_switch": float(t_switch),
             "seed": int(seed),
@@ -284,10 +291,24 @@ class SweepJournal:
             "runs": [asdict(r) for r in runs],
             "telemetry": telemetry.as_json_dict(),
             "violations": [v.as_dict() for v in violations],
-        }
+        })
+
+    def heartbeat(self, record: dict) -> None:
+        """Append one progress heartbeat (flushed, not fsynced)."""
+        self._append(record, sync=False)
+
+    def summary(self, summary) -> None:
+        """Append the sweep's closing
+        :class:`~repro.obs.telemetry.TelemetrySummary`."""
+        self._append({"kind": "summary", "telemetry": asdict(summary)})
+
+    def _append(self, entry: dict, sync: bool = True) -> None:
+        if self._fh is None:
+            raise RuntimeError("journal is not open")
         self._fh.write(json.dumps(entry, sort_keys=True) + "\n")
         self._fh.flush()
-        os.fsync(self._fh.fileno())
+        if sync:
+            os.fsync(self._fh.fileno())
 
     def close(self) -> None:
         if self._fh is not None:
@@ -490,28 +511,30 @@ def execute(
     *tasks* is the point-major list of ``_evaluate_task`` argument
     tuples (``tasks[i][1]`` / ``tasks[i][2]`` are the task's t_switch
     and seed).
+
+    With a journal and progress on, the reporter journals heartbeats
+    and the sweep closes the journal with its summary line.
     """
+    started = time.perf_counter()
     specs = [_TaskSpec(i, t[1], t[2], tuple(t)) for i, t in enumerate(tasks)]
     report = ExecutionReport(outcomes=[None] * len(specs))
     config_hash = sweep_config_hash(config)
-    reporter = ProgressReporter(
-        total=len(specs),
-        enabled=getattr(config, "progress", None),
-        heartbeat_path=getattr(config, "heartbeat_path", None),
-    )
 
+    entries = {}
     if config.resume_from and os.path.exists(config.resume_from):
         entries = SweepJournal.load(config.resume_from, config_hash)
-        for spec in specs:
-            hit = entries.get((spec.t_switch, spec.seed))
-            if hit is not None:
-                report.outcomes[spec.index] = hit
-                report.resumed_cells.add((spec.t_switch, spec.seed))
-                reporter.task_done(resumed=True)
-
     journal = None
     if config.journal_path:
         journal = SweepJournal(config.journal_path, config_hash).open()
+    reporter = ProgressReporter(
+        total=len(specs), enabled=config.progress, journal=journal
+    )
+    for spec in specs:
+        hit = entries.get((spec.t_switch, spec.seed))
+        if hit is not None:
+            report.outcomes[spec.index] = hit
+            report.resumed_cells.add((spec.t_switch, spec.seed))
+            reporter.task_done(resumed=True)
 
     pending = [s for s in specs if report.outcomes[s.index] is None]
     # Deterministic jitter per sweep: retries are reproducible and
@@ -531,11 +554,30 @@ def execute(
                     config, pending, report, journal, drain, rng, reporter
                 )
             report.interrupted = drain.triggered
+        reporter.close()  # the final heartbeat precedes the summary
+        if reporter.journal is not None:
+            reporter.journal.summary(
+                _summary(config, report, time.perf_counter() - started)
+            )
     finally:
         reporter.close()
         if journal is not None:
             journal.close()
     return report
+
+
+def _summary(config, report, sweep_wall_s: float):
+    """The journal's closing summary line; the same aggregate as
+    :meth:`~repro.experiments.runner.SweepResult.telemetry_summary`."""
+    from repro.obs.telemetry import summarize
+
+    return summarize(
+        [o[3] for o in report.outcomes if o is not None],
+        sweep_wall_s=sweep_wall_s,
+        workers=max(1, config.workers),
+        n_quarantined=len(report.errors),
+        resumed=report.resumed_cells,
+    )
 
 
 def _complete(spec, outcome, attempts, report, journal, reporter) -> None:

@@ -50,7 +50,6 @@ from repro.analysis.stats import SampleSummary, summarize
 from repro.engine import (
     AuditObserver,
     RunSpec,
-    StreamObserver,
     TelemetryObserver,
     TimingObserver,
     execute,
@@ -211,7 +210,6 @@ def _evaluate_task(
     cache_dir: Optional[str],
     audit: bool = False,
     trace_spans: bool = False,
-    stream_path: Optional[str] = None,
     engine: str = "fused",
     run_id: Optional[str] = None,
 ) -> tuple[float, int, list[RunOutcome], TaskTelemetry, list]:
@@ -223,10 +221,7 @@ def _evaluate_task(
     bit-identical either way.
 
     ``trace_spans`` attaches a :class:`~repro.engine.TimingObserver`
-    and ships its phase spans home on the telemetry record;
-    ``stream_path`` appends one JSONL line per protocol outcome there
-    as the run progresses (append-mode, so parallel workers interleave
-    whole lines)."""
+    and ships its phase spans home on the telemetry record."""
     cfg = base.with_(t_switch=t_switch, seed=seed)
     telemetry_obs = TelemetryObserver(t_switch=t_switch, seed=seed)
     # The audit observer goes first so the telemetry record sees the
@@ -241,30 +236,20 @@ def _evaluate_task(
         # itself timed under observer:* spans.
         timing = TimingObserver()
         observers = (timing,) + observers
-    stream = None
-    if stream_path:
-        stream = StreamObserver(
-            stream_path, labels={"t_switch": t_switch, "seed": seed}
+    result = execute(
+        RunSpec(
+            protocols=tuple(protocols),
+            workload=cfg,
+            engine=engine,
+            counters_only=True,  # counters are all a sweep needs
+            audit=audit,
+            seed=seed,
+            use_cache=use_cache,
+            cache_dir=cache_dir,
+            observers=observers,
+            run_id=run_id,
         )
-        observers = observers + (stream,)
-    try:
-        result = execute(
-            RunSpec(
-                protocols=tuple(protocols),
-                workload=cfg,
-                engine=engine,
-                counters_only=True,  # counters are all a sweep needs
-                audit=audit,
-                seed=seed,
-                use_cache=use_cache,
-                cache_dir=cache_dir,
-                observers=observers,
-                run_id=run_id,
-            )
-        )
-    finally:
-        if stream is not None:
-            stream.close()
+    )
     if timing is not None:
         telemetry_obs.record.spans = timing.tracer.as_dicts()
     runs = [
@@ -328,7 +313,6 @@ def _tasks(config: SweepConfig) -> list[tuple]:
             config.cache_dir,
             config.audit,
             trace_spans,
-            config.stream_path,
             config.engine,
             config.run_id,
         )
@@ -370,13 +354,12 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     that exhausts its retries becomes a hole in the result (see
     :attr:`SweepResult.errors`), never an aborted sweep.
 
-    Telemetry is collected for every task; when
-    ``config.telemetry_path`` is set the records (plus an aggregate
-    summary line) are written there as JSONL.  In audit mode the
-    result additionally carries every invariant violation found.
+    Telemetry is collected for every task and journaled with it when
+    ``config.journal_path`` is set.  In audit mode the result
+    additionally carries every invariant violation found.
 
-    When any fleet-observability knob is set (``obs_fleet`` /
-    ``prom_path`` / ``prom_gateway`` / ``otlp_path``) a
+    When any fleet-observability knob is set (``prom_path`` /
+    ``prom_gateway`` / ``otlp_path``) a
     :class:`repro.obs.fleet.FleetPlane` rides the sweep: shard workers
     ship metric deltas back, the merged registry refreshes the
     Prometheus targets while the sweep runs, and one OTLP-JSON
@@ -413,14 +396,6 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     result.task_retries = report.retries
     result.interrupted = report.interrupted
     result.sweep_wall_s = time.perf_counter() - started
-    if config.telemetry_path:
-        from repro.obs.telemetry import write_jsonl
-
-        write_jsonl(
-            result.telemetry,
-            config.telemetry_path,
-            summary=result.telemetry_summary(),
-        )
     spans = [s for rec in result.telemetry for s in rec.spans]
     if config.trace_path:
         from repro.obs.tracing import write_chrome_trace

@@ -109,7 +109,8 @@ __all__ = [
 #: v2: register/heartbeat frames carry a ``mono`` clock sample and the
 #: fleet observability plane adds the ``obs-delta`` frame kind
 #: (worker metric deltas; see :mod:`repro.obs.fleet`).
-PROTOCOL_VERSION = 2
+#: v3: the hello frame's task settings lose ``stream_path``.
+PROTOCOL_VERSION = 3
 
 #: Hex-encoded connection authkey for *external* workers
 #: (``repro shard-worker``); locally spawned workers inherit a random
@@ -465,7 +466,6 @@ def worker_main(
                                 spec.cache_dir,
                                 spec.audit,
                                 task["trace_spans"],
-                                task["stream_path"],
                                 spec.engine,
                                 run_id=spec.run_id,
                             )
@@ -759,7 +759,6 @@ class _Coordinator:
             "task": {
                 "timeout_s": config.task_timeout_s,
                 "trace_spans": trace_spans,
-                "stream_path": getattr(config, "stream_path", None),
                 "heartbeat_interval_s": config.shard_heartbeat_s,
                 "lease_timeout_s": config.shard_lease_timeout_s,
                 "obs_fleet": self.fleet is not None,

@@ -5,7 +5,8 @@
   :func:`run_audit_grid`) that proves the fast replay/sweep paths
   still produce paper-correct checkpoints.
 * :mod:`repro.obs.telemetry` -- per-(point, seed) run telemetry
-  (:class:`TaskTelemetry`), JSONL emission and aggregation.
+  (:class:`TaskTelemetry`), aggregation and the ``repro tail``
+  summary of a sweep journal.
 * :mod:`repro.obs.tracing` -- nested span tracing of engine phases
   (:class:`Tracer`, :class:`Span`), Chrome trace-event export and the
   text phase table.
@@ -51,7 +52,6 @@ _EXPORTS = {
     "summarize": "telemetry",
     "tail_summary": "telemetry",
     "telemetry_table": "telemetry",
-    "write_jsonl": "telemetry",
     # tracing
     "Span": "tracing",
     "Tracer": "tracing",
@@ -125,7 +125,6 @@ if TYPE_CHECKING:  # pragma: no cover - static-analysis convenience
         summarize,
         tail_summary,
         telemetry_table,
-        write_jsonl,
     )
     from repro.obs.tracing import (  # noqa: F401
         Span,

@@ -1,9 +1,10 @@
-"""Live sweep dashboard: a TTY view over the observability JSONL.
+"""Live sweep dashboard: a TTY view over a sweep journal.
 
 ``repro dash FILE`` renders (and re-renders, in follow mode) a compact
-fleet dashboard from any mix of observability records -- telemetry
-task lines, progress heartbeats, streamed outcome lines -- in one or
-more JSONL files.  The pieces:
+fleet dashboard from a sweep journal
+(:class:`~repro.experiments.resilience.SweepJournal`): its ``task``
+lines (telemetry nested under ``telemetry``) and progress
+``heartbeat`` lines.  The pieces:
 
 * :class:`JsonlFollower` -- an incremental JSONL reader that survives
   the realities of following a live file: it keeps its offset between
@@ -147,16 +148,14 @@ def sparkline(values: Iterable[float], width: int = 24) -> str:
 
 
 def _classify(records: Iterable[dict]):
-    tasks, heartbeats, outcomes = [], [], []
+    tasks, heartbeats = [], []
     for rec in records:
         kind = rec.get("kind")
         if kind == "heartbeat":
             heartbeats.append(rec)
-        elif kind == "outcome":
-            outcomes.append(rec)
-        elif kind is None and "wall_time_s" in rec:
-            tasks.append(rec)
-    return tasks, heartbeats, outcomes
+        elif kind == "task":
+            tasks.append(rec["telemetry"])
+    return tasks, heartbeats
 
 
 def _fmt_rate(value: Optional[float]) -> str:
@@ -164,9 +163,8 @@ def _fmt_rate(value: Optional[float]) -> str:
 
 
 def render_dashboard(records: Iterable[dict], width: int = 72) -> str:
-    """Render parsed observability records as a dashboard string."""
-    records = list(records)
-    tasks, heartbeats, outcomes = _classify(records)
+    """Render parsed journal records as a dashboard string."""
+    tasks, heartbeats = _classify(records)
     lines: list[str] = []
     rule = "─" * width
 
@@ -200,10 +198,6 @@ def render_dashboard(records: Iterable[dict], width: int = 72) -> str:
             lines.append(f"throughput {sparkline(rates)}")
     elif tasks:
         lines.append(f"progress  {len(tasks)} task records (no heartbeats)")
-    elif outcomes:
-        lines.append(
-            f"progress  {len(outcomes)} outcome records (no heartbeats)"
-        )
     else:
         lines.append("(no records yet)")
 
@@ -250,14 +244,6 @@ def render_dashboard(records: Iterable[dict], width: int = 72) -> str:
             if n_total:
                 forced.setdefault(proto, []).append(
                     counters.get("n_forced", 0) / n_total
-                )
-    if not forced:
-        for rec in outcomes:
-            proto = rec.get("protocol")
-            n_total = rec.get("n_total") or 0
-            if proto and n_total:
-                forced.setdefault(proto, []).append(
-                    rec.get("n_forced", 0) / n_total
                 )
     if forced:
         lines.append(rule)

@@ -9,10 +9,12 @@ workers with the run outcomes and are reassembled in deterministic
 (point, seed) order, so two identical sweeps produce identically
 ordered telemetry (the wall times differ, the structure does not).
 
-Emission is JSONL -- one JSON object per line, one line per task --
-because it appends cleanly (a crashed sweep keeps the records written
-so far), streams through standard tooling (``jq``, ``pandas``), and
-needs no schema migration when fields are added.
+The records are journaled -- nested under ``telemetry`` in the sweep
+journal's ``task`` lines (:class:`~repro.experiments.resilience.SweepJournal`),
+one JSON line per task -- because JSONL appends cleanly (a crashed
+sweep keeps the records written so far), streams through standard
+tooling (``jq``, ``pandas``), and needs no schema migration when
+fields are added.
 
 :func:`summarize` aggregates a record list into the operational
 headline numbers: total busy time, worker utilization (busy time over
@@ -23,9 +25,8 @@ was generation-bound or replay-bound.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import asdict, dataclass, field
-from typing import Any, Collection, Iterable, Optional, Sequence
+from typing import Any, Collection, Sequence
 
 #: Where a task's trace came from (``TaskTelemetry.trace_source``).
 TRACE_SOURCES = ("memory", "disk", "generated", "uncached")
@@ -184,36 +185,8 @@ def summarize(
     )
 
 
-def write_jsonl(
-    records: Iterable[TaskTelemetry],
-    path,
-    summary: Optional[TelemetrySummary] = None,
-) -> None:
-    """Write one JSON object per record to *path* (overwrites).
-
-    When *summary* is given it is appended as a final line tagged
-    ``{"kind": "summary", ...}`` so stream consumers can tell it apart
-    from task records (which carry no ``kind`` key).
-    """
-    parent = os.path.dirname(os.fspath(path))
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    with open(path, "w") as fh:
-        for record in records:
-            fh.write(json.dumps(record.as_json_dict(), sort_keys=True))
-            fh.write("\n")
-        if summary is not None:
-            payload = {"kind": "summary", **asdict(summary)}
-            # JSON objects key by string; pids arrive as ints.
-            payload["busy_by_pid"] = {
-                str(k): v for k, v in summary.busy_by_pid.items()
-            }
-            fh.write(json.dumps(payload, sort_keys=True))
-            fh.write("\n")
-
-
 def read_jsonl(path) -> list[dict[str, Any]]:
-    """Parse a telemetry JSONL file back into dicts (summary included)."""
+    """Parse a JSONL file (a sweep journal) back into dicts."""
     out = []
     with open(path) as fh:
         for line in fh:
@@ -249,22 +222,21 @@ def telemetry_table(records: Sequence[TaskTelemetry]) -> str:
 
 
 def tail_summary(records: Sequence[dict]) -> str:
-    """Live summary of a telemetry / outcome / heartbeat JSONL stream.
+    """Live summary of a sweep journal.
 
-    Backs ``repro tail``: *records* are parsed JSONL dicts of any mix
-    the observability layer emits -- task telemetry lines (no ``kind``
-    key), :class:`~repro.engine.observers.StreamObserver` ``outcome``
-    lines, sweep ``heartbeat`` records and the trailing ``summary``
-    line -- and the result is a short multi-line status report.
+    Backs ``repro tail``: *records* are the parsed lines of a journal
+    (:class:`~repro.experiments.resilience.SweepJournal`) -- ``task``
+    lines with their telemetry nested under ``telemetry``, progress
+    ``heartbeat`` lines and the closing ``summary`` line -- and the
+    result is a short multi-line status report.
     """
-    tasks = [r for r in records if "kind" not in r and "wall_time_s" in r]
-    outcomes = [r for r in records if r.get("kind") == "outcome"]
+    tasks = [r["telemetry"] for r in records if r.get("kind") == "task"]
     heartbeats = [r for r in records if r.get("kind") == "heartbeat"]
-    summaries = [r for r in records if r.get("kind") == "summary"]
+    summaries = [r["telemetry"] for r in records if r.get("kind") == "summary"]
 
     lines = [
         f"{len(records)} records: {len(tasks)} task(s), "
-        f"{len(outcomes)} outcome(s), {len(heartbeats)} heartbeat(s)"
+        f"{len(heartbeats)} heartbeat(s)"
     ]
     if tasks:
         wall = [float(r.get("wall_time_s", 0.0)) for r in tasks]
@@ -282,21 +254,6 @@ def tail_summary(records: Sequence[dict]) -> str:
         if totals:
             lines.append(
                 "N_tot means: "
-                + " ".join(
-                    f"{name}={sum(v) / len(v):.1f}"
-                    for name, v in sorted(totals.items())
-                )
-            )
-    if outcomes:
-        totals = {}
-        for r in outcomes:
-            if r.get("protocol") is not None and "n_total" in r:
-                totals.setdefault(str(r["protocol"]), []).append(
-                    int(r["n_total"])
-                )
-        if totals:
-            lines.append(
-                "outcomes N_tot means: "
                 + " ".join(
                     f"{name}={sum(v) / len(v):.1f}"
                     for name, v in sorted(totals.items())

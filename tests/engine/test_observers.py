@@ -10,7 +10,6 @@ from repro.engine import (
     ObserverReuseError,
     RunObserver,
     RunSpec,
-    StreamObserver,
     TelemetryObserver,
     TimingObserver,
     execute,
@@ -350,59 +349,6 @@ def test_timing_observer_accumulates_across_runs(tmp_path):
 def test_untraced_runs_record_no_spans():
     result = execute(RunSpec(protocols=("TP",), workload=cfg()))
     assert result.observer_errors == []  # engine ran span-free and clean
-
-
-def test_stream_observer_writes_outcome_and_run_lines(tmp_path):
-    path = tmp_path / "stream.jsonl"
-    stream = StreamObserver(path, labels={"t_switch": 500.0})
-    execute(
-        RunSpec(protocols=("TP", "BCS"), workload=cfg(), observers=(stream,))
-    )
-    stream.close()
-    lines = [json.loads(l) for l in path.read_text().splitlines()]
-    assert [l["kind"] for l in lines] == ["outcome", "outcome", "run"]
-    assert [l.get("protocol") for l in lines[:2]] == ["TP", "BCS"]
-    assert all(l["t_switch"] == 500.0 for l in lines)  # labels merged
-    assert all("ts" in l for l in lines)
-    assert lines[0]["n_total"] >= 0 and lines[0]["engine"] == "vectorized"
-    assert lines[-1]["n_outcomes"] == 2
-    assert stream.lines_written == 3
-
-
-def test_stream_observer_file_like_target_not_closed():
-    import io
-
-    buf = io.StringIO()
-    stream = StreamObserver(buf)
-    execute(
-        RunSpec(
-            protocols=("CL",),
-            workload=cfg(),
-            engine="online",
-            snapshot_interval=100.0,
-            observers=(stream,),
-        )
-    )
-    stream.close()
-    assert not buf.closed  # caller-owned sink stays open
-    lines = [json.loads(l) for l in buf.getvalue().splitlines()]
-    # Coordinated outcomes still report their N_tot.
-    assert lines[0]["kind"] == "outcome" and "n_total" in lines[0]
-
-
-def test_stream_observer_append_safe_across_runs(tmp_path):
-    path = tmp_path / "stream.jsonl"
-    for seed in (0, 1):
-        stream = StreamObserver(path, labels={"seed_label": seed})
-        execute(
-            RunSpec(
-                protocols=("TP",), workload=cfg(seed=seed), observers=(stream,)
-            )
-        )
-        stream.close()
-    lines = [json.loads(l) for l in path.read_text().splitlines()]
-    assert len(lines) == 4  # (outcome + run) x 2, appended not clobbered
-    assert {l["seed_label"] for l in lines} == {0, 1}
 
 
 def test_audit_before_telemetry_counts_violations():

@@ -1,4 +1,5 @@
-"""ProgressReporter: ETA math, rendering, heartbeats and sweep wiring."""
+"""ProgressReporter: ETA math, rendering, journaled heartbeats and
+sweep wiring."""
 
 import io
 import json
@@ -11,6 +12,7 @@ from repro.experiments.progress import (
     ProgressReporter,
     progress_enabled,
 )
+from repro.experiments.resilience import SweepJournal
 from repro.experiments.runner import run_sweep
 from repro.obs.telemetry import TaskTelemetry
 from repro.workload.config import WorkloadConfig
@@ -138,20 +140,28 @@ def test_plain_line_rendering_on_non_tty():
     assert "\r" not in out  # non-TTY: plain lines, no carriage returns
 
 
+def _journal_lines(path):
+    return [json.loads(l) for l in path.read_text().splitlines()]
+
+
 def test_heartbeat_records(tmp_path, monkeypatch):
     now = [0.0]
     monkeypatch.setattr(
         "repro.experiments.progress.time.monotonic", lambda: now[0]
     )
-    path = tmp_path / "hb.jsonl"
+    path = tmp_path / "sweep.jsonl"
+    journal = SweepJournal(path, "hash").open()
     reporter = ProgressReporter(
-        total=3, enabled=False, heartbeat_path=path, heartbeat_every_s=1.0
+        total=3, stream=io.StringIO(), enabled=True, journal=journal,
+        heartbeat_every_s=1.0,
     )
     reporter.task_done(record())
     now[0] = 1.5  # past the cadence
     reporter.task_done(record())
     reporter.close()  # final heartbeat
-    records = [json.loads(l) for l in path.read_text().splitlines()]
+    journal.close()
+    header, *records = _journal_lines(path)
+    assert header["kind"] == "header"
     assert len(records) == 2
     assert all(r["kind"] == "heartbeat" for r in records)
     last = records[-1]
@@ -161,14 +171,27 @@ def test_heartbeat_records(tmp_path, monkeypatch):
 
 
 def test_close_is_idempotent(tmp_path):
+    path = tmp_path / "sweep.jsonl"
+    journal = SweepJournal(path, "hash").open()
     reporter = ProgressReporter(
-        total=1, enabled=False, heartbeat_path=tmp_path / "hb.jsonl"
+        total=1, stream=io.StringIO(), enabled=True, journal=journal
     )
     reporter.task_done(record())
     reporter.close()
     reporter.close()
-    lines = (tmp_path / "hb.jsonl").read_text().splitlines()
-    assert len(lines) == 1
+    journal.close()
+    assert [r["kind"] for r in _journal_lines(path)] == [
+        "header", "heartbeat"
+    ]
+
+
+def test_progress_off_journals_no_heartbeats(tmp_path):
+    journal = SweepJournal(tmp_path / "sweep.jsonl", "hash").open()
+    reporter = ProgressReporter(total=1, enabled=False, journal=journal)
+    assert reporter.journal is None  # the journal stays a bare ledger
+    reporter.task_done(record())
+    reporter.close()
+    journal.close()
 
 
 # ----------------------------------------------------------------------
@@ -191,10 +214,13 @@ def test_sweep_respects_progress_env(monkeypatch, capsys):
 
 
 def test_sweep_writes_heartbeats(tmp_path):
-    path = tmp_path / "hb.jsonl"
-    run_sweep(sweep_config(heartbeat_path=str(path)))
-    records = [json.loads(l) for l in path.read_text().splitlines()]
-    assert records and records[-1]["done"] == 4 and records[-1]["total"] == 4
+    path = tmp_path / "sweep.jsonl"
+    run_sweep(sweep_config(journal_path=str(path), progress=True))
+    records = _journal_lines(path)
+    heartbeats = [r for r in records if r["kind"] == "heartbeat"]
+    assert heartbeats[-1]["done"] == 4 and heartbeats[-1]["total"] == 4
+    # The final heartbeat comes right before the closing summary.
+    assert [r["kind"] for r in records[-2:]] == ["heartbeat", "summary"]
 
 
 def test_sweep_trace_path_writes_merged_chrome_trace(tmp_path):
@@ -211,35 +237,13 @@ def test_sweep_trace_path_writes_merged_chrome_trace(tmp_path):
     )
 
 
-def test_sweep_stream_path_feeds_outcome_lines(tmp_path):
-    path = tmp_path / "stream.jsonl"
-    result = run_sweep(sweep_config(stream_path=str(path)))
-    lines = [json.loads(l) for l in path.read_text().splitlines()]
-    outcomes = [l for l in lines if l["kind"] == "outcome"]
-    # 4 tasks x 2 protocols, each labelled with its grid cell.
-    assert len(outcomes) == 8
-    assert {(l["t_switch"], l["seed"]) for l in outcomes} == {
-        (t, s) for t in (80.0, 200.0) for s in (0, 1)
-    }
-    # The streamed counts match the assembled result exactly.
-    by_cell = {
-        (l["t_switch"], l["seed"], l["protocol"]): l["n_total"]
-        for l in outcomes
-    }
-    for point in result.points:
-        for run in point.runs:
-            assert by_cell[(point.t_switch, run.seed, run.protocol)] == (
-                run.n_total
-            )
-
-
 def test_observability_does_not_change_results(tmp_path):
     plain = run_sweep(sweep_config())
     observed = run_sweep(
         sweep_config(
             trace_path=str(tmp_path / "t.json"),
-            stream_path=str(tmp_path / "s.jsonl"),
-            heartbeat_path=str(tmp_path / "h.jsonl"),
+            journal_path=str(tmp_path / "j.jsonl"),
+            progress=True,
         )
     )
 
@@ -252,3 +256,45 @@ def test_observability_does_not_change_results(tmp_path):
         ]
 
     assert rows(plain) == rows(observed)
+
+
+def test_resume_over_journaled_heartbeats_runs_only_missing_cells(
+    tmp_path, monkeypatch
+):
+    from repro.experiments import runner as runner_mod
+
+    path = tmp_path / "sweep.jsonl"
+    full = run_sweep(sweep_config(journal_path=str(path), progress=True))
+    header, *rest = path.read_text().splitlines(keepends=True)
+    heartbeat = next(l for l in rest if '"kind": "heartbeat"' in l)
+    tasks = [l for l in rest if '"kind": "task"' in l]
+    dropped = json.loads(tasks[1])
+    # A crash after three cells, with heartbeats between the task lines
+    # and the summary of an earlier run at the end.
+    kept = [header]
+    for line in tasks[:1] + tasks[2:]:
+        kept += [line, heartbeat]
+    kept.append(rest[-1])
+    assert json.loads(rest[-1])["kind"] == "summary"
+    path.write_text("".join(kept))
+
+    real = runner_mod._evaluate_task
+    executed = []
+
+    def tracking(*args):
+        executed.append((args[1], args[2]))
+        return real(*args)
+
+    monkeypatch.setattr(runner_mod, "_evaluate_task", tracking)
+    resumed = run_sweep(sweep_config(
+        journal_path=str(path), resume_from=str(path), progress=True
+    ))
+    assert executed == [(dropped["t_switch"], dropped["seed"])]
+    assert resumed.resumed_tasks == 3 and resumed.complete
+    assert [[(r.protocol, r.n_total) for r in p.runs] for p in resumed.points] == [
+        [(r.protocol, r.n_total) for r in p.runs] for p in full.points
+    ]
+    lines = [json.loads(l) for l in path.read_text().splitlines()]
+    assert sum(l["kind"] == "task" for l in lines) == 4
+    assert sum(l["kind"] == "summary" for l in lines) == 2
+    assert lines[-1]["telemetry"]["n_resumed"] == 3

@@ -76,7 +76,7 @@ def test_result_determining_fields_change_hash(change):
         {"task_timeout_s": 5.0},
         {"max_task_retries": 9},
         {"journal_path": "/tmp/j.jsonl"},
-        {"telemetry_path": "/tmp/t.jsonl"},
+        {"progress": True},
     ],
 )
 def test_execution_knobs_do_not_change_hash(change):

@@ -35,10 +35,10 @@ def _heartbeat(done, total, **extra):
 
 
 def _task(pid, wall, counters=None, **extra):
-    return {
+    return {"kind": "task", "telemetry": {
         "pid": pid, "wall_time_s": wall, "seed": 0, "t_switch": 50.0,
         "counters": counters or {}, **extra,
-    }
+    }}
 
 
 def test_render_progress_from_latest_heartbeat():
@@ -68,14 +68,6 @@ def test_render_forced_rate_sparklines_from_task_counters():
     text = render_dashboard([_task(1, 1.0, counters=counters)])
     assert "forced-checkpoint rate" in text
     assert "TP" in text and "last 0.900" in text
-
-
-def test_render_falls_back_to_outcome_records():
-    text = render_dashboard([
-        {"kind": "outcome", "protocol": "BCS", "n_forced": 1, "n_total": 4},
-    ])
-    assert "1 outcome records" in text
-    assert "last 0.250" in text
 
 
 def test_render_empty_is_calm():
@@ -179,3 +171,46 @@ def test_run_dashboard_follow_bounded_by_max_frames(tmp_path):
     )
     assert code == 0
     assert out.getvalue().count("\x1b[2J") == 2
+
+
+# ----------------------------------------------------------------------
+# tail and dash over a real sharded sweep journal
+# ----------------------------------------------------------------------
+def test_tail_and_dash_count_every_cell_of_a_sharded_journal(tmp_path):
+    from repro.experiments import SweepConfig, run_sweep
+    from repro.obs.telemetry import read_jsonl, tail_summary
+    from repro.workload import WorkloadConfig
+
+    path = tmp_path / "sweep.jsonl"
+    result = run_sweep(SweepConfig(
+        base=WorkloadConfig(p_switch=0.8, sim_time=200.0),
+        t_switch_values=(100.0, 800.0),
+        seeds=(0, 1),
+        workers=2,
+        use_cache=False,
+        journal_path=str(path),
+        progress=True,
+    ))
+    assert result.complete
+    records = read_jsonl(path)
+    tasks = [r["telemetry"] for r in records if r["kind"] == "task"]
+    assert len(tasks) == 4
+    pids = {r["pid"] for r in tasks}
+    assert os.getpid() not in pids  # cells ran on the shard workers
+
+    text = tail_summary(records)
+    assert "4 task(s)" in text
+    assert "summary: 4 tasks" in text
+    for protocol in ("TP", "BCS", "QBC"):
+        assert f"{protocol}=" in text
+
+    frame = render_dashboard(records)
+    assert "4/4 cells (100%)" in frame
+    rows = {
+        line.split()[0]: int(line.split()[1])
+        for line in frame.splitlines()
+        if line.split() and line.split()[0] in {str(p) for p in pids}
+    }
+    assert sum(rows.values()) == 4 and len(rows) == len(pids)
+    for protocol in ("TP", "BCS", "QBC"):
+        assert any(line.startswith(protocol) for line in frame.splitlines())

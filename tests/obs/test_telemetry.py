@@ -1,18 +1,17 @@
 """Tests for run telemetry (repro.obs.telemetry) and its wiring
 through the sweep runner, the figure entry point and the CLI."""
 
-import json
 import os
 
 from repro import cli
 from repro.experiments import SweepConfig, run_figure, run_sweep, validate_audit
+from repro.experiments.resilience import SweepJournal
 from repro.obs.telemetry import (
     TaskTelemetry,
     read_jsonl,
     summarize,
     tail_summary,
     telemetry_table,
-    write_jsonl,
 )
 from repro.workload import WorkloadConfig
 from repro.workload.cache import shared_cache
@@ -136,36 +135,43 @@ def test_summarize_serial_normalises_worker_count():
 
 
 # ---------------------------------------------------------------------------
-# JSONL emission
+# telemetry in the sweep journal
 # ---------------------------------------------------------------------------
 
 
 def test_jsonl_round_trip_with_summary(tmp_path):
-    path = tmp_path / "telemetry.jsonl"
+    path = tmp_path / "sweep.jsonl"
     records = [fake_record(), fake_record(seed=1, pid=2)]
-    write_jsonl(records, path, summary=summarize(records, 1.0, 1))
+    journal = SweepJournal(path, "hash").open()
+    for r in records:
+        journal.record(r.t_switch, r.seed, [], r, [])
+    journal.summary(summarize(records, 1.0, 1))
+    journal.close()
     lines = read_jsonl(path)
-    assert len(lines) == 3
-    assert "kind" not in lines[0] and "kind" not in lines[1]
-    assert lines[0] == records[0].as_json_dict()
-    summary_line = lines[-1]
-    assert summary_line["kind"] == "summary"
-    assert summary_line["n_tasks"] == 2
-    assert summary_line["busy_by_pid"] == {"1": 1.0, "2": 1.0}
+    assert [l["kind"] for l in lines] == ["header", "task", "task", "summary"]
+    assert lines[1]["telemetry"] == records[0].as_json_dict()
+    summary = lines[-1]["telemetry"]
+    assert summary["n_tasks"] == 2
+    assert summary["busy_by_pid"] == {"1": 1.0, "2": 1.0}
 
 
 def test_run_sweep_writes_telemetry_jsonl(tmp_path):
     path = tmp_path / "obs" / "sweep.jsonl"
-    cfg = sweep_config(telemetry_path=str(path))
-    run_sweep(cfg)  # creates the parent directory itself
+    cfg = sweep_config(journal_path=str(path), progress=True)
+    result = run_sweep(cfg)  # creates the parent directory itself
     lines = read_jsonl(path)
-    assert len(lines) == 4 + 1  # 4 tasks + summary
-    for line in lines[:-1]:
+    tasks = [l["telemetry"] for l in lines if l["kind"] == "task"]
+    assert len(tasks) == 4
+    for line in tasks:
         assert set(line) >= {
             "t_switch", "seed", "wall_time_s", "trace_source", "counters"
         }
-        json.dumps(line)  # stays plain-JSON serialisable
     assert lines[-1]["kind"] == "summary"
+    summary = lines[-1]["telemetry"]
+    expected = result.telemetry_summary()
+    assert summary["n_tasks"] == expected.n_tasks == 4
+    assert summary["total_task_wall_s"] == expected.total_task_wall_s
+    assert summary["trace_sources"] == expected.trace_sources
 
 
 def test_telemetry_table_lists_every_task():
@@ -249,24 +255,23 @@ def test_telemetry_table_flags_cache_health_per_row():
 
 
 def test_tail_summary_classifies_mixed_streams():
+    def task(record):
+        return {"kind": "task", "telemetry": record.as_json_dict()}
+
     records = [
-        fake_record().as_json_dict(),
-        fake_record(seed=1, cache_hit=True,
-                    trace_source="memory").as_json_dict(),
-        {"kind": "outcome", "protocol": "BCS", "n_total": 4,
-         "t_switch": 100.0, "seed": 0},
-        {"kind": "outcome", "protocol": "BCS", "n_total": 6,
-         "t_switch": 100.0, "seed": 1},
+        {"kind": "header", "version": 1, "config_hash": "h"},
+        task(fake_record()),
+        task(fake_record(seed=1, cache_hit=True, trace_source="memory")),
         {"kind": "heartbeat", "done": 2, "total": 4,
          "rate_per_s": 0.5, "eta_s": 4.0},
-        {"kind": "summary", "n_tasks": 2, "sweep_wall_s": 3.5,
-         "n_retries": 1, "n_quarantined": 0},
+        {"kind": "summary", "telemetry": {
+            "n_tasks": 2, "sweep_wall_s": 3.5,
+            "n_retries": 1, "n_quarantined": 0}},
     ]
     text = tail_summary(records)
-    assert "6 records: 2 task(s), 2 outcome(s), 1 heartbeat(s)" in text
+    assert "5 records: 2 task(s), 1 heartbeat(s)" in text
     assert "cache hits 1/2" in text
     assert "N_tot means: BCS=3.0" in text
-    assert "outcomes N_tot means: BCS=5.0" in text
     assert "last heartbeat: 2/4 tasks, rate 0.50/s, eta 4s" in text
     assert "summary: 2 tasks in 3.50s wall, 1 retries, 0 quarantined" in text
 
@@ -296,24 +301,25 @@ def test_run_figure_audit_and_telemetry(tmp_path):
         t_switch_values=(100.0, 800.0),
         use_cache=False,
         audit=True,
-        telemetry_path=str(path),
+        journal_path=str(path),
     )
     assert result.violations == []
     assert len(result.telemetry) == 2
     report = validate_audit(result)
     assert report.ok, str(report)
-    assert path.exists()
+    tasks = [l for l in read_jsonl(path) if l["kind"] == "task"]
+    assert [l["violations"] for l in tasks] == [[], []]
 
 
 def test_cli_audit_smoke(tmp_path, capsys):
     path = tmp_path / "audit.jsonl"
     code = cli.main([
         "audit", "--sim-time", "300", "--sweep", "100", "800",
-        "--seeds", "0", "--no-cache", "--telemetry", str(path),
+        "--seeds", "0", "--no-cache", "--journal", str(path),
     ])
     out = capsys.readouterr().out
     assert code == 0
     assert "zero violations across 2 runs" in out
-    assert f"telemetry written to {path}" in out
     lines = read_jsonl(path)
-    assert len(lines) == 3 and lines[-1]["kind"] == "summary"
+    assert [l["kind"] for l in lines] == ["header", "task", "task"]
+    assert all(l["telemetry"]["n_violations"] == 0 for l in lines[1:])

@@ -300,32 +300,26 @@ def test_audit_unknown_protocol_exits_2(capsys):
 
 
 def test_figure_observability_artifacts(tmp_path, capsys):
+    import json
+
     trace = tmp_path / "trace.json"
-    metrics = tmp_path / "metrics.prom"
-    stream = tmp_path / "stream.jsonl"
-    heartbeat = tmp_path / "hb.jsonl"
+    prom = tmp_path / "metrics.prom"
+    journal = tmp_path / "sweep.jsonl"
     rc = main([
         "figure", "1", "--sim-time", "300", "--seeds", "0",
         "--sweep", "100", "800", "--no-cache", "--progress",
-        "--trace", str(trace), "--metrics", str(metrics),
-        "--stream", str(stream), "--heartbeat", str(heartbeat),
+        "--trace", str(trace), "--prom", str(prom),
+        "--journal", str(journal),
     ])
     captured = capsys.readouterr()
     assert rc == 0
     assert "tasks/s" in captured.err  # live progress line on stderr
-    for label, path in (
-        ("trace-event JSON", trace), ("metrics", metrics),
-        ("outcome stream", stream), ("heartbeats", heartbeat),
-    ):
-        assert f"{label} written to {path}" in captured.out
-        assert path.exists()
-    import json
-
     payload = json.loads(trace.read_text())
     assert payload["traceEvents"]  # Perfetto-loadable trace
-    assert "# TYPE repro_engine_runs_total counter" in metrics.read_text()
-    outcomes = [json.loads(l) for l in stream.read_text().splitlines()]
-    assert any(l.get("kind") == "outcome" for l in outcomes)
+    assert "# TYPE repro_engine_runs_total counter" in prom.read_text()
+    kinds = [json.loads(l)["kind"] for l in journal.read_text().splitlines()]
+    assert kinds[0] == "header" and kinds.count("task") == 2
+    assert "heartbeat" in kinds and kinds[-1] == "summary"
 
 
 def test_figure_no_progress_flag_silences_stderr(capsys, monkeypatch):
@@ -339,17 +333,19 @@ def test_figure_no_progress_flag_silences_stderr(capsys, monkeypatch):
 
 
 def test_tail_once_summarizes_stream(tmp_path, capsys):
-    path = tmp_path / "tel.jsonl"
+    path = tmp_path / "sweep.jsonl"
     path.write_text(
         '{"kind": "heartbeat", "done": 1, "total": 2, '
         '"rate_per_s": 0.5, "eta_s": 2.0}\n'
-        '{"kind": "outcome", "protocol": "TP", "n_total": 5}\n'
+        '{"kind": "task", "telemetry": {"wall_time_s": 0.5, '
+        '"counters": {"TP": {"n_total": 5}}}}\n'
         '{"torn line\n'
     )
     rc = main(["tail", str(path), "--once"])
     assert rc == 0
     out = capsys.readouterr().out
-    assert "1 outcome(s), 1 heartbeat(s)" in out
+    assert "1 task(s), 1 heartbeat(s)" in out
+    assert "N_tot means: TP=5.0" in out
     assert "last heartbeat: 1/2 tasks" in out
 
 
@@ -479,11 +475,11 @@ def test_figure_workers_flag_runs_sharded_sweep(capsys):
 
 
 def test_dash_once_renders_frame(tmp_path, capsys):
-    path = tmp_path / "stream.jsonl"
+    path = tmp_path / "sweep.jsonl"
     path.write_text(
         '{"kind": "heartbeat", "done": 1, "total": 4, "rate_per_s": 2.0}\n'
-        '{"kind": "outcome", "protocol": "TP", "n_forced": 3, '
-        '"n_total": 10}\n'
+        '{"kind": "task", "telemetry": {"pid": 7, "wall_time_s": 0.5, '
+        '"counters": {"TP": {"n_forced": 3, "n_total": 10}}}}\n'
     )
     rc = main(["dash", str(path), "--once"])
     assert rc == 0
@@ -512,10 +508,69 @@ def test_figure_fleet_flags_write_exporter_artifacts(tmp_path, capsys):
         "--run-id", "cli-fleet",
     ])
     assert rc == 0
-    out = capsys.readouterr().out
-    assert "fleet metrics (prometheus)" in out
-    assert "fleet OTLP-JSON" in out
     text = prom.read_text()
     assert 'run_id="cli-fleet"' in text
     payload = json.loads(otlp.read_text())
     assert "resourceMetrics" in payload
+
+
+def test_serial_prom_textfile_holds_every_registry_series(tmp_path):
+    """``--prom`` on a serial sweep exports the whole process registry
+    (what the old ``--metrics`` dump wrote), labelled as the
+    coordinator."""
+    from repro.obs.metrics import registry
+
+    registry().reset()
+    prom = tmp_path / "serial.prom"
+    rc = main([
+        "figure", "1", "--sim-time", "300", "--seeds", "0",
+        "--sweep", "100", "800", "--no-cache", "--no-progress",
+        "--prom", str(prom),
+    ])
+    assert rc == 0
+    lines = [l for l in prom.read_text().splitlines() if l[:1] != "#"]
+    series = registry().snapshot()["series"]
+    assert any(e["name"] == "repro_engine_runs_total" for e in series)
+    for entry in series:
+        name = entry["name"]
+        if entry["kind"] == "histogram":
+            name += "_count"
+        labels = [f'{k}="{v}"' for k, v in entry["labels"]]
+        labels.append('worker_id="coordinator"')
+        assert any(
+            l.startswith(name + "{") and all(lb in l for lb in labels)
+            for l in lines
+        ), (name, labels)
+
+
+_HELP_PROBE = """
+import runpy, sys
+sys.argv = ["repro", "--help"]
+try:
+    runpy.run_module("repro", run_name="__main__")
+except SystemExit:
+    pass
+print(sorted(m for m in ("numpy", "repro.engine") if m in sys.modules))
+"""
+
+
+def test_help_loads_neither_numpy_nor_the_engine():
+    """``python -m repro --help`` prints usage from a lean start: the
+    package's re-exports are lazy and the CLI imports the engine only
+    after parsing."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", _HELP_PROBE],
+        capture_output=True, text=True, check=True, env=env, timeout=60,
+    )
+    assert "usage: repro" in out.stdout
+    assert out.stdout.strip().splitlines()[-1] == "[]"
