@@ -18,8 +18,11 @@ engine, allowlisted by ``tests/test_import_contracts.py``).
 ``test_long_horizon`` holds the kernels to the loop on one dense cell
 at two horizons, and to linear growth between them.
 
+``test_zoo_replay_speedup`` holds the kernels of the whole protocol
+zoo to at least 4x the loop over the same set.
+
 Besides the pytest-benchmark timings, the headline engine numbers
-(fused-replay and vectorized-replay speedups, engine overhead,
+(fused-replay, vectorized-replay and zoo speedups, engine overhead,
 trace-cache speedup, the fresh-trace cell, the long-horizon cell, the
 figure path's cold-start import) are appended to
 ``BENCH_engine.json`` in the working directory so CI can archive the
@@ -58,6 +61,11 @@ PAPER_PROTOCOLS = ("TP", "BCS", "QBC")
 #: Factory overrides that keep the paper protocols on the per-event
 #: loop when a spec asks for ``engine="fused"``.
 LOOP = loop_factories(PAPER_PROTOCOLS)
+
+#: Every replayable protocol the package ships (perfbench's
+#: ``replay-zoo`` set), and the gate of its kernels over the loop.
+ZOO = ("TP", "BCS", "QBC", "BCS-NS", "QBC-NS", "UNC", "FDAS", "BQF")
+ZOO_SPEEDUP = 4.0
 
 BENCH_JSON = os.environ.get("REPRO_BENCH_ENGINE_JSON", "BENCH_engine.json")
 
@@ -206,6 +214,52 @@ def test_fused_replay_speedup(benchmark):
     assert vec_speedup >= 10.0, (
         f"vectorized replay only {vec_speedup:.2f}x faster than the fused "
         f"pass ({vec_time*1e3:.2f}ms vs {fused_time*1e3:.2f}ms)"
+    )
+
+
+def test_zoo_replay_speedup(benchmark):
+    """The whole zoo on the batch kernels: one vectorized pass over
+    every replayable protocol the package ships beats the per-event
+    loop over the same set by >= 4x on a warm trace, with identical
+    counters.  Both sides run in one process on one host, so the gate
+    is a ratio that does not depend on the host."""
+    cfg = WorkloadConfig(sim_time=4000.0, seed=0)
+    trace = generate_trace(cfg)
+    loop_spec = RunSpec(
+        protocols=ZOO, trace=trace, engine="fused", counters_only=True,
+        factories=loop_factories(ZOO),
+    )
+    vec_spec = RunSpec(
+        protocols=ZOO, trace=trace, engine="fused", counters_only=True
+    )
+    execute(loop_spec)  # warm the compiled trace ...
+    execute(vec_spec)  # ... and the vectorized lowering + closure
+
+    loop_time, loop_result = _best(lambda: execute(loop_spec), rounds=7)
+    vec_time, vec_result = benchmark.pedantic(
+        lambda: _best(lambda: execute(vec_spec), rounds=25),
+        rounds=1, iterations=1,
+    )
+    assert loop_result.engine_kind == "fused"
+    assert vec_result.engine_kind == "vectorized"
+    for loop, vec in zip(loop_result.outcomes, vec_result.outcomes):
+        assert (
+            vec.protocol.counter_signature()
+            == loop.protocol.counter_signature()
+        ), vec.name
+    speedup = loop_time / vec_time
+    payload = {
+        "trace_events": len(trace),
+        "protocols": len(ZOO),
+        "loop_ms": round(loop_time * 1e3, 2),
+        "vectorized_ms": round(vec_time * 1e3, 3),
+        "speedup": round(speedup, 2),
+    }
+    benchmark.extra_info.update(payload)
+    _record("zoo_replay", payload)
+    assert speedup >= ZOO_SPEEDUP, (
+        f"the zoo's vectorized pass only {speedup:.2f}x faster than the "
+        f"loop ({vec_time*1e3:.2f}ms vs {loop_time*1e3:.2f}ms)"
     )
 
 

@@ -96,7 +96,12 @@ def _workload_from(args):
 
 
 def _cmd_figure(args) -> int:
-    from repro.experiments import figure_report, run_figure, validate_figure
+    from repro.experiments import (
+        JournalExists,
+        figure_report,
+        run_figure,
+        validate_figure,
+    )
 
     resume = args.resume
     journal = args.journal
@@ -104,32 +109,36 @@ def _cmd_figure(args) -> int:
         # Resuming normally wants new completions appended to the same
         # ledger, so --resume implies --journal at the same path.
         journal = resume
-    result = run_figure(
-        args.number,
-        sim_time=args.sim_time,
-        seeds=tuple(args.seeds),
-        t_switch_values=tuple(args.sweep),
-        engine=args.engine,
-        workload=args.workload,
-        workers=args.workers,
-        use_cache=not args.no_cache,
-        cache_dir=args.cache_dir,
-        audit=args.audit,
-        task_timeout_s=args.task_timeout,
-        max_task_retries=args.retries,
-        journal_path=journal,
-        resume_from=resume,
-        progress=args.progress,
-        trace_path=args.trace,
-        shard_listen=args.shard_listen,
-        shard_size=args.shard_size,
-        run_id=args.run_id,
-        prom_path=args.prom,
-        prom_gateway=args.prom_gateway,
-        otlp_path=args.otlp,
-        obs_refresh_s=args.obs_refresh,
-        adaptive_shard_size=args.adaptive_shards,
-    )
+    try:
+        result = run_figure(
+            args.number,
+            sim_time=args.sim_time,
+            seeds=tuple(args.seeds),
+            t_switch_values=tuple(args.sweep),
+            engine=args.engine,
+            workload=args.workload,
+            workers=args.workers,
+            use_cache=not args.no_cache,
+            cache_dir=args.cache_dir,
+            audit=args.audit,
+            task_timeout_s=args.task_timeout,
+            max_task_retries=args.retries,
+            journal_path=journal,
+            resume_from=resume,
+            progress=args.progress,
+            trace_path=args.trace,
+            shard_listen=args.shard_listen,
+            shard_size=args.shard_size,
+            run_id=args.run_id,
+            prom_path=args.prom,
+            prom_gateway=args.prom_gateway,
+            otlp_path=args.otlp,
+            obs_refresh_s=args.obs_refresh,
+            adaptive_shard_size=args.adaptive_shards,
+        )
+    except JournalExists as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_USAGE
     if result.interrupted:
         done = sum(len(p.telemetry) for p in result.points)
         total = len(result.config.t_switch_values) * len(result.config.seeds)
@@ -211,6 +220,7 @@ def _cmd_dash(args) -> int:
 
 def _cmd_audit(args) -> int:
     from repro.experiments.config import SweepConfig
+    from repro.experiments.resilience import JournalExists
     from repro.obs.audit import run_audit_grid
 
     base = _workload_from(args)
@@ -229,7 +239,11 @@ def _cmd_audit(args) -> int:
     except ValueError as exc:
         print(exc, file=sys.stderr)
         return EXIT_USAGE
-    grid = run_audit_grid(config)
+    try:
+        grid = run_audit_grid(config)
+    except JournalExists as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_USAGE
     if grid.sweep.interrupted:
         done = sum(len(p.telemetry) for p in grid.sweep.points)
         total = len(config.t_switch_values) * len(config.seeds)

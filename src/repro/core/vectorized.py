@@ -51,11 +51,12 @@ basic triggers plus one segmented scan; see
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from repro.core import compiled as _compiled
-from repro.core.compiled import array_columns
+from repro.core.compiled import ArrayColumns, array_columns
 from repro.core.trace import Trace
 
 
@@ -198,6 +199,9 @@ class VectorizedTrace:
     n_events: int
     n_sends: int
     n_receives: int
+    #: The array columns this layout partitions (the trace's own, not
+    #: a copy).
+    columns: ArrayColumns
     #: Permuted position -> original event position.
     perm: "np.ndarray"  # noqa: F821
     #: Segment (host) id of each permuted position (sorted).
@@ -223,16 +227,21 @@ class VectorizedTrace:
     last_change_at: "np.ndarray"  # noqa: F821
     #: Mutable cache for derived, protocol-independent artifacts
     #: (notably the :func:`mask_closure` shared by the whole index
-    #: family).  Contents-mutable despite the frozen dataclass.
+    #: family), and the memo of a running :func:`one_pass`.
+    #: Contents-mutable despite the frozen dataclass.
     scratch: dict = field(default_factory=dict)
 
     # -- construction ------------------------------------------------------
     @classmethod
     def from_trace(cls, trace: Trace) -> "VectorizedTrace":
         """Partition *trace* into its segment-major layout."""
+        return cls.from_columns(array_columns(trace))
+
+    @classmethod
+    def from_columns(cls, cols: ArrayColumns) -> "VectorizedTrace":
+        """Partition array columns into their segment-major layout."""
         import numpy as np
 
-        cols = array_columns(trace)
         n_hosts = cols.n_hosts
         perm = np.argsort(cols.host, kind="stable")
         seg_p = cols.host[perm]
@@ -280,6 +289,7 @@ class VectorizedTrace:
             n_events=int(etype_p.shape[0]),
             n_sends=cols.n_sends,
             n_receives=cols.n_receives,
+            columns=cols,
             perm=perm,
             seg_p=seg_p,
             time_p=time_p,
@@ -317,6 +327,36 @@ def vectorized_trace(trace: Trace) -> VectorizedTrace:
         vt = VectorizedTrace.from_trace(trace)
         trace._vectorized_cache = (len(trace), vt)
     return vt
+
+
+#: ``vt.scratch`` key of the memo :func:`one_pass` opens.
+_PASS_MEMO = "pass"
+
+
+@contextmanager
+def one_pass(vt: VectorizedTrace):
+    """Let the kernels run inside this block share their per-flavour
+    solutions (see :func:`per_pass`).
+
+    The memo lives in ``vt.scratch`` only while the block runs, so a
+    memoized trace keeps nothing of it between replays.
+    """
+    vt.scratch[_PASS_MEMO] = {}
+    try:
+        yield
+    finally:
+        vt.scratch.pop(_PASS_MEMO, None)
+
+
+def per_pass(vt: VectorizedTrace, key, solve: Callable):
+    """``solve()``, computed once per *key* inside a :func:`one_pass`
+    block over *vt* and on every call outside one."""
+    memo = vt.scratch.get(_PASS_MEMO)
+    if memo is None:
+        return solve()
+    if key not in memo:
+        memo[key] = solve()
+    return memo[key]
 
 
 # ---------------------------------------------------------------------------
@@ -547,9 +587,10 @@ def index_trajectory(vt: VectorizedTrace, qbc: bool) -> IndexTrajectory:
 
     ``qbc=False`` gives BCS dynamics (every basic increments),
     ``qbc=True`` QBC's (a basic increments only when armed).  The
-    no-send variants share these dynamics *exactly* -- skipping empty
-    checkpoints changes how a jump is recorded (rename vs forced take),
-    never the sn trajectory -- and reuse this result verbatim.
+    no-send variants and FDAS share these dynamics *exactly* --
+    skipping empty checkpoints changes how a jump is recorded (rename,
+    adoption or forced take), never the sn trajectory -- and reuse
+    this result verbatim, as BQF reuses QBC's.
     """
     import numpy as np
 

@@ -299,19 +299,23 @@ class ReplayEngine(Engine):
             sp.tags["source"] = source
         self._notify("on_trace", trace, source)
         seed = _resolve_seed(p.spec)
-        instances = []
-        for entry in p.entries:
+
+        def fresh(entry):
+            # Building the instances is replay work: it runs inside
+            # the pass's span.
             instance = entry.make(trace.n_hosts, trace.n_mss)
             if p.spec.counters_only:
                 instance.log_checkpoints = False
-            instances.append(instance)
+            return instance
+
         if self.kind == "reference":
             results = []
-            for entry, instance in zip(p.entries, instances):
+            for entry in p.entries:
                 with self._span("replay", protocol=entry.name):
-                    results.append(replay(trace, instance, seed=seed))
+                    results.append(replay(trace, fresh(entry), seed=seed))
         else:
-            with self._span(f"{self.kind}-pass", protocols=len(instances)):
+            with self._span(f"{self.kind}-pass", protocols=len(p.entries)):
+                instances = [fresh(entry) for entry in p.entries]
                 results = _PASSES[self.kind](trace, instances, seed=seed)
         outcomes = []
         for entry, rr in zip(p.entries, results):

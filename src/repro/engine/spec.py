@@ -24,10 +24,11 @@ Engine selection
 ``engine="fused"`` asks for one shared replay pass over the trace, and
 plans exactly like ``auto`` on a replayable set: the batch kernels
 when every protocol ships them (the plan and the result then report
-``"vectorized"``), the per-event loop otherwise.  A protocol built
-without kernels -- FDAS, BQF, most plugins, or a factory passed
-through :func:`repro.testing.without_kernels` -- keeps its whole set
-on the loop.
+``"vectorized"``), the per-event loop otherwise.  Every replayable
+protocol shipped here has kernels; one built without them -- most
+plugins, or a factory passed through
+:func:`repro.testing.without_kernels` -- keeps its whole set on the
+loop.
 
 The **reference** per-protocol replay runs only when named.  Naming
 ``reference``, ``vectorized`` or ``online`` turns the same conditions

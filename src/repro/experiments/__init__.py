@@ -18,6 +18,7 @@ from repro.experiments.config import SweepConfig
 from repro.experiments.figures import FIGURE_PARAMS, run_figure
 from repro.experiments.report import figure_report, gains_table, points_table
 from repro.experiments.resilience import (
+    JournalExists,
     JournalLocked,
     SweepJournal,
     TaskError,
@@ -37,6 +38,7 @@ from repro.experiments.validation import (
 
 __all__ = [
     "FIGURE_PARAMS",
+    "JournalExists",
     "JournalLocked",
     "PointResult",
     "SweepConfig",

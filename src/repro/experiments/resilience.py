@@ -79,6 +79,15 @@ class JournalConfigMismatch(ValueError):
     """A journal's config hash does not match the resuming sweep."""
 
 
+class JournalExists(ValueError):
+    """A sweep was pointed at an existing journal without resuming it.
+
+    Appending to it would execute and journal every cell a second
+    time; resuming (``resume_from`` at the same path, ``--resume``)
+    runs only the cells it lacks.
+    """
+
+
 class JournalLocked(RuntimeError):
     """Another live process (or coordinator) holds this journal open.
 
@@ -490,6 +499,13 @@ def _backoff(config, attempt: int, rng: random.Random) -> float:
     return base * (1.0 + config.retry_jitter * rng.random())
 
 
+def _resumes(journal_path, resume_from) -> bool:
+    """Whether *resume_from* is the existing journal at *journal_path*."""
+    return bool(resume_from) and os.path.exists(resume_from) and (
+        os.path.samefile(journal_path, resume_from)
+    )
+
+
 def execute(
     config, tasks: Sequence[tuple], fleet=None
 ) -> ExecutionReport:
@@ -513,13 +529,26 @@ def execute(
     and seed).
 
     With a journal and progress on, the reporter journals heartbeats
-    and the sweep closes the journal with its summary line.
+    and the sweep closes the journal with its summary line.  An
+    existing ``journal_path`` is only appended to when it is also
+    ``resume_from``; otherwise :class:`JournalExists` is raised before
+    any cell runs.
     """
     started = time.perf_counter()
     specs = [_TaskSpec(i, t[1], t[2], tuple(t)) for i, t in enumerate(tasks)]
     report = ExecutionReport(outcomes=[None] * len(specs))
     config_hash = sweep_config_hash(config)
 
+    if (
+        config.journal_path
+        and os.path.exists(config.journal_path)
+        and not _resumes(config.journal_path, config.resume_from)
+    ):
+        raise JournalExists(
+            f"journal {config.journal_path} already exists; finish that "
+            f"sweep with --resume {config.journal_path}, or write the "
+            "journal to a new path"
+        )
     entries = {}
     if config.resume_from and os.path.exists(config.resume_from):
         entries = SweepJournal.load(config.resume_from, config_hash)

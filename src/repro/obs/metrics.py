@@ -5,13 +5,15 @@ maintain operational counts (runs per engine kind, cache hits by tier,
 corrupt evictions, retries, watchdog kills).  This module gives them
 one home: a :class:`MetricsRegistry` of named, labelled instruments
 that any layer can increment cheaply (one dict lookup + one addition
-under a lock) and operators can dump two ways:
+under a lock) and operators can read two ways:
 
 * :meth:`MetricsRegistry.as_dict` -- plain JSON for dashboards and
   tests;
 * :meth:`MetricsRegistry.to_prometheus` -- Prometheus text exposition
   (``# TYPE`` headers, ``{label="value"}`` sets, histogram
-  ``_bucket``/``_sum``/``_count`` series) ready to serve or push.
+  ``_bucket``/``_sum``/``_count`` series) ready to serve or push; the
+  exporters of :mod:`repro.obs.export` write it to a file or a push
+  gateway.
 
 Everything is **process-local by design**: a parallel sweep's workers
 each keep their own registry, and the supervisor-side registry counts
@@ -29,8 +31,6 @@ use it without import cycles.
 
 from __future__ import annotations
 
-import json
-import os
 import threading
 from typing import Any, Iterable, Optional, Sequence, Tuple
 
@@ -270,20 +270,6 @@ class MetricsRegistry:
                             f"{_fmt(instrument.value)}"
                         )
         return "\n".join(lines) + ("\n" if lines else "")
-
-    def dump(self, path) -> None:
-        """Write the registry to *path*: JSON when the name ends in
-        ``.json``, Prometheus text exposition otherwise."""
-        parent = os.path.dirname(os.fspath(path))
-        if parent:
-            os.makedirs(parent, exist_ok=True)
-        if os.fspath(path).endswith(".json"):
-            with open(path, "w") as fh:
-                json.dump(self.as_dict(), fh, indent=2, sort_keys=True)
-                fh.write("\n")
-        else:
-            with open(path, "w") as fh:
-                fh.write(self.to_prometheus())
 
     def reset(self) -> None:
         """Drop every series and type registration (tests)."""

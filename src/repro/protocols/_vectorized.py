@@ -28,46 +28,81 @@ classmethods.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right
+from dataclasses import dataclass
 
+from repro.core.compiled import DISCONNECT, ArrayColumns
 from repro.core.vectorized import (
     VectorizedTrace,
     fixpoint,
     gather,
     index_trajectory,
     nosend_classification,
+    per_pass,
     seg_counts,
     seg_cumsum,
     seg_cummax,
     seg_shift,
 )
 
-# Index-family flavors: (uses rn / QBC basic rule, uses no-send rule).
-_FLAVORS = {
-    "bcs": (False, False),
-    "qbc": (True, False),
-    "bcs_ns": (False, True),
-    "qbc_ns": (True, True),
+
+@dataclass(frozen=True, slots=True)
+class _Rules:
+    """How one index-family protocol reads the shared trajectory."""
+
+    #: QBC's armed (``rn = sn``) basic rule; BCS's increment otherwise.
+    qbc: bool
+    #: The no-send rule splits jumps into forced takes and the rest.
+    nosend: bool
+    #: A jump that forces nothing renames the host's last checkpoint;
+    #: otherwise (FDAS) the host adopts the index and records nothing.
+    rename: bool
+    #: Checkpoints record the ``rn`` they saw as metadata.
+    rn_metadata: bool
+    #: Live attribute holding each host's index.
+    clock: str = "sn"
+
+
+_RULES = {
+    "bcs": _Rules(qbc=False, nosend=False, rename=False, rn_metadata=False),
+    "qbc": _Rules(qbc=True, nosend=False, rename=False, rn_metadata=True),
+    "bcs_ns": _Rules(qbc=False, nosend=True, rename=True, rn_metadata=True),
+    "qbc_ns": _Rules(qbc=True, nosend=True, rename=True, rn_metadata=True),
+    "fdas": _Rules(
+        qbc=False, nosend=True, rename=False, rn_metadata=False, clock="lc"
+    ),
+    "bqf": _Rules(qbc=True, nosend=False, rename=False, rn_metadata=False),
 }
 
 
 # ---------------------------------------------------------------------------
-# BCS / QBC / BCS-NS / QBC-NS
+# BCS / QBC / BCS-NS / QBC-NS / FDAS / BQF
 # ---------------------------------------------------------------------------
 
 def index_family_replay(vt: VectorizedTrace, inst, flavor: str) -> None:
-    """Replay one index-family protocol over *vt* into *inst*."""
+    """Replay one index-family protocol over *vt* into *inst*.
+
+    The family has two trajectories, BCS's and QBC's; inside a replay
+    pass (:func:`~repro.core.vectorized.one_pass`) every protocol of a
+    flavour reads the same one, and the no-send split of its jumps.
+    """
     import numpy as np
 
-    qbc, nosend = _FLAVORS[flavor]
-    traj = index_trajectory(vt, qbc)
+    rules = _RULES[flavor]
+    qbc = rules.qbc
+    traj = per_pass(
+        vt, ("trajectory", qbc), lambda: index_trajectory(vt, qbc)
+    )
     basic = vt.basic
 
-    inst.sn = traj.sn_final.tolist()
+    setattr(inst, rules.clock, traj.sn_final.tolist())
     if qbc:
         inst.rn = traj.rn_final.tolist()
-    if nosend:
-        jump_forced = nosend_classification(vt, traj)
+    if rules.nosend:
+        jump_forced = per_pass(
+            vt, ("nosend", qbc), lambda: nosend_classification(vt, traj)
+        )
         # Final sent-since-checkpoint flag: a send after the last
         # flag-clearing event (basic trigger or forced jump).
         sp_end = vt.seg_last(vt.send.idx, vt.send, -1)
@@ -83,31 +118,40 @@ def index_family_replay(vt: VectorizedTrace, inst, flavor: str) -> None:
             sp_end > np.maximum(reset_end, fp_end)
         ).tolist()
     else:
-        jump_forced = None
+        # Without the no-send rule every jump is a forced take.
+        jump_forced = np.ones(traj.jump_row.shape[0], dtype=bool)
 
     if inst.log_checkpoints:
-        _materialize_index_family(vt, inst, traj, qbc, nosend, jump_forced)
+        _materialize_index_family(vt, inst, traj, rules, jump_forced)
         return
-    if nosend:
-        n_forced_seg = np.bincount(
-            traj.jump_seg[jump_forced], minlength=vt.n_hosts
-        )
+    n_forced_seg = np.bincount(
+        traj.jump_seg[jump_forced], minlength=vt.n_hosts
+    )
+    if rules.rename:
         inst.n_renamed += int((traj.n_jump_seg - n_forced_seg).sum())
-    else:
-        # Without the no-send rule every jump is a forced take.
-        n_forced_seg = traj.n_jump_seg
     n_basic_seg = np.diff(basic.starts)
     inst.n_basic += int(n_basic_seg.sum())
     inst.n_forced += int(n_forced_seg.sum())
     if qbc:
         inst.n_replaced += int(seg_counts(~traj.armed, basic.starts).sum())
+    if rules.nosend and not rules.rename:
+        # An adopted index is never recorded, so the clock can run
+        # ahead of the latest checkpoint: take the highest recorded
+        # index (indices only grow along a host's timeline).
+        last = np.asarray(inst.last_index, dtype=np.int64)
+        np.maximum.at(last, vt.seg_p[basic.idx], traj.sn_after_basic)
+        np.maximum.at(
+            last, traj.jump_seg[jump_forced], traj.jump_index[jump_forced]
+        )
+    else:
+        last = traj.sn_final
     per_host = n_basic_seg + n_forced_seg
     for h in range(vt.n_hosts):
         inst.per_host_total[h] += int(per_host[h])
-        inst.last_index[h] = int(traj.sn_final[h])
+        inst.last_index[h] = int(last[h])
 
 
-def _materialize_index_family(vt, inst, traj, qbc, nosend, jump_forced):
+def _materialize_index_family(vt, inst, traj, rules, jump_forced):
     """Apply the solved checkpoints through take()/rename_last() in
     original event order."""
     ops = []  # (original position, kind, host, index, time, *extras)
@@ -119,15 +163,11 @@ def _materialize_index_family(vt, inst, traj, qbc, nosend, jump_forced):
     b_armed = traj.armed.tolist()
     b_rn = traj.rn_at_basic.tolist()
     for k in range(len(b_pos)):
-        if qbc:
-            md = {"rn": b_rn[k]}
-            replaced = not b_armed[k]
-        elif nosend:  # BCS-NS basics record the rn they ignored
-            md = {"rn": -1}
-            replaced = False
-        else:
-            md = None
-            replaced = False
+        md = None
+        if rules.rn_metadata:
+            # BCS-NS basics record the rn they ignored.
+            md = {"rn": b_rn[k] if rules.qbc else -1}
+        replaced = rules.qbc and not b_armed[k]
         ops.append(
             (b_pos[k], "basic", b_host[k], b_index[k], b_time[k],
              replaced, md)
@@ -138,18 +178,18 @@ def _materialize_index_family(vt, inst, traj, qbc, nosend, jump_forced):
     j_host = traj.jump_seg.tolist()
     j_time = vt.recv.time[rows].tolist()
     j_index = traj.jump_index.tolist()
-    j_forced = jump_forced.tolist() if nosend else [True] * len(j_pos)
+    j_forced = jump_forced.tolist()
     for k in range(len(j_pos)):
-        if not j_forced[k]:
-            ops.append(
-                (j_pos[k], "rename", j_host[k], j_index[k], j_time[k],
-                 False, None)
-            )
-        else:
-            md = {"rn": j_index[k]} if (qbc or nosend) else None
+        if j_forced[k]:
+            md = {"rn": j_index[k]} if rules.rn_metadata else None
             ops.append(
                 (j_pos[k], "forced", j_host[k], j_index[k], j_time[k],
                  False, md)
+            )
+        elif rules.rename:
+            ops.append(
+                (j_pos[k], "rename", j_host[k], j_index[k], j_time[k],
+                 False, None)
             )
 
     ops.sort(key=lambda op: op[0])
@@ -164,23 +204,82 @@ def _materialize_index_family(vt, inst, traj, qbc, nosend, jump_forced):
             inst.take(host, index, kind, time)
 
 
+def bqf_replay(vt: VectorizedTrace, inst) -> None:
+    """Replay BQF over *vt* into *inst*.
+
+    BQF is QBC plus autonomous basics, taken at a message event at
+    least one period after the host's last basic -- UNC's periodic
+    rule, so :func:`period_walk` places them.  They become basic
+    triggers inserted just before their message events, and the QBC
+    trajectory of that trace is BQF's.  At the default infinite period
+    there are none, and BQF shares QBC's trajectory.
+    """
+    import numpy as np
+
+    if not math.isinf(inst.period):
+        anchors = [
+            pos
+            for walk in period_walk(vt, inst.period, inst._last_ckpt_time)
+            for pos, _, periodic in walk
+            if periodic
+        ]
+        if anchors:
+            vt = _with_basics_before(vt, anchors)
+    index_family_replay(vt, inst, "bqf")
+    last_basic = vt.seg_last(vt.basic.time, vt.basic, np.nan).tolist()
+    for h, t in enumerate(last_basic):
+        if not math.isnan(t):
+            inst._last_ckpt_time[h] = t
+
+
+def _with_basics_before(vt: VectorizedTrace, anchors) -> VectorizedTrace:
+    """*vt* with a basic trigger (a DISCONNECT, which changes no cell)
+    inserted just before each event at a permuted position in
+    *anchors*, at the same host and time."""
+    import numpy as np
+
+    cols = vt.columns
+    at = np.sort(vt.perm[np.asarray(anchors, dtype=np.int64)])
+
+    def insert(col, values):
+        return np.insert(col, at, values)
+
+    return VectorizedTrace.from_columns(
+        ArrayColumns(
+            n_hosts=cols.n_hosts,
+            n_mss=cols.n_mss,
+            sim_time=cols.sim_time,
+            n_events=cols.n_events + at.shape[0],
+            n_sends=cols.n_sends,
+            n_receives=cols.n_receives,
+            etype=insert(cols.etype, DISCONNECT),
+            time=insert(cols.time, cols.time[at]),
+            host=insert(cols.host, cols.host[at]),
+            msg_id=insert(cols.msg_id, -1),
+            peer=insert(cols.peer, -1),
+            cell=insert(cols.cell, -1),
+            slot=insert(cols.slot, -1),
+        )
+    )
+
+
 # ---------------------------------------------------------------------------
 # UNC (periodic independent checkpointing)
 # ---------------------------------------------------------------------------
 
-def unc_replay(vt: VectorizedTrace, inst) -> None:
-    """Replay the uncoordinated baseline over *vt* into *inst*.
+def period_walk(vt: VectorizedTrace, period: float, t_last) -> list:
+    """Where a periodic rule checkpoints over *vt*.
 
-    No piggybacks, so no fixpoint: per host, the next checkpoint is
-    whichever comes first of the next basic trigger and the first
-    message event at least one period after the last checkpoint.  The
-    walk advances checkpoint-to-checkpoint (bisecting the message-time
-    list), so it is O(checkpoints log events), not O(events).
+    Per host, in timeline order, the ``(permuted position, time,
+    periodic)`` of every checkpoint: each basic trigger, and
+    (``periodic``) the first message event at least *period* after
+    the host's previous checkpoint.  *t_last* holds each host's last
+    checkpoint time before the trace.  The walk advances
+    checkpoint-to-checkpoint (bisecting the message-time list), so it
+    is O(checkpoints log events), not O(events).
     """
     basic, msg = vt.basic, vt.msg
-    period = inst.period
-    logging = inst.log_checkpoints
-    ops = []
+    walks = []
     for h in range(vt.n_hosts):
         b_lo, b_hi = int(basic.starts[h]), int(basic.starts[h + 1])
         m_lo, m_hi = int(msg.starts[h]), int(msg.starts[h + 1])
@@ -188,49 +287,65 @@ def unc_replay(vt: VectorizedTrace, inst) -> None:
         b_time = basic.time[b_lo:b_hi].tolist()
         m_pos = msg.idx[m_lo:m_hi].tolist()
         m_time = msg.time[m_lo:m_hi].tolist()
-        t_last = inst._last_ckpt_time[h]
-        count = inst.count[h]
-        taken = 0
+        last = t_last[h]
+        walk = []
         ib, im = 0, 0
         nb, nm = len(b_pos), len(m_time)
         while True:
             # First message event from im that the reference predicate
-            # (now - t_last >= period) accepts.  Bisect on t_last +
-            # period lands within rounding of the exact boundary; the
+            # (now - last >= period) accepts.  Bisect on last + period
+            # lands within rounding of the exact boundary; the
             # predicate is monotone in the event time, so a local
             # adjustment recovers bit-exactness.
-            k = bisect_left(m_time, t_last + period, im)
-            while k > im and m_time[k - 1] - t_last >= period:
+            k = bisect_left(m_time, last + period, im)
+            while k > im and m_time[k - 1] - last >= period:
                 k -= 1
-            while k < nm and m_time[k] - t_last < period:
+            while k < nm and m_time[k] - last < period:
                 k += 1
             bpos = b_pos[ib] if ib < nb else None
             mpos = m_pos[k] if k < nm else None
             if bpos is None and mpos is None:
                 break
             if mpos is None or (bpos is not None and bpos < mpos):
-                pos, now = bpos, b_time[ib]
+                pos, last = bpos, b_time[ib]
                 ib += 1
+                walk.append((pos, last, False))
             else:
-                pos, now = mpos, m_time[k]
-            if logging:
-                # Sort key is the *original* event position -- the
-                # subsets hold permuted (segment-major) positions.
-                ops.append((int(vt.perm[pos]), h, count, now))
-            count += 1
-            taken += 1
-            t_last = now
+                pos, last = mpos, m_time[k]
+                walk.append((pos, last, True))
             im = bisect_right(m_pos, pos)
-        inst.count[h] = count
-        inst._last_ckpt_time[h] = t_last
-        if not logging:
-            inst.n_basic += taken
-            inst.per_host_total[h] += taken
-            inst.last_index[h] = count - 1
-    if logging:
+        walks.append(walk)
+    return walks
+
+
+def unc_replay(vt: VectorizedTrace, inst) -> None:
+    """Replay the uncoordinated baseline over *vt* into *inst*.
+
+    No piggybacks, so no fixpoint: every checkpoint is one of
+    :func:`period_walk`'s, numbered on from each host's count.
+    """
+    walks = period_walk(vt, inst.period, inst._last_ckpt_time)
+    if inst.log_checkpoints:
+        # Sort key is the *original* event position -- the walk
+        # yields permuted (segment-major) positions.
+        ops = [
+            (int(vt.perm[pos]), h, inst.count[h] + k, now)
+            for h, walk in enumerate(walks)
+            for k, (pos, now, _) in enumerate(walk)
+        ]
         ops.sort(key=lambda op: op[0])
         for _, host, index, now in ops:
             inst.take(host, index, "basic", now)
+    for h, walk in enumerate(walks):
+        taken = len(walk)
+        if not taken:
+            continue
+        inst.count[h] += taken
+        inst._last_ckpt_time[h] = walk[-1][1]
+        if not inst.log_checkpoints:
+            inst.n_basic += taken
+            inst.per_host_total[h] += taken
+            inst.last_index[h] = inst.count[h] - 1
 
 
 # ---------------------------------------------------------------------------

@@ -11,16 +11,33 @@ an MH cannot avoid), each host also checkpoints autonomously every
 ``period`` time units, using QBC's replacement rule throughout.  Setting
 ``period = inf`` makes BQF degenerate to QBC exactly -- a property the
 test suite checks.
+
+BQF ships a batch kernel for the vectorized engine.  Its autonomous
+rule is the uncoordinated baseline's periodic rule (a message event at
+least one period after the host's last basic), so the kernel places
+the autonomous basics by that baseline's period walk and then solves
+QBC over the trace with those basics inserted; at ``period = inf`` it
+shares QBC's solution.
 """
 
 from __future__ import annotations
 
+from repro.protocols._vectorized import bqf_replay
 from repro.protocols.base import CheckpointingProtocol, register
 
 
 @register("BQF")
 class BQFProtocol(CheckpointingProtocol):
     """QBC equivalence rule + autonomous periodic basic checkpoints."""
+
+    vectorizable = True
+
+    @classmethod
+    def vectorized_replay(cls, vt, instance) -> None:
+        """Batch kernel: QBC's trajectory, with the autonomous basics
+        placed by UNC's period walk (see
+        :mod:`repro.protocols._vectorized`)."""
+        bqf_replay(vt, instance)
 
     def __init__(
         self, n_hosts: int, n_mss: int = 1, period: float = float("inf")

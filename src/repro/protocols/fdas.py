@@ -31,16 +31,32 @@ implemented (building RDT lines needs the dependency vectors the
 replay does not carry); the conformance kit and the audit skip the
 on-the-fly-line batteries for it, exactly as they do for the
 uncoordinated baseline.
+
+FDAS ships a batch kernel for the vectorized engine.  Its clock is
+BCS's index (a basic increments it, a higher piggyback raises it), and
+its forced checkpoints are exactly the jumps the no-send rule of
+BCS-NS forces; where BCS-NS renames its last checkpoint, FDAS adopts
+the clock and records nothing.
 """
 
 from __future__ import annotations
 
+from repro.protocols._vectorized import index_family_replay
 from repro.protocols.base import CheckpointingProtocol, register
 
 
 @register("FDAS")
 class FDASProtocol(CheckpointingProtocol):
     """Logical-clock CIC with the fixed-dependency-after-send rule."""
+
+    vectorizable = True
+
+    @classmethod
+    def vectorized_replay(cls, vt, instance) -> None:
+        """Batch kernel: BCS's trajectory with the no-send split, where
+        a jump that forces nothing adopts the clock (see
+        :mod:`repro.protocols._vectorized`)."""
+        index_family_replay(vt, instance, "fdas")
 
     def __init__(self, n_hosts: int, n_mss: int = 1):
         super().__init__(n_hosts, n_mss)

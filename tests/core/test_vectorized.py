@@ -7,10 +7,15 @@ Covers the pieces the equivalence suites take for granted:
 * the npz cache tier stores those columns natively -- a disk hit seeds
   the per-trace array cache, and a format-v1 entry is evicted and
   rewritten in place at the current format on first read;
-* protocols without kernels are rejected with a typed error.
+* protocols without kernels are rejected with a typed error;
+* the FDAS and BQF kernels leave the live state the reference replay
+  leaves, which the registry-wide suites (counters, trails, recovery
+  lines) do not compare.
 """
 
 import json
+import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -18,8 +23,14 @@ import pytest
 from repro.core import trace_io
 from repro.core.compiled import FLOAT_DTYPE, INT_DTYPE, array_columns
 from repro.core.replay import replay, replay_vectorized
-from repro.core.vectorized import VectorizationError, vectorized_trace
+from repro.core.vectorized import (
+    VectorizationError,
+    index_trajectory,
+    vectorized_trace,
+)
+from repro.protocols import BQFProtocol
 from repro.protocols.base import registry
+from repro.testing import without_kernels
 from repro.workload import WorkloadConfig, generate_trace
 from repro.workload.cache import TraceCache, config_key
 
@@ -138,11 +149,78 @@ def test_v1_cache_entry_is_upgraded_in_place(tmp_path):
 
 def test_replay_vectorized_rejects_protocol_without_kernels():
     trace = generate_trace(cfg())
-    bqf = registry["BQF"](trace.n_hosts, trace.n_mss)
+    loop_only = without_kernels(registry["BCS"])(trace.n_hosts, trace.n_mss)
     with pytest.raises(VectorizationError):
-        replay_vectorized(trace, [bqf])
+        replay_vectorized(trace, [loop_only])
 
 
 def test_vectorized_trace_is_cached_per_trace():
     trace = generate_trace(cfg())
     assert vectorized_trace(trace) is vectorized_trace(trace)
+
+
+# -- live state of the FDAS and BQF kernels --------------------------------
+
+#: (case id, factory, live attributes compared).
+LIVE_STATE_CASES = [("FDAS", registry["FDAS"], ("lc", "sent_since_ckpt"))] + [
+    (
+        f"BQF(period={period:g})",
+        partial(BQFProtocol, period=period),
+        ("sn", "rn", "_last_ckpt_time"),
+    )
+    for period in (math.inf, 2000.0, 500.0, 100.0)
+]
+
+
+@pytest.mark.parametrize(
+    "log_checkpoints", [True, False], ids=["logging", "counters-only"]
+)
+@pytest.mark.parametrize(
+    "factory, fields",
+    [case[1:] for case in LIVE_STATE_CASES],
+    ids=[case[0] for case in LIVE_STATE_CASES],
+)
+def test_kernel_live_state_matches_reference(factory, fields, log_checkpoints):
+    for seed in (0, 1):
+        trace = generate_trace(cfg(sim_time=3000.0, seed=seed))
+        ref = factory(trace.n_hosts, trace.n_mss)
+        vec = factory(trace.n_hosts, trace.n_mss)
+        ref.log_checkpoints = vec.log_checkpoints = log_checkpoints
+        replay(trace, ref)
+        replay_vectorized(trace, [vec])
+        for field in fields:
+            assert getattr(vec, field) == getattr(ref, field), (seed, field)
+        assert vec.counter_signature() == ref.counter_signature(), seed
+
+
+def test_bqf_periods_add_autonomous_basics():
+    """The finite periods above are not vacuous: each adds basics."""
+    trace = generate_trace(cfg(sim_time=3000.0))
+    n_basic = [
+        replay_vectorized(trace, [factory(trace.n_hosts, trace.n_mss)])[0]
+        .protocol.n_basic
+        for _, factory, _ in LIVE_STATE_CASES[1:]
+    ]
+    assert n_basic == sorted(n_basic) and len(set(n_basic)) == len(n_basic)
+
+
+def test_one_pass_solves_each_trajectory_once_and_keeps_nothing(monkeypatch):
+    """The zoo's index family reads two trajectories per pass, BCS's
+    and QBC's, and the memo that shares them is gone after the pass."""
+    from repro.protocols import _vectorized as kernels
+
+    solved = []
+
+    def counting(vt, qbc):
+        solved.append(qbc)
+        return index_trajectory(vt, qbc)
+
+    monkeypatch.setattr(kernels, "index_trajectory", counting)
+    trace = generate_trace(cfg())
+    zoo = ("BCS", "QBC", "BCS-NS", "QBC-NS", "FDAS", "BQF")
+    replay_vectorized(
+        trace, [registry[n](trace.n_hosts, trace.n_mss) for n in zoo]
+    )
+    assert sorted(solved) == [False, True]
+    scratch = set(vectorized_trace(trace).scratch)
+    assert scratch == {"mask_closure", "index_walk_static"}

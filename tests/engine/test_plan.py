@@ -26,10 +26,22 @@ def test_auto_prefers_vectorized_when_all_have_kernels():
 
 
 def test_auto_falls_back_to_fused_without_kernels():
-    # BQF ships no vectorized kernels, so its presence drops the whole
-    # set to the fused engine.
-    p = plan(RunSpec(protocols=("TP", "BCS", "BQF"), workload=cfg()))
+    # One protocol built without kernels drops the whole set to the
+    # fused engine.
+    p = plan(
+        RunSpec(
+            protocols=("TP", "BCS", "BQF"),
+            workload=cfg(),
+            factories=loop_factories(("BQF",)),
+        )
+    )
     assert p.engine_kind == "fused"
+
+
+def test_every_shipped_replayable_set_plans_the_kernels():
+    for engine in ("auto", "fused"):
+        spec = RunSpec(protocols=None, workload=cfg(), engine=engine)
+        assert plan(spec).engine_kind == "vectorized", engine
 
 
 def test_fused_request_plans_kernels_when_all_have_them():
@@ -44,7 +56,14 @@ def test_fused_request_plans_kernels_when_all_have_them():
 )
 def test_fused_request_keeps_the_loop_without_kernels(protocols):
     # None is every replayable protocol: the zoo, FDAS and BQF included.
-    spec = RunSpec(protocols=protocols, workload=cfg(), engine="fused")
+    # Every protocol ships kernels; the set's last one is built without.
+    hidden = (protocols or ("BQF",))[-1]
+    spec = RunSpec(
+        protocols=protocols,
+        workload=cfg(),
+        engine="fused",
+        factories=loop_factories((hidden,)),
+    )
     assert plan(spec).engine_kind == "fused"
 
 

@@ -19,6 +19,7 @@ from repro.experiments import SweepConfig, run_sweep
 from repro.experiments import runner as runner_mod
 from repro.experiments.resilience import (
     JournalConfigMismatch,
+    JournalExists,
     SweepJournal,
     TaskError,
     sweep_config_hash,
@@ -281,6 +282,20 @@ def test_resume_from_missing_file_runs_everything(tmp_path):
     cfg = sweep_config(resume_from=str(tmp_path / "absent.jsonl"))
     result = run_sweep(cfg)
     assert result.complete and result.resumed_tasks == 0
+
+
+def test_rerun_over_existing_journal_without_resume_raises(tmp_path):
+    """A second run at the same journal path must resume it, not run
+    and journal every cell again."""
+    path = str(tmp_path / "sweep.jsonl")
+    run_sweep(sweep_config(journal_path=path))
+    with pytest.raises(JournalExists, match="--resume"):
+        run_sweep(sweep_config(journal_path=path))
+    with open(path) as fh:
+        kinds = [json.loads(line)["kind"] for line in fh]
+    assert kinds.count("task") == 4  # the 2 x 2 grid, once
+    resumed = run_sweep(sweep_config(journal_path=path, resume_from=path))
+    assert resumed.resumed_tasks == 4
 
 
 def test_resume_with_wrong_config_raises(tmp_path):

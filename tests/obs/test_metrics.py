@@ -1,6 +1,4 @@
-"""Metrics registry: instruments, labels, JSON and Prometheus dumps."""
-
-import json
+"""Metrics registry: instruments, labels, JSON and Prometheus exposition."""
 
 import pytest
 
@@ -93,17 +91,6 @@ def test_prometheus_exposition_format():
     assert 'repro_run_seconds_bucket{le="+Inf"} 1' in text
     assert "repro_run_seconds_sum 0.7" in text
     assert "repro_run_seconds_count 1" in text
-
-
-def test_dump_picks_format_by_extension(tmp_path):
-    reg = MetricsRegistry()
-    reg.counter("repro_runs_total").inc()
-    json_path = tmp_path / "metrics.json"
-    prom_path = tmp_path / "metrics.prom"
-    reg.dump(json_path)
-    reg.dump(prom_path)
-    assert json.loads(json_path.read_text())["repro_runs_total"]["value"] == 1
-    assert "# TYPE repro_runs_total counter" in prom_path.read_text()
 
 
 def test_reset_drops_series_and_type_registrations():

@@ -101,9 +101,9 @@ def test_rollback_restores_clock_and_send_flag():
     assert p.sent_since_ckpt[0] is False
 
 
-def test_registered_and_fusable_but_not_vectorizable():
+def test_registered_and_vectorizable():
     from repro.engine import resolve_protocols
 
-    (entry,) = resolve_protocols(["FDAS"], require="replayable")
+    (entry,) = resolve_protocols(["FDAS"], require="vectorizable")
     assert entry.capabilities.replayable
-    assert not entry.capabilities.vectorizable
+    assert entry.capabilities.vectorizable

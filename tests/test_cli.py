@@ -263,6 +263,9 @@ def test_figure_journal_and_resume_roundtrip(tmp_path, capsys):
     assert main(args + ["--resume", journal]) == 0
     out = capsys.readouterr().out
     assert "Figure 1" in out and "[PASS]" in out
+    # Naming the journal again without --resume is a usage error.
+    assert main(args + ["--journal", journal]) == 2
+    assert f"--resume {journal}" in capsys.readouterr().err
 
 
 def test_audit_exit_code_0_when_clean(capsys):
