@@ -132,11 +132,11 @@ def test_tracer_span_cost(benchmark):
 
 
 def test_fleet_plane_overhead(benchmark, tmp_path):
-    """The fleet plane (delta source + aggregation + exporters) must
-    stay inside the same <5% envelope as the observer stack.  Measured
-    over a serial sweep so the comparison is single-process and stable;
-    the cross-process transport adds only pickled frames on the
-    existing heartbeat cadence."""
+    """The sweep exports (one merged registry, a Prometheus textfile
+    and an OTLP-JSON artifact written at sweep end) must stay inside
+    the same <5% envelope as the observer stack.  Measured over a
+    serial sweep so the comparison is single-process and stable; a
+    sharded sweep adds only each cell's series on its outcome frame."""
     from repro.experiments import SweepConfig, run_sweep
     from repro.workload import WorkloadConfig as WC
 
@@ -179,7 +179,7 @@ def test_fleet_plane_overhead(benchmark, tmp_path):
         interleaved, rounds=1, iterations=1
     )
 
-    # Purely observational: identical values with the plane on or off.
+    # Purely observational: identical values with exports on or off.
     for pp, op in zip(plain_result.points, obs_result.points):
         assert [  # full counter signature per run
             (r.protocol, r.seed, r.n_total, r.n_basic, r.n_forced)
@@ -200,33 +200,6 @@ def test_fleet_plane_overhead(benchmark, tmp_path):
     benchmark.extra_info.update(payload)
     _record("fleet_plane", payload)
     assert obs_time <= plain_time * (1.0 + MAX_OVERHEAD), (
-        f"fleet plane adds {100*overhead:.1f}% over a plain sweep "
+        f"sweep exports add {100*overhead:.1f}% over a plain sweep "
         f"({obs_time*1e3:.2f}ms vs {plain_time*1e3:.2f}ms)"
     )
-
-
-def test_metrics_delta_cost(benchmark):
-    """One delta cycle (snapshot + diff over ~100 live series) rides
-    every worker heartbeat; it must stay far below the heartbeat
-    interval."""
-    from repro.obs.fleet import MetricsDeltaSource
-    from repro.obs.metrics import MetricsRegistry
-
-    reg = MetricsRegistry()
-    for i in range(50):
-        reg.counter("repro_bench_total", series=str(i)).inc(i)
-        reg.histogram("repro_bench_seconds", series=str(i)).observe(0.1)
-    source = MetricsDeltaSource(reg)
-    source.delta()  # absorb the initial state
-
-    def cycle():
-        reg.counter("repro_bench_total", series="0").inc()
-        return source.delta()
-
-    delta = benchmark(cycle)
-    assert delta is not None and len(delta["series"]) == 1
-    per_cycle_us = benchmark.stats.stats.min * 1e6
-    payload = {"series": 100, "per_delta_us": round(per_cycle_us, 1)}
-    benchmark.extra_info.update(payload)
-    _record("metrics_delta", payload)
-    assert per_cycle_us < 50_000, f"delta costs {per_cycle_us:.0f}us"

@@ -131,10 +131,7 @@ def _cmd_figure(args) -> int:
             shard_size=args.shard_size,
             run_id=args.run_id,
             prom_path=args.prom,
-            prom_gateway=args.prom_gateway,
             otlp_path=args.otlp,
-            obs_refresh_s=args.obs_refresh,
-            adaptive_shard_size=args.adaptive_shards,
         )
     except JournalExists as exc:
         print(exc, file=sys.stderr)
@@ -642,34 +639,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--prom", default=None, metavar="PATH",
-        help="fleet observability: write the merged worker+coordinator "
-        "metrics as a Prometheus textfile at PATH, refreshed every "
-        "--obs-refresh seconds (enables the fleet plane)",
-    )
-    p.add_argument(
-        "--prom-gateway", default=None, metavar="URL",
-        help="also PUT the exposition to a Prometheus push-gateway at "
-        "URL on the same refresh cadence",
+        help="write the sweep's metrics (coordinator plus every "
+        "executed cell, by worker pid) as a Prometheus textfile at "
+        "PATH once the sweep ends",
     )
     p.add_argument(
         "--otlp", default=None, metavar="PATH_OR_URL",
-        help="write one OTLP-JSON artifact (merged metrics + "
-        "skew-aligned spans) at sweep end: a file path, or an "
-        "http(s):// endpoint to POST to (enables the fleet plane)",
-    )
-    p.add_argument(
-        "--obs-refresh", type=float, default=5.0, metavar="SECONDS",
-        help="fleet exporter refresh interval (default 5)",
+        help="write one OTLP-JSON artifact (the same metrics + every "
+        "task's spans) at sweep end: a file path, or an http(s):// "
+        "endpoint to POST to",
     )
     p.add_argument(
         "--run-id", default=None, metavar="ID",
-        help="run label stamped into fleet metric series and span tags "
+        help="run label stamped on every --prom/--otlp series and span "
         "(default: derived from the sweep config hash)",
-    )
-    p.add_argument(
-        "--adaptive-shards", action="store_true",
-        help="size shard leases from observed per-cell wall time "
-        "instead of the static --shard-size",
     )
     p.set_defaults(fn=_cmd_figure)
 

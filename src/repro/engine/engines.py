@@ -202,15 +202,7 @@ class Engine:
         self._tracer = _find_tracer(p.observers)
         self._observer_errors: list[ObserverError] = []
         started = time.perf_counter()
-        # run_id labels only exist when the spec carries one (the
-        # fleet-observability plane); unlabelled runs keep the exact
-        # series/tag shapes they always had.
-        labels = {"kind": self.kind}
-        run_tags = {"engine": self.kind}
-        if p.spec.run_id:
-            labels["run_id"] = p.spec.run_id
-            run_tags["run_id"] = p.spec.run_id
-        with self._span("run", **run_tags):
+        with self._span("run", engine=self.kind):
             for obs in p.observers:
                 obs.on_run_start(p)
             result = self._execute(p)
@@ -227,11 +219,11 @@ class Engine:
                             )
                         )
         reg = _metrics_registry()
-        reg.counter("repro_engine_runs_total", **labels).inc()
-        reg.histogram("repro_engine_run_seconds", **labels).observe(
+        reg.counter("repro_engine_runs_total", kind=self.kind).inc()
+        reg.histogram("repro_engine_run_seconds", kind=self.kind).observe(
             result.wall_time_s
         )
-        reg.counter("repro_engine_outcomes_total", **labels).inc(
+        reg.counter("repro_engine_outcomes_total", kind=self.kind).inc(
             len(result.outcomes)
         )
         if result.observer_errors:

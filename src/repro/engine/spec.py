@@ -56,7 +56,9 @@ ENGINE_KINDS = ("auto", "reference", "fused", "vectorized", "online")
 #: v2: the workload dict carries the registry fields ``workload`` /
 #: ``workload_params`` (name + params travel, never a materialized
 #: schedule), so a v1 peer must not silently drop them.
-SPEC_WIRE_VERSION = 2
+#: v3: ``run_id`` is gone (it is applied when a sweep's exports are
+#: rendered, never by the engine).
+SPEC_WIRE_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -101,12 +103,6 @@ class RunSpec:
     gc_interval: Optional[float] = None
     #: Online engine: coordinated snapshot round period.
     snapshot_interval: float = 500.0
-    #: Fleet-observability run label: stamped into the engine's span
-    #: tags and metric labels when set, so one sweep's series are
-    #: separable across processes.  ``None`` (the default) keeps the
-    #: series names exactly as they were -- no label churn for runs
-    #: that never asked for the fleet plane.
-    run_id: Optional[str] = None
 
     def __post_init__(self):
         if self.engine not in ENGINE_KINDS:
@@ -166,9 +162,6 @@ class RunSpec:
             "ckpt_latency": self.ckpt_latency,
             "gc_interval": self.gc_interval,
             "snapshot_interval": self.snapshot_interval,
-            # Optional additive field (absent-tolerant on decode), so
-            # it rides wire v2 without a version bump.
-            "run_id": self.run_id,
         }
 
     @classmethod
@@ -206,7 +199,6 @@ class RunSpec:
             ckpt_latency=wire.get("ckpt_latency", 0.0),
             gc_interval=wire.get("gc_interval"),
             snapshot_interval=wire.get("snapshot_interval", 500.0),
-            run_id=wire.get("run_id"),
         )
 
 

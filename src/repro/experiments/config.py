@@ -143,31 +143,19 @@ class SweepConfig:
         its lease revoked and its incomplete cells reassigned (as
         ``worker-lost`` retries).  Must exceed ``shard_heartbeat_s``.
     run_id:
-        Label stamped into fleet-aggregated metric series and span
-        tags (``run_id="..."``) so several sweeps can share one
-        Prometheus/OTLP sink.  ``None`` with the fleet plane enabled
-        derives ``sweep-<config-hash>``; ``None`` with the plane off
-        leaves every series exactly as before.
+        Label stamped on every exported metric series and OTLP span
+        (``run_id="..."``) so several sweeps can share one
+        Prometheus/OTLP sink.  ``None`` derives ``sweep-<config-hash>``
+        when the exports are written; the config itself is left as
+        given.
     prom_path:
-        Prometheus textfile target for the merged fleet registry,
-        rewritten atomically every ``obs_refresh_s`` and once more at
-        sweep end (point a node-exporter textfile collector at it).
-    prom_gateway:
-        Push-gateway base URL (``http://host:9091``); the merged
-        registry is PUT to ``/metrics/job/<run_id>`` on the same
-        refresh cadence.  Push failures are counted, never raised.
+        Prometheus textfile written once, at sweep end, from the
+        coordinator's registry plus the series every executed cell
+        carried home (point a node-exporter textfile collector at it).
     otlp_path:
-        OTLP-JSON destination for the merged metrics *and* the
-        skew-aligned spans, written once at sweep end: a file path, or
-        an ``http(s)://`` endpoint to POST to.
-    obs_refresh_s:
-        Prometheus textfile / push refresh interval, seconds.
-    adaptive_shard_size:
-        Let the coordinator size each lease from observed per-cell
-        wall time (:class:`repro.obs.fleet.AdaptiveShardSizer`)
-        instead of the static ``shard_size`` -- scheduling fed by the
-        observability plane.  Scheduling only: cell *results* are
-        unaffected.
+        OTLP-JSON destination for the same metrics *and* every task's
+        spans, written once at sweep end: a file path, or an
+        ``http(s)://`` endpoint to POST to.
     """
 
     base: WorkloadConfig = field(default_factory=WorkloadConfig)
@@ -195,15 +183,7 @@ class SweepConfig:
     shard_lease_timeout_s: float = 10.0
     run_id: Optional[str] = None
     prom_path: Optional[str] = None
-    prom_gateway: Optional[str] = None
     otlp_path: Optional[str] = None
-    obs_refresh_s: float = 5.0
-    adaptive_shard_size: bool = False
-
-    @property
-    def fleet_enabled(self) -> bool:
-        """Whether any knob turns the fleet observability plane on."""
-        return bool(self.prom_path or self.prom_gateway or self.otlp_path)
 
     def validate(self) -> "SweepConfig":
         """Check the sweep parameters; returns self (chainable).
@@ -273,13 +253,5 @@ class SweepConfig:
             raise ValueError(
                 "shard_lease_timeout_s must exceed shard_heartbeat_s "
                 "(a worker must get several heartbeats per deadline)"
-            )
-        if self.obs_refresh_s <= 0:
-            raise ValueError("obs_refresh_s must be positive")
-        if self.prom_gateway is not None and not str(
-            self.prom_gateway
-        ).startswith(("http://", "https://")):
-            raise ValueError(
-                "prom_gateway must be an http(s):// push-gateway URL"
             )
         return self

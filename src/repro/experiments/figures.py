@@ -59,10 +59,7 @@ def figure_sweep_config(
     shard_size: Optional[int] = None,
     run_id: Optional[str] = None,
     prom_path: Optional[str] = None,
-    prom_gateway: Optional[str] = None,
     otlp_path: Optional[str] = None,
-    obs_refresh_s: float = 5.0,
-    adaptive_shard_size: bool = False,
 ) -> SweepConfig:
     """Sweep configuration reproducing one paper figure.
 
@@ -106,10 +103,7 @@ def figure_sweep_config(
         shard_size=shard_size,
         run_id=run_id,
         prom_path=prom_path,
-        prom_gateway=prom_gateway,
         otlp_path=otlp_path,
-        obs_refresh_s=obs_refresh_s,
-        adaptive_shard_size=adaptive_shard_size,
     ).validate()
 
 
@@ -135,10 +129,7 @@ def run_figure(
     shard_size: Optional[int] = None,
     run_id: Optional[str] = None,
     prom_path: Optional[str] = None,
-    prom_gateway: Optional[str] = None,
     otlp_path: Optional[str] = None,
-    obs_refresh_s: float = 5.0,
-    adaptive_shard_size: bool = False,
 ) -> SweepResult:
     """Run one paper figure end to end and return the sweep result.
 
@@ -151,10 +142,9 @@ def run_figure(
     ``shard_listen`` route the grid through the fault-tolerant sharded
     dispatch service (:mod:`repro.experiments.sharded`; see
     docs/resilience.md).
-    ``prom_path`` / ``prom_gateway`` / ``otlp_path`` enable the fleet
-    observability plane (merged cross-process metrics + skew-aligned
-    spans, see docs/observability.md); ``adaptive_shard_size`` sizes
-    shard leases from observed per-cell wall time.
+    ``prom_path`` / ``otlp_path`` export the sweep's merged metrics
+    (and, for OTLP, its spans) once at sweep end, labelled ``run_id``
+    (see docs/observability.md).
     """
     cfg = figure_sweep_config(
         figure,
@@ -178,9 +168,6 @@ def run_figure(
         shard_size=shard_size,
         run_id=run_id,
         prom_path=prom_path,
-        prom_gateway=prom_gateway,
         otlp_path=otlp_path,
-        obs_refresh_s=obs_refresh_s,
-        adaptive_shard_size=adaptive_shard_size,
     )
     return run_sweep(cfg)

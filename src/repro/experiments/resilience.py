@@ -506,9 +506,7 @@ def _resumes(journal_path, resume_from) -> bool:
     )
 
 
-def execute(
-    config, tasks: Sequence[tuple], fleet=None
-) -> ExecutionReport:
+def execute(config, tasks: Sequence[tuple]) -> ExecutionReport:
     """Run the sweep's task grid with supervision, healing, journaling
     and resumption; the runner assembles the report into a
     :class:`~repro.experiments.runner.SweepResult`.
@@ -517,12 +515,6 @@ def execute(
     serially in this process; otherwise the sharded coordinator
     dispatches it to ``config.workers`` local shard workers plus any
     external ones that join on ``shard_listen``.
-
-    *fleet* (a :class:`repro.obs.fleet.FleetAggregator`, owned by the
-    runner's :class:`~repro.obs.fleet.FleetPlane`) rides along to the
-    sharded coordinator, which merges worker metric deltas and spans
-    into it.  A serial sweep leaves it untouched -- its metrics
-    already live in this process's registry.
 
     *tasks* is the point-major list of ``_evaluate_task`` argument
     tuples (``tasks[i][1]`` / ``tasks[i][2]`` are the task's t_switch
@@ -575,8 +567,7 @@ def execute(
                 from repro.experiments.sharded import run_sharded
 
                 run_sharded(
-                    config, pending, report, journal, drain, rng, reporter,
-                    fleet=fleet,
+                    config, pending, report, journal, drain, rng, reporter
                 )
             elif pending:
                 _run_serial(

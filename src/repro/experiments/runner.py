@@ -211,7 +211,6 @@ def _evaluate_task(
     audit: bool = False,
     trace_spans: bool = False,
     engine: str = "fused",
-    run_id: Optional[str] = None,
 ) -> tuple[float, int, list[RunOutcome], TaskTelemetry, list]:
     """Worker body: one (point, seed) pair, all protocols, one replay
     pass over one trace -- routed through the execution engine
@@ -247,7 +246,6 @@ def _evaluate_task(
             use_cache=use_cache,
             cache_dir=cache_dir,
             observers=observers,
-            run_id=run_id,
         )
     )
     if timing is not None:
@@ -314,7 +312,6 @@ def _tasks(config: SweepConfig) -> list[tuple]:
             config.audit,
             trace_spans,
             config.engine,
-            config.run_id,
         )
         for t in config.t_switch_values
         for seed in config.seeds
@@ -341,6 +338,44 @@ def run_point(config: SweepConfig, t_switch: float) -> PointResult:
     return point
 
 
+def _export(config: SweepConfig, result: SweepResult, spans: list) -> None:
+    """Write ``--prom`` / ``--otlp`` from the sweep's task records.
+
+    The metrics are :func:`repro.obs.export.sweep_registry` over this
+    process's registry and the records of the cells this run executed
+    (journal-resumed cells were counted by the run that executed
+    them).  An unset ``run_id`` is derived from the config hash.
+    Exporters are side channels: a failed write warns, it never takes
+    the finished sweep down with it."""
+    import warnings
+
+    from repro.experiments.resilience import sweep_config_hash
+    from repro.obs import export
+    from repro.obs.metrics import registry
+
+    run_id = config.run_id or "sweep-" + sweep_config_hash(config)[:12]
+    executed = [
+        r for r in result.telemetry
+        if (r.t_switch, r.seed) not in result.resumed_cells
+    ]
+    merged = export.sweep_registry(registry(), executed, run_id)
+    try:
+        if config.prom_path:
+            export.write_prometheus(config.prom_path, merged)
+        if config.otlp_path:
+            export.write_otlp(
+                config.otlp_path,
+                registry=merged,
+                spans=[
+                    {**s, "tags": {**(s.get("tags") or {}), "run_id": run_id}}
+                    for s in spans
+                ],
+                resource={"service.name": "repro", "run_id": run_id},
+            )
+    except OSError as exc:
+        warnings.warn(f"sweep export failed: {exc!r}", RuntimeWarning)
+
+
 def run_sweep(config: SweepConfig) -> SweepResult:
     """Run the whole sweep: serially when ``workers == 0``, else on
     ``workers`` local shard workers fanning out over (point, seed)
@@ -358,38 +393,14 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     ``config.journal_path`` is set.  In audit mode the result
     additionally carries every invariant violation found.
 
-    When any fleet-observability knob is set (``prom_path`` /
-    ``prom_gateway`` / ``otlp_path``) a
-    :class:`repro.obs.fleet.FleetPlane` rides the sweep: shard workers
-    ship metric deltas back, the merged registry refreshes the
-    Prometheus targets while the sweep runs, and one OTLP-JSON
-    artifact (metrics + skew-aligned spans) lands at the end.  The
-    plane observes; results are bit-identical with it on or off."""
-    from repro.experiments.resilience import execute, sweep_config_hash
+    ``prom_path`` / ``otlp_path`` are written once, after the last
+    cell, by :func:`_export`.  They observe; results are bit-identical
+    with them on or off."""
+    from repro.experiments.resilience import execute
 
     config.validate()
-    plane = None
-    if config.fleet_enabled:
-        from repro.obs.fleet import FleetPlane
-
-        if not config.run_id:
-            config.run_id = "sweep-" + sweep_config_hash(config)[:12]
-        plane = FleetPlane(
-            config.run_id,
-            prom_path=config.prom_path,
-            prom_gateway=config.prom_gateway,
-            otlp_path=config.otlp_path,
-            refresh_s=config.obs_refresh_s,
-        )
-        plane.start()
     started = time.perf_counter()
-    tasks = _tasks(config)
-    try:
-        report = execute(config, tasks, fleet=plane.aggregator if plane else None)
-    except BaseException:
-        if plane is not None:
-            plane.stop_refresh()
-        raise
+    report = execute(config, _tasks(config))
     result = _assemble(config, report.outcomes)
     result.errors = report.errors
     result.resumed_cells = frozenset(report.resumed_cells)
@@ -402,13 +413,7 @@ def run_sweep(config: SweepConfig) -> SweepResult:
 
         # Worker spans rode home on the telemetry records; merged they
         # form the sweep's full timeline (pids keep workers apart).
-        # With the fleet plane on they are additionally clock-skew
-        # aligned onto the coordinator's monotonic timeline.
-        write_chrome_trace(
-            config.trace_path,
-            plane.aggregator.align(spans) if plane is not None else spans,
-        )
-    if plane is not None:
-        # finalize aligns internally -- hand it the raw spans.
-        plane.finalize(spans=spans)
+        write_chrome_trace(config.trace_path, spans)
+    if config.prom_path or config.otlp_path:
+        _export(config, result, spans)
     return result

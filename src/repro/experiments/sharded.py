@@ -106,11 +106,14 @@ __all__ = [
 
 #: Wire protocol version; bumped on any frame-shape change.  Both ends
 #: tag every frame with it and refuse mismatches.
-#: v2: register/heartbeat frames carry a ``mono`` clock sample and the
-#: fleet observability plane adds the ``obs-delta`` frame kind
-#: (worker metric deltas; see :mod:`repro.obs.fleet`).
+#: v2: register/heartbeat frames carry a ``mono`` clock sample and a
+#: new frame kind carries worker metric deltas.
 #: v3: the hello frame's task settings lose ``stream_path``.
-PROTOCOL_VERSION = 3
+#: v4: the metric-delta frame kind, the ``mono`` clock samples and the
+#: hello frame's ``obs_fleet`` flag are gone; a cell's metric series
+#: ride its ``outcome`` frame on the task record
+#: (:attr:`~repro.obs.telemetry.TaskTelemetry.metrics`).
+PROTOCOL_VERSION = 4
 
 #: Hex-encoded connection authkey for *external* workers
 #: (``repro shard-worker``); locally spawned workers inherit a random
@@ -134,11 +137,6 @@ _RESPAWNS_PER_SLOT = 2
 #: task_timeout_s`` before it stops a worker (the worker-side alarm
 #: should have fired long before this).
 _WATCHDOG_GRACE_S = 5.0
-
-#: Bounded wait for the workers' final obs-delta flush at shutdown.
-#: Healthy workers answer in milliseconds; this only bites when one
-#: is wedged, and even then it delays teardown, never correctness.
-_OBS_HARVEST_S = 2.0
 
 
 class ShardProtocolError(RuntimeError):
@@ -233,28 +231,15 @@ class _HeartbeatPump(threading.Thread):
     Shares the connection with the worker's main loop through a send
     lock.  ``pause``/``unpause`` exist for the stall-heartbeat chaos
     hook; a send failure sets :attr:`dead` so the main loop can stop.
-
-    When the coordinator enabled the fleet plane (*obs_source* set),
-    each beat is followed by an ``obs-delta`` frame carrying whatever
-    changed in this process's metrics registry since the last one --
-    nothing when nothing changed, so an idle worker still costs one
-    frame per interval, not two.  Every frame samples
-    ``time.monotonic()`` so the coordinator can estimate this
-    process's clock offset for span alignment.
     """
 
     def __init__(
-        self,
-        conn: Connection,
-        lock: threading.Lock,
-        interval_s: float,
-        obs_source=None,
+        self, conn: Connection, lock: threading.Lock, interval_s: float
     ):
         super().__init__(name="shard-heartbeat", daemon=True)
         self.conn = conn
         self.lock = lock
         self.interval_s = interval_s
-        self.obs_source = obs_source
         self.shard_id: Optional[int] = None
         self.dead = threading.Event()
         self._stop = threading.Event()
@@ -268,15 +253,8 @@ class _HeartbeatPump(threading.Thread):
             try:
                 send_frame(
                     self.conn,
-                    {
-                        "kind": "heartbeat",
-                        "shard_id": self.shard_id,
-                        "mono": time.monotonic(),
-                    },
+                    {"kind": "heartbeat", "shard_id": self.shard_id},
                     self.lock,
-                )
-                _flush_obs(
-                    self.conn, self.lock, self.obs_source, self.shard_id
                 )
             except (OSError, ValueError, BrokenPipeError):
                 self.dead.set()
@@ -354,35 +332,6 @@ def _drain_control(conn: Connection) -> Optional[str]:
     return None
 
 
-def _flush_obs(
-    conn: Connection,
-    lock: threading.Lock,
-    obs_source,
-    shard_id: Optional[int],
-) -> None:
-    """Send one ``obs-delta`` frame when the registry changed.
-
-    Send errors propagate to the caller (the pump marks itself dead,
-    the main loop's own handling kicks in); an *empty* delta sends
-    nothing at all.
-    """
-    if obs_source is None:
-        return
-    delta = obs_source.delta()
-    if delta is None:
-        return
-    send_frame(
-        conn,
-        {
-            "kind": "obs-delta",
-            "shard_id": shard_id,
-            "mono": time.monotonic(),
-            "delta": delta,
-        },
-        lock,
-    )
-
-
 def _goodbye(conn: Connection, lock: threading.Lock) -> None:
     """Best-effort farewell: a coordinator that already closed the
     connection after its shutdown frame must not turn a clean drain
@@ -408,6 +357,7 @@ def worker_main(
     """
     from repro.engine import RunSpec
     from repro.experiments.runner import _evaluate_task
+    from repro.obs.metrics import registry
 
     if authkey is None:
         authkey = _authkey()
@@ -419,7 +369,6 @@ def worker_main(
             "kind": "register",
             "pid": os.getpid(),
             "version": PROTOCOL_VERSION,
-            "mono": time.monotonic(),
         },
         lock,
     )
@@ -432,15 +381,8 @@ def worker_main(
     task = hello["task"]
     timeout_s = task.get("timeout_s")
     stall_s = task["lease_timeout_s"] + 2 * task["heartbeat_interval_s"] + 0.5
-    obs_source = None
-    if task.get("obs_fleet"):
-        from repro.obs.fleet import MetricsDeltaSource
-        from repro.obs.metrics import registry as _worker_registry
-
-        obs_source = MetricsDeltaSource(_worker_registry())
-    pump = _HeartbeatPump(
-        conn, lock, task["heartbeat_interval_s"], obs_source=obs_source
-    )
+    metrics = registry()
+    pump = _HeartbeatPump(conn, lock, task["heartbeat_interval_s"])
     pump.start()
     try:
         while True:
@@ -467,7 +409,6 @@ def worker_main(
                                 spec.audit,
                                 task["trace_spans"],
                                 spec.engine,
-                                run_id=spec.run_id,
                             )
                     except (Exception, SystemExit) as exc:
                         send_frame(conn, {
@@ -478,16 +419,17 @@ def worker_main(
                             "detail": repr(exc),
                         }, lock)
                     else:
+                        # The cell's series travel on its own record,
+                        # behind the journal's first-wins fence.
+                        outcome[3].metrics = metrics.snapshot()["series"]
                         send_frame(conn, {
                             "kind": "outcome",
                             "shard_id": shard_id,
                             "cell": (t_switch, seed),
                             "outcome": outcome,
                         }, lock)
-                # Flush pending metric deltas at the lease boundary so
-                # the coordinator's aggregate is fresh before the next
-                # grant (and before a drain tears the connection down).
-                _flush_obs(conn, lock, obs_source, shard_id)
+                    finally:
+                        metrics.reset()
                 send_frame(
                     conn, {"kind": "shard-done", "shard_id": shard_id}, lock
                 )
@@ -496,10 +438,6 @@ def worker_main(
                     _goodbye(conn, lock)
                     return 0
             elif kind in ("drain", "shutdown"):
-                try:
-                    _flush_obs(conn, lock, obs_source, None)
-                except (OSError, ValueError, BrokenPipeError):
-                    pass
                 _goodbye(conn, lock)
                 return 0
             # Unknown control frames are ignored: a newer coordinator
@@ -562,7 +500,6 @@ class _WorkerState:
     worker_id: int
     conn: Connection
     process: Any = None  # mp.Process for locally spawned workers
-    pid: Optional[int] = None  # remote os.getpid() (clock-sync key)
     last_seen: float = 0.0
     #: When the worker's current cell started, as far as the
     #: coordinator can tell: the lease grant or the worker's previous
@@ -582,9 +519,8 @@ class _Coordinator:
     """
 
     def __init__(self, config, pending, report, journal, drain, rng,
-                 reporter, fleet=None):
+                 reporter):
         self.config = config
-        self.fleet = fleet  # FleetAggregator when the plane is enabled
         self.report = report
         self.journal = journal
         self.drain = drain
@@ -621,18 +557,6 @@ class _Coordinator:
             # small enough that a lost worker forfeits little work.
             slots = max(1, config.workers)
             self.shard_size = max(1, -(-n_cells // (slots * 4)))
-        self.sizer = None
-        if getattr(config, "adaptive_shard_size", False):
-            from repro.obs.fleet import AdaptiveShardSizer
-
-            # Target about half the lease deadline so a lease sized on
-            # a stale median still completes well inside its liveness
-            # window; never grow past the static default (it already
-            # bounds reassignment loss on worker death).
-            self.sizer = AdaptiveShardSizer(
-                target_lease_s=config.shard_lease_timeout_s / 2,
-                max_cells=max(self.shard_size, 1),
-            )
 
     # -- metrics -------------------------------------------------------
     @staticmethod
@@ -721,11 +645,8 @@ class _Coordinator:
         self.next_worker_id += 1
         process = self._unclaimed.pop(msg.get("pid"), None)
         worker = _WorkerState(
-            worker_id=wid, conn=conn, process=process,
-            pid=msg.get("pid"), last_seen=now
+            worker_id=wid, conn=conn, process=process, last_seen=now
         )
-        if self.fleet is not None:
-            self.fleet.observe_clock(worker.pid, msg.get("mono"))
         try:
             send_frame(conn, self._hello_payload())
         except (OSError, ValueError):
@@ -746,7 +667,6 @@ class _Coordinator:
             audit=config.audit,
             use_cache=config.use_cache,
             cache_dir=config.cache_dir,
-            run_id=getattr(config, "run_id", None),
         )
         trace_spans = bool(
             getattr(config, "trace_spans", False)
@@ -761,7 +681,6 @@ class _Coordinator:
                 "trace_spans": trace_spans,
                 "heartbeat_interval_s": config.shard_heartbeat_s,
                 "lease_timeout_s": config.shard_lease_timeout_s,
-                "obs_fleet": self.fleet is not None,
             },
         }
 
@@ -789,10 +708,6 @@ class _Coordinator:
             self.reporter,
         )
         self.open_cells -= 1
-        if self.sizer is not None:
-            # outcome = (t_switch, seed, runs, telemetry, violations);
-            # observed wall time feeds the next lease's sizing.
-            self.sizer.observe(getattr(outcome[3], "wall_time_s", None))
 
     def _fail_cell(self, spec, error: TaskError) -> None:
         """Shared retry/quarantine semantics (mirrors the serial path)."""
@@ -814,15 +729,8 @@ class _Coordinator:
 
     # -- leases --------------------------------------------------------
     def _grant(self, worker: _WorkerState) -> bool:
-        size = self.shard_size
-        if self.sizer is not None:
-            size = self.sizer.suggest(self.shard_size)
-            if size != self.shard_size:
-                self._metrics().gauge(
-                    "repro_shard_adaptive_lease_size"
-                ).set(size)
         cells = []
-        while self.queue and len(cells) < size:
+        while self.queue and len(cells) < self.shard_size:
             spec = self.queue.popleft()
             if self._cell_open(spec):
                 cells.append(spec)
@@ -943,17 +851,6 @@ class _Coordinator:
         self._mark_alive(worker, now)
         if kind == "heartbeat":
             self._metrics().counter("repro_shard_heartbeats_total").inc()
-            if self.fleet is not None:
-                self.fleet.observe_clock(worker.pid, msg.get("mono"))
-            return
-        if kind == "obs-delta":
-            # Fleet metric deltas: seq-fenced by the aggregator, so a
-            # duplicated or replayed frame never double-counts.
-            if self.fleet is not None:
-                self.fleet.observe_clock(worker.pid, msg.get("mono"))
-                self.fleet.apply_delta(
-                    worker.worker_id, msg.get("delta")
-                )
             return
         if kind == "goodbye":
             worker.process = None  # departing cleanly: never respawn
@@ -982,14 +879,6 @@ class _Coordinator:
                     # lands exactly once -- the completed-cell check
                     # above is the journal's single dedupe gate.
                     self._complete_cell(spec, msg["outcome"])
-                    if self.fleet is not None:
-                        # Spans ride the (fenced) result frames, so a
-                        # duplicate outcome never duplicates spans.
-                        self.fleet.add_spans(
-                            worker.worker_id,
-                            msg.get("shard_id"),
-                            getattr(msg["outcome"][3], "spans", None),
-                        )
             elif not stale and self._cell_open(spec):
                 self._fail_cell(spec, TaskError(
                     kind=msg.get("error_kind", "protocol-error"),
@@ -1113,32 +1002,6 @@ class _Coordinator:
         finally:
             self._shutdown()
 
-    def _harvest_final_deltas(self) -> None:
-        """Collect the post-shutdown ``obs-delta`` flushes.
-
-        Each live worker reacts to the shutdown frame by flushing its
-        remaining metric deltas and sending ``goodbye``; a goodbye (or
-        a dead connection) releases that worker, so the deadline only
-        bites when a worker is wedged.  Frames other than obs-delta
-        are ignored -- results past this point are moot.
-        """
-        deadline = time.monotonic() + _OBS_HARVEST_S
-        pending = {w.conn: w for w in self.workers.values()}
-        while pending and time.monotonic() < deadline:
-            for conn in wait(list(pending), timeout=_TICK_S):
-                worker = pending[conn]
-                try:
-                    msg = recv_frame(conn)
-                except (EOFError, OSError, ShardProtocolError):
-                    del pending[conn]
-                    continue
-                kind = msg.get("kind")
-                if kind == "obs-delta":
-                    self.fleet.observe_clock(worker.pid, msg.get("mono"))
-                    self.fleet.apply_delta(worker.worker_id, msg.get("delta"))
-                elif kind == "goodbye":
-                    del pending[conn]
-
     def _broadcast_drain(self) -> None:
         if self.drain_sent:
             return
@@ -1174,13 +1037,6 @@ class _Coordinator:
                 send_frame(worker.conn, {"kind": "shutdown"})
             except (OSError, ValueError):
                 pass
-        # The run loop exits the instant the last cell completes --
-        # before the workers' lease-boundary obs-delta flush has been
-        # read.  Workers answer the shutdown with one final flush and
-        # a goodbye; harvest those frames (bounded) so the fleet
-        # aggregate covers the whole grid, then tear down.
-        if self.fleet is not None:
-            self._harvest_final_deltas()
         for worker in list(self.workers.values()):
             self._close_quietly(worker.conn)
         for conn, _ in self._pending_conns:
@@ -1206,23 +1062,16 @@ class _Coordinator:
         self.reporter.set_workers(None)
 
 
-def run_sharded(config, pending, report, journal, drain, rng, reporter,
-                fleet=None):
+def run_sharded(config, pending, report, journal, drain, rng, reporter):
     """Sharded leg of :func:`repro.experiments.resilience.execute`.
 
     Same contract as ``_run_serial``: mutate *report* in place
     (outcomes, errors, retries), journal every completion, respect the
     drain flag.  The caller owns journal/resume/signal setup, so a
     sharded sweep resumes and drains exactly like a serial one.
-
-    *fleet* (a :class:`repro.obs.fleet.FleetAggregator`) enables the
-    observability plane: workers ship metric deltas on the heartbeat
-    cadence and the coordinator merges them (plus result-frame spans)
-    into the aggregator.  Purely observational -- cell values are
-    bit-identical with or without it.
     """
     coordinator = _Coordinator(
-        config, pending, report, journal, drain, rng, reporter, fleet=fleet
+        config, pending, report, journal, drain, rng, reporter
     )
     coordinator.start()
     coordinator.run()

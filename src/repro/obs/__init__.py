@@ -12,12 +12,9 @@
   text phase table.
 * :mod:`repro.obs.metrics` -- process-local counters / gauges /
   histograms (:class:`MetricsRegistry`), JSON and Prometheus dumps.
-* :mod:`repro.obs.fleet` -- cross-process aggregation: metric deltas,
-  clock-skew span alignment, adaptive shard sizing
-  (:class:`FleetAggregator`, :class:`AdaptiveShardSizer`,
-  :class:`FleetPlane`).
-* :mod:`repro.obs.export` -- Prometheus textfile / push-gateway and
-  OTLP-JSON exporters (:func:`write_prometheus`, :func:`write_otlp`).
+* :mod:`repro.obs.export` -- Prometheus textfile and OTLP-JSON
+  exporters (:func:`write_prometheus`, :func:`write_otlp`) and the
+  end-of-sweep merge they render (:func:`sweep_registry`).
 * :mod:`repro.obs.dash` -- the live TTY sweep dashboard and the
   rotation-aware JSONL follower (:func:`render_dashboard`,
   :class:`JsonlFollower`).
@@ -61,17 +58,11 @@ _EXPORTS = {
     # metrics
     "MetricsRegistry": "metrics",
     "registry": "metrics",
-    # fleet
-    "AdaptiveShardSizer": "fleet",
-    "ClockSync": "fleet",
-    "FleetAggregator": "fleet",
-    "FleetPlane": "fleet",
-    "MetricsDeltaSource": "fleet",
     # export
     "otlp_metrics": "export",
     "otlp_payload": "export",
     "otlp_spans": "export",
-    "push_prometheus": "export",
+    "sweep_registry": "export",
     "write_otlp": "export",
     "write_prometheus": "export",
     # dash
@@ -106,16 +97,9 @@ if TYPE_CHECKING:  # pragma: no cover - static-analysis convenience
         otlp_metrics,
         otlp_payload,
         otlp_spans,
-        push_prometheus,
+        sweep_registry,
         write_otlp,
         write_prometheus,
-    )
-    from repro.obs.fleet import (  # noqa: F401
-        AdaptiveShardSizer,
-        ClockSync,
-        FleetAggregator,
-        FleetPlane,
-        MetricsDeltaSource,
     )
     from repro.obs.metrics import MetricsRegistry, registry  # noqa: F401
     from repro.obs.telemetry import (  # noqa: F401

@@ -1,4 +1,4 @@
-"""Metric/span exporters: Prometheus textfile + push-gateway, OTLP-JSON.
+"""Metric/span exporters: Prometheus textfile, OTLP-JSON.
 
 Stdlib-only implementations of the two export dialects an operator is
 likely to already run collectors for:
@@ -6,9 +6,7 @@ likely to already run collectors for:
 * **Prometheus** -- :func:`write_prometheus` renders a registry with
   :meth:`~repro.obs.metrics.MetricsRegistry.to_prometheus` and writes
   it atomically (temp file + ``os.replace``) so the node-exporter
-  textfile collector never scrapes a torn file;
-  :func:`push_prometheus` PUTs the same exposition to a push-gateway's
-  ``/metrics/job/<job>`` endpoint via :mod:`urllib`.
+  textfile collector never scrapes a torn file.
 * **OTLP-JSON** -- :func:`otlp_metrics` / :func:`otlp_spans` build the
   OpenTelemetry protocol JSON encoding (``resourceMetrics`` /
   ``resourceSpans``) from a registry and a list of span dicts, and
@@ -16,6 +14,12 @@ likely to already run collectors for:
   ``http(s)://`` endpoint (an OTLP/HTTP collector's ``/v1/metrics`` --
   the payload bundles both sections, which file-based tooling and the
   collector's JSON receiver both accept).
+
+A sweep exports once, at its end: :func:`sweep_registry` merges the
+coordinator's registry with the per-cell series that shard workers
+shipped on their task records (see
+:attr:`~repro.obs.telemetry.TaskTelemetry.metrics`), and the two
+writers render that one registry.
 
 Monotonic span timestamps are anchored to the wall clock once per
 export (``time.time_ns() - monotonic_ns``), so span times are honest
@@ -28,20 +32,64 @@ import hashlib
 import json
 import os
 import time
-import urllib.parse
 import urllib.request
 from typing import Any, Iterable, Optional
 
 from repro.obs.metrics import MetricsRegistry
 
 __all__ = [
+    "sweep_registry",
     "write_prometheus",
-    "push_prometheus",
     "otlp_metrics",
     "otlp_spans",
     "otlp_payload",
     "write_otlp",
 ]
+
+
+# -- the sweep's registry -----------------------------------------------
+def _absorb(target: MetricsRegistry, entry: dict, extra: dict) -> None:
+    """Add one :meth:`~repro.obs.metrics.MetricsRegistry.snapshot`
+    entry into *target*, with *extra* labels where the entry has none.
+
+    Counters and histograms add up (several cells of one process
+    land on one series); a gauge keeps the last value written."""
+    labels = dict(entry["labels"])
+    for key, value in extra.items():
+        labels.setdefault(key, value)
+    name, kind = entry["name"], entry["kind"]
+    if kind == "counter":
+        target.counter(name, **labels).inc(entry["value"])
+    elif kind == "gauge":
+        target.gauge(name, **labels).set(entry["value"])
+    else:
+        hist = target.histogram(
+            name, buckets=tuple(entry["buckets"]), **labels
+        )
+        hist.counts = [a + b for a, b in zip(hist.counts, entry["counts"])]
+        hist.sum += entry["sum"]
+        hist.count += entry["count"]
+
+
+def sweep_registry(
+    local: MetricsRegistry, records: Iterable[Any], run_id: str
+) -> MetricsRegistry:
+    """One fresh registry holding a whole sweep's series.
+
+    *local* (the coordinator's process registry) enters labelled
+    ``worker_id="coordinator"``; each of *records* (the
+    :class:`~repro.obs.telemetry.TaskTelemetry` of the cells this run
+    executed) adds its ``metrics`` under ``pid="<worker pid>"``.  Every
+    series carries ``run_id``.  Serial cells carry no ``metrics``:
+    their series are already in *local*.  Neither input is modified.
+    """
+    merged = MetricsRegistry()
+    for entry in local.snapshot()["series"]:
+        _absorb(merged, entry, {"worker_id": "coordinator", "run_id": run_id})
+    for rec in records:
+        for entry in rec.metrics:
+            _absorb(merged, entry, {"pid": rec.pid, "run_id": run_id})
+    return merged
 
 
 # -- Prometheus ---------------------------------------------------------
@@ -61,30 +109,6 @@ def write_prometheus(path, registry: MetricsRegistry) -> str:
         fh.write(text)
     os.replace(tmp, path)
     return text
-
-
-def push_prometheus(
-    gateway_url: str,
-    registry: MetricsRegistry,
-    job: str = "repro",
-    timeout_s: float = 5.0,
-) -> int:
-    """PUT the exposition to a push-gateway; returns the HTTP status.
-
-    *gateway_url* is the gateway base (``http://host:9091``); the
-    standard ``/metrics/job/<job>`` grouping path is appended.
-    """
-    url = gateway_url.rstrip("/") + "/metrics/job/" + urllib.parse.quote(
-        job, safe=""
-    )
-    req = urllib.request.Request(
-        url,
-        data=registry.to_prometheus().encode(),
-        method="PUT",
-        headers={"Content-Type": "text/plain; version=0.0.4"},
-    )
-    with urllib.request.urlopen(req, timeout=timeout_s) as resp:
-        return resp.status
 
 
 # -- OTLP-JSON ----------------------------------------------------------

@@ -11,18 +11,18 @@ under a lock) and operators can read two ways:
   tests;
 * :meth:`MetricsRegistry.to_prometheus` -- Prometheus text exposition
   (``# TYPE`` headers, ``{label="value"}`` sets, histogram
-  ``_bucket``/``_sum``/``_count`` series) ready to serve or push; the
-  exporters of :mod:`repro.obs.export` write it to a file or a push
-  gateway.
+  ``_bucket``/``_sum``/``_count`` series) ready to serve; the
+  exporters of :mod:`repro.obs.export` write it to a file.
 
 Everything is **process-local by design**: a parallel sweep's workers
 each keep their own registry, and the supervisor-side registry counts
 what the supervisor does (dispatch, retries, healing).  Cross-process
-aggregation rides the telemetry channel
-(:class:`~repro.obs.telemetry.TaskTelemetry`) and the fleet delta
-frames (:mod:`repro.obs.fleet` diffs :meth:`MetricsRegistry.snapshot`
-calls), never shared state -- a metrics registry must never block or
-allocate proportionally to the work it measures.
+aggregation rides the task records: a shard worker puts each cell's
+:meth:`MetricsRegistry.snapshot` series on that cell's
+:class:`~repro.obs.telemetry.TaskTelemetry` and resets its registry,
+and :func:`repro.obs.export.sweep_registry` merges the records once
+the sweep ends -- never shared state, so a metrics registry must never
+block or allocate proportionally to the work it measures.
 
 Like :mod:`repro.obs.tracing`, this module is stdlib-only and imports
 nothing from the rest of the package, so the cache and the engines can
@@ -214,13 +214,14 @@ class MetricsRegistry:
 
     def snapshot(self) -> dict[str, Any]:
         """Structured, JSON/pickle-safe dump of every series with raw
-        (non-cumulative) values -- the exchange format the fleet
-        aggregation layer (:mod:`repro.obs.fleet`) diffs and merges.
+        (non-cumulative) values -- the form a shard worker ships on a
+        cell's task record and :func:`repro.obs.export.sweep_registry`
+        merges.
 
         Unlike :meth:`as_dict`, label sets stay structured (a list of
         ``[key, value]`` pairs) and histogram bucket counts are the raw
-        per-bucket tallies, so two snapshots can be subtracted
-        element-wise to form a delta.
+        per-bucket tallies, so snapshots of several cells add up
+        element-wise.
         """
         series: list[dict[str, Any]] = []
         with self._lock:

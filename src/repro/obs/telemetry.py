@@ -3,8 +3,9 @@
 Every sweep task -- one ``(t_switch, seed)`` pair -- produces one
 :class:`TaskTelemetry` record: how long the task took, where its trace
 came from (memory cache, disk cache, fresh generation), how big the
-trace was, which worker process ran it, and the checkpoint counters of
-every protocol evaluated on it.  The records ride back from the shard
+trace was, which worker process ran it, the checkpoint counters of
+every protocol evaluated on it and, from a shard worker, the metric
+series the cell recorded.  The records ride back from the shard
 workers with the run outcomes and are reassembled in deterministic
 (point, seed) order, so two identical sweeps produce identically
 ordered telemetry (the wall times differ, the structure does not).
@@ -66,6 +67,11 @@ class TaskTelemetry:
     #: Phase spans recorded by a :class:`~repro.obs.tracing.Tracer`
     #: during this task (plain span dicts; empty unless tracing is on).
     spans: list[dict[str, Any]] = field(default_factory=list)
+    #: The worker's metric series for this cell
+    #: (:meth:`~repro.obs.metrics.MetricsRegistry.snapshot` entries);
+    #: shard workers fill it and reset their registry after each cell.
+    #: Empty on serial runs, whose series stay in the process registry.
+    metrics: list[dict[str, Any]] = field(default_factory=list)
 
     def as_json_dict(self) -> dict[str, Any]:
         """Plain-JSON form (one telemetry JSONL line)."""

@@ -29,9 +29,11 @@ Two exports render a span list:
 
 Timestamps are ``time.monotonic()`` seconds.  On Linux that clock is
 system-wide (CLOCK_MONOTONIC), so spans recorded by concurrent worker
-processes of one sweep land on one consistent timeline; on platforms
-where the monotonic clock is per-process, cross-process alignment is
-approximate but per-process nesting stays exact.
+processes of one sweep land on one consistent timeline.  A sweep's
+exports write every worker span as it was recorded, shifted by
+nothing: on platforms where the monotonic clock is per-process,
+cross-process alignment is approximate but per-process nesting stays
+exact.
 
 This module is dependency-free (stdlib only) and imports nothing from
 the rest of the package, so any layer -- engines, cache, sweep

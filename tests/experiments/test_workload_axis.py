@@ -10,10 +10,11 @@ from repro.experiments.runner import run_sweep
 from repro.workload.config import WorkloadConfig
 
 
-def test_wire_version_is_2():
+def test_wire_version_is_3():
     # v2 added the workload registry fields to the workload dict; a v1
-    # peer silently dropping them would run the wrong model.
-    assert SPEC_WIRE_VERSION == 2
+    # peer silently dropping them would run the wrong model.  v3
+    # dropped ``run_id``.
+    assert SPEC_WIRE_VERSION == 3
 
 
 def test_wire_roundtrip_carries_workload_fields():

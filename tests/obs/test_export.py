@@ -1,4 +1,4 @@
-"""Exporters: Prometheus textfile/push-gateway, OTLP-JSON shape."""
+"""Exporters: the sweep registry merge, Prometheus textfile, OTLP-JSON."""
 
 import http.server
 import json
@@ -8,7 +8,7 @@ from repro.obs.export import (
     otlp_metrics,
     otlp_payload,
     otlp_spans,
-    push_prometheus,
+    sweep_registry,
     write_otlp,
     write_prometheus,
 )
@@ -34,35 +34,46 @@ def test_write_prometheus_is_atomic_and_returns_text(tmp_path):
     assert not path.with_suffix(".prom.tmp").exists()
 
 
-def test_push_prometheus_puts_to_job_path(tmp_path):
-    seen = {}
+def test_sweep_registry_labels_coordinator_and_worker_pids():
+    from repro.obs.telemetry import TaskTelemetry
 
-    class Handler(http.server.BaseHTTPRequestHandler):
-        def do_PUT(self):
-            seen["path"] = self.path
-            length = int(self.headers["Content-Length"])
-            seen["body"] = self.rfile.read(length).decode()
-            self.send_response(200)
-            self.end_headers()
+    local = MetricsRegistry()
+    local.counter("repro_sweep_tasks_total", status="done").inc(2)
+    worker = MetricsRegistry()
+    worker.counter("repro_engine_runs_total", kind="vectorized").inc()
+    worker.histogram("repro_run_seconds", buckets=(0.1, 1.0)).observe(0.5)
 
-        def log_message(self, *args):
-            pass
-
-    server = http.server.HTTPServer(("127.0.0.1", 0), Handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    try:
-        status = push_prometheus(
-            f"http://127.0.0.1:{server.server_port}",
-            _registry(),
-            job="sweep/1",  # slash must be quoted into the path
+    def record(seed, pid):
+        return TaskTelemetry(
+            t_switch=100.0, seed=seed, wall_time_s=0.1,
+            trace_source="generated", cache_hit=False, n_events=1,
+            n_sends=0, pid=pid, metrics=worker.snapshot()["series"],
         )
-    finally:
-        server.shutdown()
-        thread.join(timeout=5)
-    assert status == 200
-    assert seen["path"] == "/metrics/job/sweep%2F1"
-    assert "repro_runs_total" in seen["body"]
+
+    serial = TaskTelemetry(
+        t_switch=800.0, seed=0, wall_time_s=0.1, trace_source="generated",
+        cache_hit=False, n_events=1, n_sends=0, pid=7,
+    )
+    merged = sweep_registry(
+        local, [record(0, 11), record(1, 11), record(2, 12), serial], "r"
+    )
+    assert merged.counter(
+        "repro_sweep_tasks_total",
+        status="done", worker_id="coordinator", run_id="r",
+    ).value == 2
+    # Two cells of pid 11 add up; a record without series adds nothing.
+    for pid, runs in (("11", 2), ("12", 1)):
+        assert merged.counter(
+            "repro_engine_runs_total", kind="vectorized", pid=pid, run_id="r"
+        ).value == runs
+    hist = merged.histogram(
+        "repro_run_seconds", buckets=(0.1, 1.0), pid="11", run_id="r"
+    )
+    assert (hist.count, hist.sum, hist.counts) == (2, 1.0, [0, 2, 0])
+    assert 'pid="7"' not in merged.to_prometheus()
+    # Rendering must not mutate the inputs.
+    assert "worker_id" not in str(local.as_dict())
+    assert "pid" not in str(worker.as_dict())
 
 
 # ----------------------------------------------------------------------
