@@ -28,10 +28,17 @@ Fig. 1-6 grids (sim_time 2000, seeds 0-2) through ``generate_trace``
 and reads the path each took from the
 ``repro_trace_generate_total{path, reason}`` counter: at most 1% may
 fall back to the event loop.
+
+:func:`test_sweep_peak_rss_with_cache` runs a Fig. 3 sweep over 3 seeds
+(21 cells, more than the trace cache's 16-entry memory tier) twice, in
+fresh processes: with the default cache and with ``use_cache=False``.
+The cached sweep's peak RSS may be at most 1.25x the uncached one.
 """
 
 import json
 import os
+import subprocess
+import sys
 import time
 import tracemalloc
 
@@ -68,6 +75,26 @@ PEAK_RATIO_GATE = 0.25
 #: At most this share of the Fig. 1-6 grid cells may fall back from
 #: columnar generation to the event loop.
 FALLBACK_RATE_GATE = 0.01
+
+#: Peak RSS of a cached sweep over more cells than the memory tier
+#: holds, as a multiple of the same sweep uncached.
+SWEEP_RSS_RATIO_GATE = 1.25
+
+#: Horizon of that sweep: long enough that traces, not imports, set
+#: the peak (~85k events in the largest cell).
+SWEEP_RSS_SIM_TIME = 10_000.0
+
+#: One sweep in a fresh interpreter; prints its peak RSS in MiB.
+_SWEEP_RSS_CHILD = """
+import resource, sys
+from repro.experiments.figures import figure_sweep_config
+from repro.experiments.runner import run_sweep
+run_sweep(figure_sweep_config(
+    3, sim_time=float(sys.argv[1]), seeds=(0, 1, 2),
+    use_cache=sys.argv[2] == "cached", progress=False,
+))
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
+"""
 
 
 def _record(case: str, payload: dict) -> None:
@@ -334,4 +361,42 @@ def test_columnar_fallback_rate():
     assert rate <= FALLBACK_RATE_GATE, (
         f"{fallbacks} of {len(configs)} grid cells fell back to the "
         f"event loop ({paths})"
+    )
+
+
+def _sweep_peak_rss_mb(mode: str) -> float:
+    """Peak RSS (MiB) of the Fig. 3 sweep in a fresh process; *mode*
+    is ``"cached"`` (default cache settings, memory tier only) or
+    ``"uncached"``."""
+    env = {k: v for k, v in os.environ.items() if k != "REPRO_TRACE_CACHE_DIR"}
+    out = subprocess.run(
+        [sys.executable, "-c", _SWEEP_RSS_CHILD, repr(SWEEP_RSS_SIM_TIME),
+         mode],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    return float(out.stdout.split()[-1])
+
+
+def test_sweep_peak_rss_with_cache():
+    """A sweep over more cells than the memory tier holds keeps none
+    of its traces, so the cache costs it no memory: peak RSS at most
+    1.25x the uncached sweep's."""
+    cached = _sweep_peak_rss_mb("cached")
+    uncached = _sweep_peak_rss_mb("uncached")
+    ratio = cached / uncached
+    _record(
+        "sweep_peak_rss",
+        {
+            "figure": 3,
+            "sim_time": SWEEP_RSS_SIM_TIME,
+            "cells": 21,
+            "cached_peak_mb": round(cached, 1),
+            "uncached_peak_mb": round(uncached, 1),
+            "ratio": round(ratio, 3),
+            "gate": SWEEP_RSS_RATIO_GATE,
+        },
+    )
+    assert ratio <= SWEEP_RSS_RATIO_GATE, (
+        f"cached sweep peaked at {cached:.0f} MiB = {ratio:.2f}x the "
+        f"uncached {uncached:.0f} MiB (gate: {SWEEP_RSS_RATIO_GATE}x)"
     )

@@ -243,14 +243,18 @@ class VectorizedTrace:
         import numpy as np
 
         n_hosts = cols.n_hosts
-        perm = np.argsort(cols.host, kind="stable")
+        keys = cols.host
+        if n_hosts < 2**15:
+            # A stable sort of 16-bit keys is a radix sort, not a
+            # merge sort; stability keeps the permutation the same.
+            keys = keys.astype(np.int16)
+        perm = np.argsort(keys, kind="stable")
         seg_p = cols.host[perm]
         etype_p = cols.etype[perm]
         time_p = cols.time[perm]
         seg_starts = np.concatenate(
             ([0], np.cumsum(np.bincount(seg_p, minlength=n_hosts)))
         )
-        ev_lengths = np.diff(seg_starts)
 
         is_recv = etype_p == _compiled.RECEIVE
         is_send = etype_p == _compiled.SEND
@@ -274,9 +278,12 @@ class VectorizedTrace:
             )
 
         def last_at(mask, sub):
-            cnt = seg_cumsum(mask.astype(np.int64), seg_starts)
-            base = np.repeat(sub.starts[:-1], ev_lengths)
-            return np.where(cnt > 0, base + cnt - 1, -1)
+            # The running count of the class is, at each position, the
+            # subset index of its last event at or before it; that
+            # event is in the position's segment iff the index is not
+            # below the segment's first.
+            last = np.cumsum(mask) - 1
+            return np.where(last >= sub.starts[seg_p], last, -1)
 
         recv = subset(is_recv, with_slot=True)
         send = subset(is_send, with_slot=True)

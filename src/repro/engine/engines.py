@@ -134,7 +134,7 @@ def _acquire_trace(spec: RunSpec):
     if spec.use_cache:
         cache = shared_cache(spec.cache_dir)
         before = (cache.hits, cache.disk_hits)
-        trace = cache.get_or_generate(spec.workload)
+        trace = cache.get_or_generate(spec.workload, keep=spec.keep_trace)
         if cache.hits > before[0]:
             return trace, "memory"
         if cache.disk_hits > before[1]:

@@ -93,6 +93,9 @@ class RunSpec:
     use_cache: bool = False
     #: Disk tier of the trace cache (None: REPRO_TRACE_CACHE_DIR / memory).
     cache_dir: Optional[str] = None
+    #: Keep the cached trace in the cache's memory tier.  A sweep whose
+    #: grid outgrows the tier passes False (repro.workload.cache).
+    keep_trace: bool = True
     #: Observer stack, notified in order (see repro.engine.observers).
     observers: Tuple[RunObserver, ...] = ()
     #: Factory overrides (name -> factory), trumping the registry.
@@ -122,7 +125,9 @@ class RunSpec:
         Process-local state cannot: a pre-built trace (regenerate or
         cache it on the far side), observers (attach them worker-side)
         and factory overrides (plain callables don't name themselves)
-        all raise :class:`~repro.engine.errors.PlanError`.
+        all raise :class:`~repro.engine.errors.PlanError`, and so does
+        ``keep_trace=False``: a sweep decides it per grid and its
+        shard hello carries it beside the spec.
 
         The result is JSON-compatible as long as ``workload.extra``
         is, so it survives json/pickle round-trips identically.
@@ -142,6 +147,11 @@ class RunSpec:
             raise PlanError(
                 "factory overrides are process-local callables and do "
                 "not serialize; register the protocol on the far side"
+            )
+        if not self.keep_trace:
+            raise PlanError(
+                "keep_trace is decided per sweep grid; the shard hello's "
+                "task dict carries it, not the spec"
             )
         from dataclasses import asdict
 

@@ -7,7 +7,10 @@ fetches that pair's trace (from the content-addressed cache, else
 generates it) and drives every protocol over it in a single pass (the
 paper's common-random-numbers comparison -- all protocols see
 identical schedules).  A *point* aggregates the tasks of one
-``t_switch`` value; a *sweep* runs all points of a figure.
+``t_switch`` value; a *sweep* runs all points of a figure.  Only a
+grid that fits in the trace cache's memory tier keeps its traces
+there; a larger one reads each trace once per pass and lets it go
+(:func:`_keeps_traces`).
 
 Parallelism is (point, seed)-granular: a figure with 7 points and 3
 seeds exposes 21 independent tasks, so parallel sweeps scale past the
@@ -57,6 +60,7 @@ from repro.engine import (
 from repro.experiments.config import SweepConfig
 from repro.obs.telemetry import TaskTelemetry, TelemetrySummary
 from repro.obs.telemetry import summarize as summarize_telemetry
+from repro.workload.cache import DEFAULT_MAX_ENTRIES
 from repro.workload.config import WorkloadConfig
 
 
@@ -211,6 +215,7 @@ def _evaluate_task(
     audit: bool = False,
     trace_spans: bool = False,
     engine: str = "fused",
+    keep_trace: bool = True,
 ) -> tuple[float, int, list[RunOutcome], TaskTelemetry, list]:
     """Worker body: one (point, seed) pair, all protocols, one replay
     pass over one trace -- routed through the execution engine
@@ -220,7 +225,9 @@ def _evaluate_task(
     bit-identical either way.
 
     ``trace_spans`` attaches a :class:`~repro.engine.TimingObserver`
-    and ships its phase spans home on the telemetry record."""
+    and ships its phase spans home on the telemetry record.
+    ``keep_trace=False`` leaves the trace out of the cache's memory
+    tier (:func:`_keeps_traces`)."""
     cfg = base.with_(t_switch=t_switch, seed=seed)
     telemetry_obs = TelemetryObserver(t_switch=t_switch, seed=seed)
     # The audit observer goes first so the telemetry record sees the
@@ -245,6 +252,7 @@ def _evaluate_task(
             seed=seed,
             use_cache=use_cache,
             cache_dir=cache_dir,
+            keep_trace=keep_trace,
             observers=observers,
         )
     )
@@ -297,10 +305,23 @@ def _assemble(
     return result
 
 
+def _keeps_traces(config: SweepConfig) -> bool:
+    """Whether the sweep's cells keep their traces in the trace
+    cache's memory tier: only when the whole grid fits in it.
+
+    A sweep reads each cell once per pass, and an LRU never hits during
+    a cyclic scan longer than its capacity: a larger grid would only
+    hold the last traces (and their lowerings) alive.  Such a sweep
+    still reads the memory tier and uses the disk tier."""
+    n_cells = len(config.t_switch_values) * len(config.seeds)
+    return n_cells <= DEFAULT_MAX_ENTRIES
+
+
 def _tasks(config: SweepConfig) -> list[tuple]:
     """The sweep's (point, seed) task grid, point-major."""
     # A trace-file destination implies span recording.
     trace_spans = bool(config.trace_spans or config.trace_path)
+    keep_trace = _keeps_traces(config)
     return [
         (
             config.base,
@@ -312,6 +333,7 @@ def _tasks(config: SweepConfig) -> list[tuple]:
             config.audit,
             trace_spans,
             config.engine,
+            keep_trace,
         )
         for t in config.t_switch_values
         for seed in config.seeds

@@ -113,7 +113,9 @@ __all__ = [
 #: hello frame's ``obs_fleet`` flag are gone; a cell's metric series
 #: ride its ``outcome`` frame on the task record
 #: (:attr:`~repro.obs.telemetry.TaskTelemetry.metrics`).
-PROTOCOL_VERSION = 4
+#: v5: the hello frame's task settings carry ``keep_trace`` (whether
+#: the sweep's grid fits in the trace cache's memory tier).
+PROTOCOL_VERSION = 5
 
 #: Hex-encoded connection authkey for *external* workers
 #: (``repro shard-worker``); locally spawned workers inherit a random
@@ -409,6 +411,7 @@ def worker_main(
                                 spec.audit,
                                 task["trace_spans"],
                                 spec.engine,
+                                task["keep_trace"],
                             )
                     except (Exception, SystemExit) as exc:
                         send_frame(conn, {
@@ -657,6 +660,7 @@ class _Coordinator:
 
     def _hello_payload(self) -> dict:
         from repro.engine import RunSpec
+        from repro.experiments.runner import _keeps_traces
 
         config = self.config
         spec = RunSpec(
@@ -679,6 +683,7 @@ class _Coordinator:
             "task": {
                 "timeout_s": config.task_timeout_s,
                 "trace_spans": trace_spans,
+                "keep_trace": _keeps_traces(config),
                 "heartbeat_interval_s": config.shard_heartbeat_s,
                 "lease_timeout_s": config.shard_lease_timeout_s,
             },

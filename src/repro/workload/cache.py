@@ -19,7 +19,16 @@ entries does not.
 Two tiers:
 
 * an in-process LRU (:class:`TraceCache`) holding deserialized
-  :class:`~repro.core.trace.Trace` objects, bounded by entry count;
+  :class:`~repro.core.trace.Trace` objects, bounded by entry count.
+  A replayed trace keeps its lowerings and per-run scratch (~260
+  bytes per event against ~56 for the columns), so the tier is what a
+  process's memory grows with.  It pays off when traces are read
+  again: ``execute`` / ``repro compare`` callers and a sweep whose
+  whole grid fits in it.  A sweep reads each (point, seed) cell once
+  per pass, and an LRU never hits during a cyclic scan longer than its
+  capacity, so a sweep over a larger grid still reads the tier but
+  keeps nothing in it (``keep=False`` of
+  :meth:`TraceCache.get_or_generate`; the runner decides per grid);
 * an optional on-disk store (one ``<key>.npz`` per trace via
   :mod:`repro.core.trace_io`) shared between processes and sessions --
   this is what makes the parallel sweep's worker processes and repeated
@@ -41,6 +50,7 @@ write wins -- never a torn file.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -54,10 +64,10 @@ from repro.core.trace import Trace
 from repro.workload import driver as _driver
 from repro.workload.config import WorkloadConfig
 
-#: Default capacity of the in-memory tier: a full paper figure touches
-#: len(T_SWITCH_SWEEP) x len(seeds) = 21 traces per protocol set, but
-#: each point's trace is consumed immediately after generation, so a
-#: small window is enough to serve repeated replays within a session.
+#: Default capacity of the in-memory tier.  A sweep fills it only when
+#: its whole grid fits: a paper figure's len(T_SWITCH_SWEEP) x
+#: len(seeds) >= 21 cells would cycle through it without one hit,
+#: only holding the last traces alive.
 DEFAULT_MAX_ENTRIES = 16
 
 #: Environment variable naming the shared on-disk store directory.
@@ -212,12 +222,17 @@ class TraceCache:
         return None
 
     # ------------------------------------------------------------------
-    def get_or_generate(self, config: WorkloadConfig) -> Trace:
+    def get_or_generate(
+        self, config: WorkloadConfig, keep: bool = True
+    ) -> Trace:
         """Return the trace *config* generates, from cache if possible.
 
         Lookup order: memory LRU, disk store, fresh
         :func:`~repro.workload.driver.generate_trace` (which then
-        populates both tiers).
+        populates both tiers).  ``keep=False`` still serves memory hits
+        and uses the disk tier, but does not put a loaded or generated
+        trace in memory: the caller will not read it again before the
+        LRU would evict it.
         """
         key = config_key(config)
         trace = self._memory.get(key)
@@ -230,14 +245,16 @@ class TraceCache:
         if trace is not None:
             self.disk_hits += 1
             _metric_event("disk_hit")
-            self._remember(key, trace)
+            if keep:
+                self._remember(key, trace)
             return trace
         self.misses += 1
         _metric_event("miss")
         # Resolved through the module so tests monkeypatching
         # repro.workload.driver.generate_trace observe cache misses.
         trace = _driver.generate_trace(config)
-        self._remember(key, trace)
+        if keep:
+            self._remember(key, trace)
         self._store_disk(key, trace)
         return trace
 
@@ -264,6 +281,13 @@ class TraceCache:
 _shared: dict[Optional[str], TraceCache] = {}
 
 
+@functools.lru_cache(maxsize=None)
+def _resolved(path: str) -> str:
+    """*path* resolved once: a sweep asks for its cache twice per cell,
+    and ``Path.resolve`` stats every path component."""
+    return str(Path(path).resolve())
+
+
 def shared_cache(disk_dir: Optional[Union[str, Path]] = None) -> TraceCache:
     """Process-wide :class:`TraceCache` for *disk_dir*.
 
@@ -274,7 +298,10 @@ def shared_cache(disk_dir: Optional[Union[str, Path]] = None) -> TraceCache:
     """
     if disk_dir is None:
         disk_dir = os.environ.get(CACHE_DIR_ENV) or None
-    resolved = str(Path(disk_dir).resolve()) if disk_dir is not None else None
+    resolved = None
+    if disk_dir is not None:
+        # Joined with the cwd first, so a relative dir follows chdir.
+        resolved = _resolved(os.path.join(os.getcwd(), disk_dir))
     cache = _shared.get(resolved)
     if cache is None:
         cache = TraceCache(disk_dir=resolved)

@@ -254,6 +254,8 @@ def test_spec_wire_rejects_process_local_state():
         RunSpec(
             protocols=("TP",), workload=cfg(), observers=(RunObserver(),)
         ).to_wire()
+    with pytest.raises(PlanError, match="keep_trace"):
+        RunSpec(protocols=("TP",), workload=cfg(), keep_trace=False).to_wire()
     with pytest.raises(PlanError, match="factory"):
         RunSpec(
             protocols=("TP",),

@@ -328,6 +328,42 @@ def test_system_exit_on_shard_worker_is_a_task_error(monkeypatch, retries):
         assert done == {(100.0, 0), (100.0, 1), (800.0, 0)}
 
 
+@pytest.mark.parametrize("n_seeds, kept", [(4, 16), (5, 0)])
+def test_hello_carries_the_memory_tier_rule(
+    tmp_path, monkeypatch, n_seeds, kept
+):
+    """A shard worker keeps its cells' traces in the memory tier only
+    when the hello frame says the sweep's grid fits there."""
+    from repro.workload import cache as cache_mod
+
+    monkeypatch.setattr(cache_mod, "_shared", {})
+    monkeypatch.setenv(AUTHKEY_ENV, "ab" * 16)
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+    codes = []
+    # An in-process worker thread shares this process's trace cache.
+    worker = threading.Thread(
+        target=lambda: codes.append(
+            worker_main(("127.0.0.1", port), bytes.fromhex("ab" * 16))
+        ),
+        daemon=True,
+    )
+    worker.start()
+    result = run_sweep(sweep_config(
+        workers=0,
+        shard_listen=f"127.0.0.1:{port}",
+        base=WorkloadConfig(p_switch=0.8, sim_time=100.0),
+        t_switch_values=(100.0, 200.0, 400.0, 800.0),
+        seeds=tuple(range(n_seeds)),
+        cache_dir=str(tmp_path),
+    ))
+    worker.join(timeout=30)
+    assert codes == [0]
+    assert result.complete
+    assert len(cache_mod.shared_cache(str(tmp_path))) == kept
+
+
 def test_parallel_sweep_telemetry_counts_every_lane(tmp_path, monkeypatch):
     """``workers=2`` is the lane count the telemetry summary divides
     busy time by, and both worker processes report busy time."""

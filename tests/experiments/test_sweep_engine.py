@@ -62,6 +62,62 @@ def test_disk_tier_survives_fresh_process_state(monkeypatch, tmp_path):
     assert [p.runs for p in warm.points] == [p.runs for p in cold.points]
 
 
+def _grid(n_seeds, **overrides):
+    """A sweep of 4 points x *n_seeds* cells."""
+    return sweep_config(
+        base=WorkloadConfig(p_switch=0.8, sim_time=100.0),
+        t_switch_values=(100.0, 200.0, 400.0, 800.0),
+        seeds=tuple(range(n_seeds)),
+        **overrides,
+    )
+
+
+def _sources(result):
+    return {r.trace_source for r in result.telemetry}
+
+
+def test_grid_larger_than_memory_tier_keeps_no_trace(monkeypatch, tmp_path):
+    """20 cells outgrow the 16-entry memory tier: the sweep keeps none
+    of its traces in memory, and a re-run is served by the disk tier."""
+    from repro.workload import cache as cache_mod
+
+    monkeypatch.setattr(cache_mod, "_shared", {})
+    cfg = _grid(5, cache_dir=str(tmp_path))
+    cold = run_sweep(cfg)
+    assert _sources(cold) == {"generated"}
+    assert len(cache_mod.shared_cache(str(tmp_path))) == 0
+    warm = run_sweep(cfg)
+    assert _sources(warm) == {"disk"}
+    assert len(cache_mod.shared_cache(str(tmp_path))) == 0
+    assert [p.runs for p in warm.points] == [p.runs for p in cold.points]
+
+
+def test_grid_larger_than_memory_tier_without_disk_regenerates(monkeypatch):
+    from repro.workload import cache as cache_mod
+
+    monkeypatch.delenv(cache_mod.CACHE_DIR_ENV, raising=False)
+    monkeypatch.setattr(cache_mod, "_shared", {})
+    cfg = _grid(5)
+    run_sweep(cfg)
+    assert _sources(run_sweep(cfg)) == {"generated"}
+    assert len(cache_mod.shared_cache()) == 0
+
+
+def test_grid_that_fits_the_memory_tier_is_served_from_it(
+    monkeypatch, tmp_path
+):
+    from repro.workload import cache as cache_mod
+
+    monkeypatch.setattr(cache_mod, "_shared", {})
+    cfg = _grid(4, cache_dir=str(tmp_path))
+    assert len(cfg.t_switch_values) * len(cfg.seeds) == (
+        cache_mod.DEFAULT_MAX_ENTRIES
+    )
+    run_sweep(cfg)
+    assert _sources(run_sweep(cfg)) == {"memory"}
+    assert len(cache_mod.shared_cache(str(tmp_path))) == 16
+
+
 def test_no_cache_regenerates_every_run(monkeypatch):
     cfg = sweep_config(use_cache=False, base=WorkloadConfig(sim_time=240.0))
     calls = _counting(monkeypatch)

@@ -107,6 +107,19 @@ def test_lru_recency_updated_on_hit():
     assert cache.stats()["misses"] == 3  # a, b, c only
 
 
+def test_keep_false_serves_memory_but_remembers_nothing(tmp_path):
+    cache = TraceCache(disk_dir=tmp_path)
+    kept = cache.get_or_generate(cfg(seed=0))
+    assert cache.get_or_generate(cfg(seed=0), keep=False) is kept
+    cache.get_or_generate(cfg(seed=1), keep=False)  # generated, stored
+    cache.get_or_generate(cfg(seed=1), keep=False)  # disk hit
+    assert cache.stats() == {
+        "hits": 1, "disk_hits": 1, "misses": 2,
+        "corrupt_evictions": 0, "entries": 1,
+    }
+    assert len(list(tmp_path.glob("*.npz"))) == 2
+
+
 def test_clear_resets_counters_and_entries():
     cache = TraceCache()
     cache.get_or_generate(cfg())
@@ -171,6 +184,18 @@ def test_shared_cache_is_memoized_per_directory(tmp_path):
     b = shared_cache(tmp_path)
     assert a is b
     assert shared_cache(tmp_path / "other") is not a
+
+
+def test_shared_cache_follows_cwd_for_a_relative_dir(tmp_path, monkeypatch):
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    monkeypatch.chdir(tmp_path / "a")
+    first = shared_cache("cache")
+    monkeypatch.chdir(tmp_path / "b")
+    second = shared_cache("cache")
+    assert first.disk_dir == (tmp_path / "a" / "cache").resolve()
+    assert second.disk_dir == (tmp_path / "b" / "cache").resolve()
+    assert shared_cache(tmp_path / "b" / "cache") is second
 
 
 def test_shared_cache_honours_environment(tmp_path, monkeypatch):
