@@ -15,8 +15,9 @@ cost of the engine layer -- a loop run through the engine must stay
 within a few percent of calling :func:`repro.core.replay.replay_fused`
 directly (this file is the one sanctioned raw call site outside the
 engine, allowlisted by ``tests/test_import_contracts.py``).
-``test_long_horizon`` holds the kernels to the loop on one dense cell
-at two horizons, and to linear growth between them.
+``test_long_horizon`` holds the kernels to the loop on a dense and a
+heterogeneous cell at two horizons, and to linear growth between them,
+and records kernel replay over generation at each.
 
 ``test_zoo_replay_speedup`` holds the kernels of the whole protocol
 zoo to at least 4x the loop over the same set.
@@ -80,6 +81,9 @@ OVERHEAD_ROUNDS = 21
 #: and kernel time growing by at most this factor between them.
 LONG_HORIZONS = (40_000.0, 80_000.0)
 LONG_ROUNDS = 5
+#: ``test_long_horizon``'s cells, each at ``T_switch``=100: the
+#: densest basics (Fig. 1) and a heterogeneous population (Fig. 3).
+LONG_CELLS = {"fig1_t100": 1, "fig3_t100": 3}
 LONG_VS_LOOP = 1.5
 LONG_GROWTH = 2.3
 
@@ -452,19 +456,20 @@ def test_fresh_cell(benchmark, tmp_path):
 
 
 def test_long_horizon(benchmark):
-    """The kernels stay linear in the horizon.
+    """The kernels stay linear in the horizon, on a dense and on a
+    heterogeneous cell.
 
     Fig. 1's ``T_switch``=100 cell has the most basic checkpoints per
     horizon of any figure cell, which is what made a one-bit-per-basic
-    closure quadratic.  At each of ``LONG_HORIZONS`` the paper
-    protocols run counters-only over a fresh (never lowered) copy of
-    the trace, best of ``LONG_ROUNDS``, on the kernels and on the
-    per-event loop: the kernels must stay within ``LONG_VS_LOOP`` of
-    the loop, and doubling the horizon may grow their time by at most
-    ``LONG_GROWTH``."""
-    base = figure_sweep_config(
-        1, sim_time=LONG_HORIZONS[0], t_switch_values=(100.0,)
-    ).base
+    closure quadratic; Fig. 3's (H=30%) mixes fast and slow hosts, and
+    at the paper horizon its replay cost more than its generation.  At
+    each of ``LONG_HORIZONS`` the cell is generated (best of
+    ``LONG_ROUNDS``) and the paper protocols run counters-only over a
+    fresh (never lowered) copy of the trace, best of ``LONG_ROUNDS``,
+    on the kernels and on the per-event loop: the kernels must stay
+    within ``LONG_VS_LOOP`` of the loop, and doubling the horizon may
+    grow their time by at most ``LONG_GROWTH``.  Kernel replay over
+    generation is recorded per horizon (``replay_per_generate``)."""
 
     def timed(trace, engine, factories):
         best, result = float("inf"), None
@@ -482,40 +487,52 @@ def test_long_horizon(benchmark):
 
     def measure():
         rows = []
-        for sim_time in LONG_HORIZONS:
-            trace = generate_trace(
-                dataclasses.replace(
+        for cell, fig in LONG_CELLS.items():
+            base = figure_sweep_config(
+                fig, sim_time=LONG_HORIZONS[0], t_switch_values=(100.0,)
+            ).base
+            for sim_time in LONG_HORIZONS:
+                config = dataclasses.replace(
                     base, sim_time=sim_time, t_switch=100.0, seed=0
                 )
-            )
-            vec_s, vec_totals = timed(trace, "vectorized", None)
-            loop_s, loop_totals = timed(trace, "fused", LOOP)
-            assert vec_totals == loop_totals
-            rows.append((sim_time, len(trace), vec_s, loop_s))
+                gen_s, trace = _best(
+                    lambda: generate_trace(config), LONG_ROUNDS
+                )
+                vec_s, vec_totals = timed(trace, "vectorized", None)
+                loop_s, loop_totals = timed(trace, "fused", LOOP)
+                assert vec_totals == loop_totals
+                rows.append((cell, sim_time, len(trace), gen_s, vec_s, loop_s))
         return rows
 
     rows = benchmark.pedantic(measure, rounds=1, iterations=1)
-    payload = {
-        f"{int(sim_time)}": {
+    payload = {cell: {} for cell in LONG_CELLS}
+    for cell, sim_time, n_events, gen_s, vec_s, loop_s in rows:
+        payload[cell][f"{int(sim_time)}"] = {
             "trace_events": n_events,
+            "generate_ms": round(gen_s * 1e3, 1),
             "vectorized_ms": round(vec_s * 1e3, 1),
             "loop_ms": round(loop_s * 1e3, 1),
+            "replay_per_generate": round(vec_s / gen_s, 2),
         }
-        for sim_time, n_events, vec_s, loop_s in rows
-    }
-    growth = rows[1][2] / rows[0][2]
-    payload["growth"] = round(growth, 2)
+    growths = {}
+    for cell in LONG_CELLS:
+        short, long = (r[4] for r in rows if r[0] == cell)
+        growths[cell] = long / short
+        payload[cell]["growth"] = round(growths[cell], 2)
     benchmark.extra_info.update(payload)
     _record("long_horizon", payload)
-    for sim_time, _, vec_s, loop_s in rows:
+    for cell, sim_time, _, _, vec_s, loop_s in rows:
         assert vec_s <= LONG_VS_LOOP * loop_s, (
-            f"kernels {vec_s*1e3:.0f}ms vs loop {loop_s*1e3:.0f}ms at "
-            f"sim_time {sim_time:g} (> {LONG_VS_LOOP}x)"
+            f"{cell}: kernels {vec_s*1e3:.0f}ms vs loop "
+            f"{loop_s*1e3:.0f}ms at sim_time {sim_time:g} "
+            f"(> {LONG_VS_LOOP}x)"
         )
-    assert growth <= LONG_GROWTH, (
-        f"kernel time grew {growth:.2f}x from sim_time "
-        f"{LONG_HORIZONS[0]:g} to {LONG_HORIZONS[1]:g} (> {LONG_GROWTH}x)"
-    )
+    for cell, growth in growths.items():
+        assert growth <= LONG_GROWTH, (
+            f"{cell}: kernel time grew {growth:.2f}x from sim_time "
+            f"{LONG_HORIZONS[0]:g} to {LONG_HORIZONS[1]:g} "
+            f"(> {LONG_GROWTH}x)"
+        )
 
 
 #: What a figure run imports before its first cell (perfbench's

@@ -235,8 +235,8 @@ def replay_vectorized(
     vt = trace.cached_lowering("_vectorized_cache")
     if vt is None:
         vt = _vectorized.vectorized_trace(trace)
-    # The protocols of one flavour share its trajectory for this pass.
-    with _vectorized.one_pass(vt):
+    # The protocols of one pass share the trajectories they read.
+    with _vectorized.one_pass(vt, protocols):
         for protocol in protocols:
             type(protocol).vectorized_replay(vt, protocol)
 

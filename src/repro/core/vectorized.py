@@ -44,9 +44,16 @@ reachability does not depend on any protocol value), so each pass
 extends every causal chain by at least one whole message hop and the
 iteration count is the communication graph's hop depth -- a handful
 regardless of how high the indices climb.  Protocol values are then
-recovered from the closure by a chronological walk over the (rare)
-basic triggers plus one segmented scan; see
-:func:`index_trajectory`.
+recovered from the closure by one chronological walk over the (rare)
+basic triggers and closure arrivals, which solves BCS's and QBC's
+trajectories together; see :func:`index_trajectories`.
+
+The walks that stay in Python -- that one, and UNC's period walk in
+:mod:`repro.protocols._vectorized` -- read numpy arrays through
+memoryviews instead of ``tolist()`` copies, and the no-send split of
+the jumps is plain numpy (:func:`nosend_classification`).  What a
+trace keeps in ``vt.scratch`` between replays is the walk's schedule,
+numpy arrays derived from the closure (which is not kept).
 """
 
 from __future__ import annotations
@@ -226,8 +233,9 @@ class VectorizedTrace:
     last_basic_at: "np.ndarray"  # noqa: F821
     last_change_at: "np.ndarray"  # noqa: F821
     #: Mutable cache for derived, protocol-independent artifacts
-    #: (notably the :func:`mask_closure` shared by the whole index
-    #: family), and the memo of a running :func:`one_pass`.
+    #: (notably the index walk's schedule, derived from the
+    #: :func:`mask_closure` and shared by the whole index family), and
+    #: the memo of a running :func:`one_pass`.
     #: Contents-mutable despite the frozen dataclass.
     scratch: dict = field(default_factory=dict)
 
@@ -336,23 +344,35 @@ def vectorized_trace(trace: Trace) -> VectorizedTrace:
     return vt
 
 
-#: ``vt.scratch`` key of the memo :func:`one_pass` opens.
+#: ``vt.scratch`` key of the memo :func:`one_pass` opens, and the memo
+#: key of the protocols that pass fills.
 _PASS_MEMO = "pass"
+_PASS_PROTOCOLS = "protocols"
 
 
 @contextmanager
-def one_pass(vt: VectorizedTrace):
+def one_pass(vt: VectorizedTrace, protocols=()):
     """Let the kernels run inside this block share their per-flavour
     solutions (see :func:`per_pass`).
 
-    The memo lives in ``vt.scratch`` only while the block runs, so a
-    memoized trace keeps nothing of it between replays.
+    *protocols* are the instances the block fills, so the first kernel
+    can solve at once what several of them read (see
+    :func:`pass_protocols`).  The memo lives in ``vt.scratch`` only
+    while the block runs, so a memoized trace keeps nothing of it
+    between replays.
     """
-    vt.scratch[_PASS_MEMO] = {}
+    vt.scratch[_PASS_MEMO] = {_PASS_PROTOCOLS: tuple(protocols)}
     try:
         yield
     finally:
         vt.scratch.pop(_PASS_MEMO, None)
+
+
+def pass_protocols(vt: VectorizedTrace) -> tuple:
+    """The instances the running :func:`one_pass` over *vt* fills (none
+    outside one)."""
+    memo = vt.scratch.get(_PASS_MEMO)
+    return () if memo is None else memo[_PASS_PROTOCOLS]
 
 
 def per_pass(vt: VectorizedTrace, key, solve: Callable):
@@ -376,7 +396,8 @@ class _MaskClosure:
 
     Protocol-independent: derived purely from the message graph and the
     basic-trigger positions, so one closure serves BCS, QBC and both
-    no-send variants (it is cached in ``vt.scratch``).  Each basic
+    no-send variants (through the index walk's schedule, which is
+    what ``vt.scratch`` caches).  Each basic
     trigger is a *source*; ``rarr_*`` lists, per segment, in position
     order and then by source id, the receive positions where a source
     first arrives **via a message**.  ``rarr_starts`` holds the
@@ -421,8 +442,8 @@ def closure_uses_counts(vt: VectorizedTrace) -> bool:
 
 
 def mask_closure(vt: VectorizedTrace) -> _MaskClosure:
-    """Compute (or fetch cached) the causal reachability closure of
-    *vt*'s basic triggers.
+    """Compute the causal reachability closure of *vt*'s basic
+    triggers.
 
     The fixpoint runs over per-send reachability piggybacks -- set
     union instead of max -- so its sources are static and each pass
@@ -434,11 +455,8 @@ def mask_closure(vt: VectorizedTrace) -> _MaskClosure:
     (:func:`closure_uses_counts`); the result is the same.  The
     converged per-receive rows are then diffed along each host's
     timeline to extract first arrivals; everything downstream works on
-    those (tiny) arrival lists, never on the rows again.
+    those arrival lists, never on the rows again.
     """
-    cached = vt.scratch.get("mask_closure")
-    if cached is not None:
-        return cached
     import numpy as np
 
     recv, send, basic = vt.recv, vt.send, vt.basic
@@ -517,7 +535,7 @@ def mask_closure(vt: VectorizedTrace) -> _MaskClosure:
     rarr_row = rows[hit_r][of_run]
     rarr_pos = recv.idx[rarr_row]
     rarr_seg = vt.seg_p[rarr_pos]
-    clo = _MaskClosure(
+    return _MaskClosure(
         n_sources=nb,
         rarr_pos=rarr_pos,
         rarr_src=first[of_run] + offset,
@@ -527,8 +545,6 @@ def mask_closure(vt: VectorizedTrace) -> _MaskClosure:
             ([0], np.cumsum(np.bincount(rarr_seg, minlength=vt.n_hosts)))
         ),
     )
-    vt.scratch["mask_closure"] = clo
-    return clo
 
 
 # ---------------------------------------------------------------------------
@@ -552,8 +568,6 @@ class IndexTrajectory:
     #: Whether the basic opened a new index (always under BCS; QBC's
     #: armed ``rn == sn`` case -- the complement is a replacement).
     armed: "np.ndarray"  # noqa: F821
-    #: rn observed at each basic (-1 before any receive).
-    rn_at_basic: "np.ndarray"  # noqa: F821
     #: Jump receives, segment-major: segment id, receive-subset row,
     #: and the piggyback index jumped to (parallel arrays).
     jump_seg: "np.ndarray"  # noqa: F821
@@ -561,13 +575,92 @@ class IndexTrajectory:
     jump_index: "np.ndarray"  # noqa: F821
     #: Number of jumps per segment.
     n_jump_seg: "np.ndarray"  # noqa: F821
-    #: Final sn / rn per segment.
+    #: Final sn per segment.
     sn_final: "np.ndarray"  # noqa: F821
-    rn_final: "np.ndarray"  # noqa: F821
+    #: QBC only (None under BCS, whose rule never reads rn): rn
+    #: observed at each basic (-1 before any receive), and per segment
+    #: at the end.
+    rn_at_basic: Optional["np.ndarray"] = None  # noqa: F821
+    rn_final: Optional["np.ndarray"] = None  # noqa: F821
 
 
-def index_trajectory(vt: VectorizedTrace, qbc: bool) -> IndexTrajectory:
-    """Solve the sn/rn dynamics of the index family over *vt*.
+@dataclass(slots=True, frozen=True)
+class _WalkSchedule:
+    """The static input of the index walk: *vt*'s basic triggers and
+    closure arrivals merged into trace order.
+
+    Protocol-independent, so it is cached in ``vt.scratch`` -- as numpy
+    arrays, which the walk reads through memoryviews; the closure it is
+    derived from is not kept.
+    """
+
+    #: One entry per step, in trace order: ``-bi - 1`` for basic *bi*,
+    #: else the id of an arrival group.
+    codes: "np.ndarray"  # noqa: F821
+    #: Per basic: its segment, and whether its host received before it.
+    b_seg: "np.ndarray"  # noqa: F821
+    b_has_recv: "np.ndarray"  # noqa: F821
+    #: Per arrival group (the fresh sources one receive delivers): its
+    #: segment, its receive-subset row, and its sources
+    #: ``src[lo[g]:lo[g + 1]]``.
+    g_seg: "np.ndarray"  # noqa: F821
+    g_row: "np.ndarray"  # noqa: F821
+    lo: "np.ndarray"  # noqa: F821
+    src: "np.ndarray"  # noqa: F821
+
+
+def _walk_schedule(vt: VectorizedTrace) -> _WalkSchedule:
+    """Compute (or fetch cached) the index walk's schedule over *vt*."""
+    cached = vt.scratch.get("index_walk")
+    if cached is not None:
+        return cached
+    import numpy as np
+
+    basic = vt.basic
+    clo = mask_closure(vt)
+    nb = clo.n_sources
+    b_seg = vt.seg_p[basic.idx]
+    row, src = clo.rarr_row, clo.rarr_src
+    # One receive's arrivals are adjacent and ordered by source; a run
+    # of one owner's sources ends at its latest basic, whose index
+    # bounds the run's (indices never fall along a host's timeline), so
+    # the run's last source alone carries its piggyback.
+    owner = b_seg[src]
+    keep = np.ones(src.shape[0], dtype=bool)
+    keep[:-1] = (row[1:] != row[:-1]) | (owner[1:] != owner[:-1])
+    row, src = row[keep], src[keep]
+    head = np.ones(row.shape[0], dtype=bool)
+    head[1:] = row[1:] != row[:-1]
+    first = np.flatnonzero(head)
+    g_row = row[first]
+    g_pos = vt.recv.idx[g_row]
+    # Trace order: basics and receives never share a position.
+    keys = np.concatenate([vt.perm[basic.idx], vt.perm[g_pos]])
+    codes = np.concatenate(
+        [
+            -np.arange(nb, dtype=np.int64) - 1,
+            np.arange(first.shape[0], dtype=np.int64),
+        ]
+    )
+    ws = _WalkSchedule(
+        codes=codes[np.argsort(keys)],
+        b_seg=b_seg,
+        # rn's baseline is 0 as soon as *any* message arrived (a
+        # piggyback of 0 is still a received index), -1 before.
+        b_has_recv=vt.last_recv_at[basic.idx] >= 0,
+        g_seg=vt.seg_p[g_pos],
+        g_row=g_row,
+        lo=np.append(first, row.shape[0]),
+        src=src,
+    )
+    vt.scratch["index_walk"] = ws
+    return ws
+
+
+def index_trajectories(vt: VectorizedTrace, flavours) -> dict:
+    """Solve the sn/rn dynamics of the index family over *vt*: one
+    :class:`IndexTrajectory` per flavour in *flavours* (``False`` for
+    BCS, ``True`` for QBC), keyed by flavour, all from one walk.
 
     Three observations make this closed-form over the
     :func:`mask_closure`:
@@ -588,140 +681,132 @@ def index_trajectory(vt: VectorizedTrace, qbc: bool) -> IndexTrajectory:
       basics and arrivals together sees every needed value already
       resolved.
 
-    The walk is O(basics + arrivals) Python -- both thousands of times
-    rarer than events -- so after the (cached) closure nothing here
-    scales with the event count.
+    The walk is O(basics + arrival groups) Python and reads the cached
+    numpy schedule through memoryviews, never through ``tolist()``
+    copies.  Both are far rarer than events on short traces; at the
+    paper horizon many receives deliver fresh sources (Fig. 3,
+    ``T_switch``=100, ``sim_time`` 1e5: 225k groups for 399k receives
+    and 853k events), and the walk is a large share of a replay.  Both
+    flavours step through the same schedule, so a pass that reads both
+    walks it once; one that reads a single flavour pays for that one
+    alone.
 
-    ``qbc=False`` gives BCS dynamics (every basic increments),
-    ``qbc=True`` QBC's (a basic increments only when armed).  The
-    no-send variants and FDAS share these dynamics *exactly* --
-    skipping empty checkpoints changes how a jump is recorded (rename,
-    adoption or forced take), never the sn trajectory -- and reuse
-    this result verbatim, as BQF reuses QBC's.
+    BCS increments ``sn`` at every basic (its ``rn`` never exceeds
+    ``sn``, so ``rn == sn`` gives ``sn + 1`` too) and reads no ``rn``;
+    QBC increments only when armed (``rn == sn``), otherwise the basic
+    replaces its predecessor.  The no-send variants and FDAS share
+    these dynamics *exactly* -- skipping empty checkpoints changes how
+    a jump is recorded (rename, adoption or forced take), never the sn
+    trajectory -- and reuse this result verbatim, as BQF reuses QBC's.
     """
     import numpy as np
 
-    recv, basic = vt.recv, vt.basic
-    clo = mask_closure(vt)
-    nb = clo.n_sources
+    ws = _walk_schedule(vt)
+    bcs, qbc = False in flavours, True in flavours
+    nb = ws.b_seg.shape[0]
+    b_seg = memoryview(ws.b_seg)
+    b_has_recv = memoryview(ws.b_has_recv)
+    g_seg = memoryview(ws.g_seg)
+    lo = memoryview(ws.lo)
+    src = memoryview(ws.src)
 
-    # Static walk inputs shared by both flavors (and every repeat
-    # replay of this trace): one merged chronological event list over
-    # basics and arrivals.  Entry code: ``-bi - 1`` for basic *bi*,
-    # the arrival index for arrivals.
-    ws = vt.scratch.get("index_walk_static")
-    if ws is None:
-        keys = np.concatenate(
-            [vt.perm[basic.idx], vt.perm[clo.rarr_pos]]
-        )
-        codes = np.concatenate(
-            [
-                -np.arange(nb, dtype=np.int64) - 1,
-                np.arange(clo.rarr_src.shape[0], dtype=np.int64),
-            ]
-        )
-        ws = {
-            "codes": codes[np.argsort(keys, kind="stable")].tolist(),
-            "b_seg": vt.seg_p[basic.idx].tolist(),
-            # rn's baseline is 0 as soon as *any* message arrived (a
-            # piggyback of 0 is still a received index), -1 before.
-            "has_recv": (vt.last_recv_at[basic.idx] >= 0).tolist(),
-            "a_seg": clo.rarr_seg.tolist(),
-            "a_row": clo.rarr_row.tolist(),
-            "a_src": clo.rarr_src.tolist(),
-            "seg_has_recv": (np.diff(recv.starts) > 0).tolist(),
-        }
-        vt.scratch["index_walk_static"] = ws
-
-    codes = ws["codes"]
-    b_seg = ws["b_seg"]
-    has_recv = ws["has_recv"]
-    a_seg = ws["a_seg"]
-    a_row = ws["a_row"]
-    a_src = ws["a_src"]
-
-    sn_after: list = [0] * nb
-    armed_l: list = [False] * nb
-    rn_l: list = [0] * nb
-    sn_seg = [0] * vt.n_hosts
-    rn_seg = [-1] * vt.n_hosts
-    jump_s: list = []
-    jump_r: list = []
-    jump_v: list = []
-    n = len(codes)
-    k = 0
-    while k < n:
-        c = codes[k]
+    # Per flavour: sn per segment, sn after each basic, and per arrival
+    # group the index it jumps to (0: no jump -- a jump raises sn, so
+    # its index is at least 1); QBC also tracks rn and the armed flag.
+    n_groups = ws.g_row.shape[0]
+    b_sn = [0] * vt.n_hosts
+    b_after = [0] * nb
+    b_jump = [0] * n_groups
+    q_sn = [0] * vt.n_hosts
+    q_rn = [-1] * vt.n_hosts
+    q_after = [0] * nb
+    q_rn_at = [0] * nb
+    q_armed = [False] * nb
+    q_jump = [0] * n_groups
+    for c in memoryview(ws.codes):
         if c < 0:
             bi = -c - 1
             s = b_seg[bi]
-            m = rn_seg[s]
-            if m < 0 and has_recv[bi]:
-                m = 0
-            sn = sn_seg[s]
-            if m >= sn:
-                # rn caught up with sn: the basic opens a new index
-                # (a prior jump receive left sn = rn).
-                sn = m + 1
-                armed_l[bi] = True
-            elif not qbc:
-                # BCS increments unconditionally; QBC's rn < sn case
-                # keeps the index (the new checkpoint replaces its
-                # predecessor).
-                sn += 1
-                armed_l[bi] = True
-            sn_seg[s] = sn
-            sn_after[bi] = sn
-            rn_l[bi] = m
-            k += 1
-        else:
-            # One receive's fresh arrivals are adjacent (same sort
-            # key); the message's piggyback is the max over them --
-            # already-seen bits are dominated by the running max.
-            row = a_row[c]
-            s = a_seg[c]
-            v = sn_after[a_src[c]]
-            k += 1
-            while k < n:
-                c = codes[k]
-                if c < 0 or a_row[c] != row:
-                    break
-                v2 = sn_after[a_src[c]]
-                if v2 > v:
-                    v = v2
-                k += 1
-            if v > rn_seg[s]:
-                rn_seg[s] = v
-            if v > sn_seg[s]:
-                sn_seg[s] = v
-                jump_s.append(s)
-                jump_r.append(row)
-                jump_v.append(v)
+            if bcs:
+                v = b_sn[s] + 1
+                b_sn[s] = v
+                b_after[bi] = v
+            if qbc:
+                m = q_rn[s]
+                if m < 0 and b_has_recv[bi]:
+                    m = 0
+                q_rn_at[bi] = m
+                v = q_sn[s]
+                if m >= v:
+                    # rn caught up with sn: the basic opens a new
+                    # index (a prior jump receive left sn = rn); else
+                    # it keeps the index, replacing its predecessor.
+                    v = m + 1
+                    q_sn[s] = v
+                    q_armed[bi] = True
+                q_after[bi] = v
+            continue
+        # The message's piggyback is the max over the fresh sources it
+        # delivers -- already-seen ones are dominated by the running
+        # max.
+        s = g_seg[c]
+        j = lo[c]
+        end = lo[c + 1]
+        if bcs:
+            v = b_after[src[j]]
+            if end - j > 1:
+                for k in range(j + 1, end):
+                    w = b_after[src[k]]
+                    if w > v:
+                        v = w
+            if v > b_sn[s]:
+                b_sn[s] = v
+                b_jump[c] = v
+        if qbc:
+            v = q_after[src[j]]
+            if end - j > 1:
+                for k in range(j + 1, end):
+                    w = q_after[src[k]]
+                    if w > v:
+                        v = w
+            if v > q_rn[s]:
+                q_rn[s] = v
+            if v > q_sn[s]:
+                q_sn[s] = v
+                q_jump[c] = v
 
-    jump_seg = np.asarray(jump_s, dtype=np.int64)
-    jump_row = np.asarray(jump_r, dtype=np.int64)
-    jump_index = np.asarray(jump_v, dtype=np.int64)
-    # Segment-major (jumps were discovered in global time order).
-    order = np.lexsort((jump_row, jump_seg))
-    jump_seg = jump_seg[order]
-    jump_row = jump_row[order]
-    jump_index = jump_index[order]
+    def trajectory(sn_seg, sn_after, armed, jump, **rn):
+        jump = np.asarray(jump, dtype=np.int64)
+        # Group ids follow the closure's arrivals: segment-major, in
+        # row order.
+        groups = np.flatnonzero(jump)
+        jump_seg = ws.g_seg[groups]
+        return IndexTrajectory(
+            sn_after_basic=np.asarray(sn_after, dtype=np.int64),
+            armed=armed,
+            jump_seg=jump_seg,
+            jump_row=ws.g_row[groups],
+            jump_index=jump[groups],
+            n_jump_seg=np.bincount(jump_seg, minlength=vt.n_hosts),
+            sn_final=np.asarray(sn_seg, dtype=np.int64),
+            **rn,
+        )
 
-    sn_final = np.asarray(sn_seg, dtype=np.int64)
-    rn_final = np.asarray(rn_seg, dtype=np.int64)
-    # Baseline: any receive at all pins rn to at least 0.
-    rn_final[(rn_final < 0) & np.asarray(ws["seg_has_recv"])] = 0
-    return IndexTrajectory(
-        sn_after_basic=np.asarray(sn_after, dtype=np.int64),
-        armed=np.asarray(armed_l, dtype=bool),
-        rn_at_basic=np.asarray(rn_l, dtype=np.int64),
-        jump_seg=jump_seg,
-        jump_row=jump_row,
-        jump_index=jump_index,
-        n_jump_seg=np.bincount(jump_seg, minlength=vt.n_hosts),
-        sn_final=sn_final,
-        rn_final=rn_final,
-    )
+    out = {}
+    if bcs:
+        out[False] = trajectory(
+            b_sn, b_after, np.ones(nb, dtype=bool), b_jump
+        )
+    if qbc:
+        rn_final = np.asarray(q_rn, dtype=np.int64)
+        # Baseline: any receive at all pins rn to at least 0.
+        rn_final[(rn_final < 0) & (np.diff(vt.recv.starts) > 0)] = 0
+        out[True] = trajectory(
+            q_sn, q_after, np.asarray(q_armed, dtype=bool), q_jump,
+            rn_at_basic=np.asarray(q_rn_at, dtype=np.int64),
+            rn_final=rn_final,
+        )
+    return out
 
 
 def nosend_classification(vt: VectorizedTrace, traj: IndexTrajectory):
@@ -731,27 +816,23 @@ def nosend_classification(vt: VectorizedTrace, traj: IndexTrajectory):
     trigger or earlier forced jump); otherwise the latest checkpoint is
     renamed in place.
 
+    That is TP's first-receive rule read over the jumps: a jump forces
+    iff its host sent after its last basic trigger and it is the
+    host's first jump after that send.  A later jump after the same
+    send finds the flag cleared by that first one (or by a forced jump
+    before it), and any earlier forced jump precedes the send.  Jumps
+    are segment-major, and send positions are too, so two hosts' jumps
+    can share a last send only at -1 (no send), which never forces:
+    comparing each jump with the previous one needs no host check.
+
     Returns a bool array parallel to ``traj.jump_row`` (True = forced
-    take, False = rename).  The walk is O(jumps), and jumps are as
-    rare as forced checkpoints.
+    take, False = rename), from a few numpy passes over the jumps.
     """
     import numpy as np
 
     pos = vt.recv.idx[traj.jump_row]
     send_pos = gather(vt.send.idx, vt.last_send_at[pos], -1)
     basic_pos = gather(vt.basic.idx, vt.last_basic_at[pos], -1)
-    pos_l = pos.tolist()
-    sp_l = send_pos.tolist()
-    bp_l = basic_pos.tolist()
-    seg_l = traj.jump_seg.tolist()
-    forced = [False] * len(pos_l)
-    last_forced: dict = {}
-    for k in range(len(pos_l)):
-        reset = bp_l[k]
-        lf = last_forced.get(seg_l[k], -1)
-        if lf > reset:
-            reset = lf
-        if sp_l[k] > reset:
-            forced[k] = True
-            last_forced[seg_l[k]] = pos_l[k]
-    return np.asarray(forced, dtype=bool)
+    first_after_send = np.ones(pos.shape[0], dtype=bool)
+    first_after_send[1:] = send_pos[1:] != send_pos[:-1]
+    return (send_pos > basic_pos) & first_after_send

@@ -37,8 +37,9 @@ from repro.core.vectorized import (
     VectorizedTrace,
     fixpoint,
     gather,
-    index_trajectory,
+    index_trajectories,
     nosend_classification,
+    pass_protocols,
     per_pass,
     seg_counts,
     seg_cumsum,
@@ -80,20 +81,45 @@ _RULES = {
 # BCS / QBC / BCS-NS / QBC-NS / FDAS / BQF
 # ---------------------------------------------------------------------------
 
+def _pass_flavours(vt: VectorizedTrace) -> set:
+    """The trajectory flavours (``qbc``) the index kernels of the
+    running pass over *vt* read, from their protocols' declared
+    ``index_flavor``."""
+    out = set()
+    for inst in pass_protocols(vt):
+        flavor = type(inst).index_flavor
+        # BQF at a finite period reads the trajectory of its own trace
+        # (see bqf_replay), not the pass's.
+        if flavor is not None and (
+            flavor != "bqf" or math.isinf(inst.period)
+        ):
+            out.add(_RULES[flavor].qbc)
+    return out
+
+
+def _trajectory(vt: VectorizedTrace, qbc: bool):
+    """Flavour *qbc*'s trajectory over *vt*: inside a pass, the first
+    request walks once for every flavour the pass reads."""
+    solved = per_pass(vt, "trajectories", dict)
+    if qbc not in solved:
+        wanted = (_pass_flavours(vt) - solved.keys()) | {qbc}
+        solved.update(index_trajectories(vt, wanted))
+    return solved[qbc]
+
+
 def index_family_replay(vt: VectorizedTrace, inst, flavor: str) -> None:
     """Replay one index-family protocol over *vt* into *inst*.
 
     The family has two trajectories, BCS's and QBC's; inside a replay
-    pass (:func:`~repro.core.vectorized.one_pass`) every protocol of a
-    flavour reads the same one, and the no-send split of its jumps.
+    pass (:func:`~repro.core.vectorized.one_pass`) one walk solves
+    every trajectory the pass's protocols read, and the protocols of a
+    flavour share it and the no-send split of its jumps.
     """
     import numpy as np
 
     rules = _RULES[flavor]
     qbc = rules.qbc
-    traj = per_pass(
-        vt, ("trajectory", qbc), lambda: index_trajectory(vt, qbc)
-    )
+    traj = _trajectory(vt, qbc)
     basic = vt.basic
 
     setattr(inst, rules.clock, traj.sn_final.tolist())
@@ -161,12 +187,10 @@ def _materialize_index_family(vt, inst, traj, rules, jump_forced):
     b_time = vt.basic.time.tolist()
     b_index = traj.sn_after_basic.tolist()
     b_armed = traj.armed.tolist()
-    b_rn = traj.rn_at_basic.tolist()
+    # BCS-NS basics record the rn they ignored (BCS reads none).
+    b_rn = traj.rn_at_basic.tolist() if rules.qbc else [-1] * len(b_pos)
     for k in range(len(b_pos)):
-        md = None
-        if rules.rn_metadata:
-            # BCS-NS basics record the rn they ignored.
-            md = {"rn": b_rn[k] if rules.qbc else -1}
+        md = {"rn": b_rn[k]} if rules.rn_metadata else None
         replaced = rules.qbc and not b_armed[k]
         ops.append(
             (b_pos[k], "basic", b_host[k], b_index[k], b_time[k],
@@ -275,35 +299,34 @@ def period_walk(vt: VectorizedTrace, period: float, t_last) -> list:
     (``periodic``) the first message event at least *period* after
     the host's previous checkpoint.  *t_last* holds each host's last
     checkpoint time before the trace.  The walk advances
-    checkpoint-to-checkpoint (bisecting the message-time list), so it
-    is O(checkpoints log events), not O(events).
+    checkpoint-to-checkpoint, bisecting memoryviews of the
+    segment-major message columns within the host's ``[lo, hi)``
+    bounds (nothing is copied), so it is O(checkpoints log events),
+    not O(events).
     """
     basic, msg = vt.basic, vt.msg
+    b_pos, b_time = memoryview(basic.idx), memoryview(basic.time)
+    m_pos, m_time = memoryview(msg.idx), memoryview(msg.time)
+    b_starts, m_starts = basic.starts.tolist(), msg.starts.tolist()
     walks = []
     for h in range(vt.n_hosts):
-        b_lo, b_hi = int(basic.starts[h]), int(basic.starts[h + 1])
-        m_lo, m_hi = int(msg.starts[h]), int(msg.starts[h + 1])
-        b_pos = basic.idx[b_lo:b_hi].tolist()
-        b_time = basic.time[b_lo:b_hi].tolist()
-        m_pos = msg.idx[m_lo:m_hi].tolist()
-        m_time = msg.time[m_lo:m_hi].tolist()
+        ib, b_hi = b_starts[h], b_starts[h + 1]
+        im, m_hi = m_starts[h], m_starts[h + 1]
         last = t_last[h]
         walk = []
-        ib, im = 0, 0
-        nb, nm = len(b_pos), len(m_time)
         while True:
             # First message event from im that the reference predicate
             # (now - last >= period) accepts.  Bisect on last + period
             # lands within rounding of the exact boundary; the
             # predicate is monotone in the event time, so a local
             # adjustment recovers bit-exactness.
-            k = bisect_left(m_time, last + period, im)
+            k = bisect_left(m_time, last + period, im, m_hi)
             while k > im and m_time[k - 1] - last >= period:
                 k -= 1
-            while k < nm and m_time[k] - last < period:
+            while k < m_hi and m_time[k] - last < period:
                 k += 1
-            bpos = b_pos[ib] if ib < nb else None
-            mpos = m_pos[k] if k < nm else None
+            bpos = b_pos[ib] if ib < b_hi else None
+            mpos = m_pos[k] if k < m_hi else None
             if bpos is None and mpos is None:
                 break
             if mpos is None or (bpos is not None and bpos < mpos):
@@ -313,7 +336,7 @@ def period_walk(vt: VectorizedTrace, period: float, t_last) -> list:
             else:
                 pos, last = mpos, m_time[k]
                 walk.append((pos, last, True))
-            im = bisect_right(m_pos, pos)
+            im = bisect_right(m_pos, pos, im, m_hi)
         walks.append(walk)
     return walks
 

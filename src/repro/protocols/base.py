@@ -77,6 +77,11 @@ class CheckpointingProtocol:
     #: ``vectorized_replay(cls, vt, instance)`` classmethod that fills
     #: one fresh *instance* from one trace's ``VectorizedTrace``.
     vectorizable: bool = False
+    #: Which index-family trajectory the kernel reads (a flavour of
+    #: :mod:`repro.protocols._vectorized`: "bcs", "qbc", ...), so one
+    #: replay pass can solve every trajectory its protocols read in one
+    #: walk; None for kernels that read none.
+    index_flavor: Optional[str] = None
     #: True for coordinated baselines (Chandy-Lamport, Koo-Toueg,
     #: Prakash-Singhal): they inject control messages into the
     #: schedule, so they can only run embedded in the online DES.

@@ -22,13 +22,14 @@ class BCSProtocol(CheckpointingProtocol):
     """Index-based communication-induced checkpointing."""
 
     vectorizable = True
+    index_flavor = "bcs"
 
     @classmethod
     def vectorized_replay(cls, vt, instance) -> None:
         """Batch kernel: the index-family trajectory with BCS's
         unconditional basic increment (see
         :mod:`repro.protocols._vectorized`)."""
-        index_family_replay(vt, instance, "bcs")
+        index_family_replay(vt, instance, cls.index_flavor)
 
     def __init__(self, n_hosts: int, n_mss: int = 1):
         super().__init__(n_hosts, n_mss)

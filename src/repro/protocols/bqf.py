@@ -31,6 +31,7 @@ class BQFProtocol(CheckpointingProtocol):
     """QBC equivalence rule + autonomous periodic basic checkpoints."""
 
     vectorizable = True
+    index_flavor = "bqf"
 
     @classmethod
     def vectorized_replay(cls, vt, instance) -> None:

@@ -50,13 +50,14 @@ class FDASProtocol(CheckpointingProtocol):
     """Logical-clock CIC with the fixed-dependency-after-send rule."""
 
     vectorizable = True
+    index_flavor = "fdas"
 
     @classmethod
     def vectorized_replay(cls, vt, instance) -> None:
         """Batch kernel: BCS's trajectory with the no-send split, where
         a jump that forces nothing adopts the clock (see
         :mod:`repro.protocols._vectorized`)."""
-        index_family_replay(vt, instance, "fdas")
+        index_family_replay(vt, instance, cls.index_flavor)
 
     def __init__(self, n_hosts: int, n_mss: int = 1):
         super().__init__(n_hosts, n_mss)

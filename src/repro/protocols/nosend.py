@@ -96,12 +96,13 @@ class NoSendBCSProtocol(_NoSendMixin):
     """BCS plus the no-send skip rule on receives."""
 
     vectorizable = True
+    index_flavor = "bcs_ns"
 
     @classmethod
     def vectorized_replay(cls, vt, instance) -> None:
         """Batch kernel: BCS dynamics plus the no-send forced/rename
         split (see :mod:`repro.protocols._vectorized`)."""
-        index_family_replay(vt, instance, "bcs_ns")
+        index_family_replay(vt, instance, cls.index_flavor)
 
     def on_receive(self, host: int, piggyback: int, src: int, now: float) -> None:
         self._receive_index(host, piggyback, now)
@@ -123,12 +124,13 @@ class NoSendQBCProtocol(_NoSendMixin):
     """QBC's basic-side replacement + the no-send receive-side skip."""
 
     vectorizable = True
+    index_flavor = "qbc_ns"
 
     @classmethod
     def vectorized_replay(cls, vt, instance) -> None:
         """Batch kernel: QBC dynamics plus the no-send forced/rename
         split (see :mod:`repro.protocols._vectorized`)."""
-        index_family_replay(vt, instance, "qbc_ns")
+        index_family_replay(vt, instance, cls.index_flavor)
 
     def __init__(self, n_hosts: int, n_mss: int = 1):
         super().__init__(n_hosts, n_mss)

@@ -36,13 +36,14 @@ class QBCProtocol(CheckpointingProtocol):
     """Index-based protocol with checkpoint equivalence/replacement."""
 
     vectorizable = True
+    index_flavor = "qbc"
 
     @classmethod
     def vectorized_replay(cls, vt, instance) -> None:
         """Batch kernel: the index-family trajectory with QBC's armed
         (``rn = sn``) basic rule (see
         :mod:`repro.protocols._vectorized`)."""
-        index_family_replay(vt, instance, "qbc")
+        index_family_replay(vt, instance, cls.index_flavor)
 
     def __init__(self, n_hosts: int, n_mss: int = 1):
         super().__init__(n_hosts, n_mss)

@@ -25,7 +25,7 @@ from repro.core.compiled import FLOAT_DTYPE, INT_DTYPE, array_columns
 from repro.core.replay import replay, replay_vectorized
 from repro.core.vectorized import (
     VectorizationError,
-    index_trajectory,
+    index_trajectories,
     vectorized_trace,
 )
 from repro.protocols import BQFProtocol
@@ -206,21 +206,24 @@ def test_bqf_periods_add_autonomous_basics():
 
 def test_one_pass_solves_each_trajectory_once_and_keeps_nothing(monkeypatch):
     """The zoo's index family reads two trajectories per pass, BCS's
-    and QBC's, and the memo that shares them is gone after the pass."""
+    and QBC's, solved by one walk; the memo that shares them is gone
+    after the pass, and what stays on the trace is the walk's numpy
+    schedule, never a Python list."""
     from repro.protocols import _vectorized as kernels
 
     solved = []
 
-    def counting(vt, qbc):
-        solved.append(qbc)
-        return index_trajectory(vt, qbc)
+    def counting(vt, flavours):
+        solved.append(sorted(flavours))
+        return index_trajectories(vt, flavours)
 
-    monkeypatch.setattr(kernels, "index_trajectory", counting)
+    monkeypatch.setattr(kernels, "index_trajectories", counting)
     trace = generate_trace(cfg())
     zoo = ("BCS", "QBC", "BCS-NS", "QBC-NS", "FDAS", "BQF")
     replay_vectorized(
         trace, [registry[n](trace.n_hosts, trace.n_mss) for n in zoo]
     )
-    assert sorted(solved) == [False, True]
-    scratch = set(vectorized_trace(trace).scratch)
-    assert scratch == {"mask_closure", "index_walk_static"}
+    assert solved == [[False, True]]
+    scratch = vectorized_trace(trace).scratch
+    assert set(scratch) == {"index_walk"}
+    assert not any(isinstance(v, list) for v in scratch.values())
