@@ -2,17 +2,26 @@
 
 Format: a single ``.npz`` file holding the event columns as numpy
 arrays plus the trace header/metadata as a JSON string.  The members
-are stored uncompressed (``np.savez``): about 56 bytes per event, so a
-20k-event Fig. 1 trace is ~1.1 MB and a save or a verified load takes
-a few milliseconds -- less than generating the trace again.  Recorded
+are stored uncompressed (``np.savez``), each integer column at the
+narrowest little-endian signed width that holds its values (``<i1``,
+``<i2``, ``<i4``, else ``<i8``; ``time`` stays ``<f8``): about 16
+bytes per event on the paper's 10-host grid, so a 20k-event Fig. 1
+trace is ~0.3 MB and a save or a verified load takes about a
+millisecond -- far less than generating the trace again.  Recorded
 workloads can ship with papers or bug reports and be replayed
-bit-identically elsewhere.  Files written deflated (zlib level 1, or
-numpy's ``savez_compressed``) read the same way.
+bit-identically elsewhere.  Files whose integer columns are stored at
+``int64`` (every file written before the columns were narrowed), or
+deflated (zlib level 1, or numpy's ``savez_compressed``), read the
+same way: the loader widens every column to the pinned in-memory
+dtypes.
 
-Every file carries a SHA-256 digest over the event columns and header,
-so a truncated or bit-flipped file is detected at load time
-(:class:`TraceIntegrityError`) instead of silently replaying garbage --
-the trace cache relies on this to treat corrupt entries as misses.
+Every file carries a SHA-256 digest over the header and the stored
+column bytes, so a truncated or bit-flipped file is detected at load
+time (:class:`TraceIntegrityError`) instead of silently replaying
+garbage -- the trace cache relies on this to treat corrupt entries as
+misses.  The digest covers the column *data*; the ``.npy`` member
+headers, which carry the dtypes, are covered by the zip's CRC-32,
+which ``np.load`` checks on every read.
 
 A load is column-native: it decodes the stored columns, checks the
 digest, validates the columns with numpy (:func:`validate_columns`, the
@@ -47,14 +56,18 @@ from repro.core.compiled import FLOAT_DTYPE, INT_DTYPE, ArrayColumns
 from repro.core.trace import EventType, Trace, TraceError, TraceEvent
 
 #: Format version written into every file, and the only one read.  It
-#: stores the *compiled* columns (pinned ``int64``/``float64`` dtypes,
-#: plus the dense message ``slot`` column and the send/receive counts
-#: in the header) so a load feeds the engines natively -- no list
-#: round-trip, no re-matching of sends to receives.
+#: stores the *compiled* columns (plus the dense message ``slot``
+#: column and the send/receive counts in the header) so a load feeds
+#: the engines natively -- no list round-trip, no re-matching of sends
+#: to receives.  The width an integer column is stored at is not part
+#: of the version: any signed width reads back as the same ``int64``.
 FORMAT_VERSION = 2
 
 #: Stored column names, in digest order.
 _COLUMNS = ("time", "etype", "host", "msg_id", "peer", "cell", "slot")
+
+#: The signed widths an integer column is stored at, narrowest first.
+_INT_WIDTHS = tuple(np.dtype(f"<i{n}") for n in (1, 2, 4, 8))
 
 
 class TraceIntegrityError(ValueError):
@@ -76,13 +89,25 @@ def _column_digest(header_json: str, columns) -> str:
     return h.hexdigest()
 
 
+def _narrowest(column: np.ndarray) -> np.ndarray:
+    """*column* (``int64``) at the narrowest little-endian signed width
+    that holds its minimum and maximum (``<i1`` when it is empty)."""
+    lo, hi = (int(column.min()), int(column.max())) if column.size else (0, 0)
+    for dtype in _INT_WIDTHS[:-1]:
+        info = np.iinfo(dtype)
+        if info.min <= lo and hi <= info.max:
+            return column.astype(dtype)
+    return column.astype(_INT_WIDTHS[-1], copy=False)
+
+
 def save_trace(trace: Trace, path: Union[str, Path]) -> None:
     """Write *trace* to ``path`` (npz; '.npz' appended if missing).
 
     Columns come from the compiled view -- one lowering shared with
-    replay (cached on the trace), dtypes pinned to ``int64`` /
-    ``float64`` so the stored bytes are platform-independent and the
-    digest is stable.
+    replay (cached on the trace).  ``time`` is stored as ``<f8``, each
+    integer column at the narrowest little-endian signed width that
+    holds its range, so the stored bytes are platform-independent and
+    the digest over them is stable.
     """
     from repro.core.compiled import array_columns
 
@@ -97,7 +122,13 @@ def save_trace(trace: Trace, path: Union[str, Path]) -> None:
         "meta": trace.meta,
     }
     header_json = json.dumps(header)
-    columns = {name: getattr(cols, name) for name in _COLUMNS}
+    columns = {
+        name: (
+            cols.time.astype("<f8", copy=False)
+            if name == "time" else _narrowest(getattr(cols, name))
+        )
+        for name in _COLUMNS
+    }
     digest = _column_digest(header_json, columns.values())
     # Stored members: zlib would cost more than generating the trace.
     np.savez(
@@ -176,6 +207,12 @@ def _load_columns(path: Path, verify: bool) -> tuple[ArrayColumns, dict]:
             raise TraceIntegrityError(
                 f"trace file {path} failed checksum verification "
                 f"(stored {stored!r}, computed {computed[:16]}...)"
+            )
+    for name in _COLUMNS[1:]:
+        if columns[name].dtype.kind != "i":
+            raise TraceIntegrityError(
+                f"trace file {path} stores its {name} column as "
+                f"{columns[name].dtype}, not a signed integer type"
             )
     lengths = {len(columns[name]) for name in _COLUMNS}
     if len(lengths) > 1:

@@ -538,7 +538,7 @@ def _materialize_tp(vt, inst, vecs, initial_cells):
     order = np.argsort(vt.perm[ids], kind="stable")
     hosts_l = hosts[order].tolist()
     idx_l = indices[order].tolist()
-    time_l = vt.time_p[ids][order].tolist()
+    time_l = vt.columns.time[vt.perm[ids]][order].tolist()
     rows_l = rows[order].tolist()
     loc_l = loc_rows[order].tolist()
     reasons_l = [reasons[k] for k in order.tolist()]

@@ -20,7 +20,7 @@ Two tiers:
 
 * an in-process LRU (:class:`TraceCache`) holding deserialized
   :class:`~repro.core.trace.Trace` objects, bounded by entry count.
-  A replayed trace keeps its lowerings and per-run scratch (~260
+  A replayed trace keeps its lowerings and per-run scratch (~160
   bytes per event against ~56 for the columns), so the tier is what a
   process's memory grows with.  It pays off when traces are read
   again: ``execute`` / ``repro compare`` callers and a sweep whose
@@ -35,11 +35,13 @@ Two tiers:
   CLI invocations hit instead of regenerate.  A disk hit decodes the
   stored columns and checks their digest; it returns a column-backed
   trace that the fused and vectorized engines replay without building
-  per-event objects.  Entries are stored uncompressed (~56 bytes per
-  event), so on a Fig. 6 cell at ``sim_time=2000`` a verified hit and a
-  save each cost ~2-3 ms against ~10 ms to generate the trace (the
-  columnar generator; the event loop of other workload models costs
-  ~19 us per event).  An entry that fails the check -- damaged, or
+  per-event objects.  Entries are stored uncompressed, each integer
+  column at its narrowest signed width (~16 bytes per event on the
+  paper's grid, ~20 at the 1e5 horizon; entries written at ``int64``
+  still hit), so on a Fig. 6 cell at ``sim_time=2000`` a verified hit
+  and a save each cost under 1 ms against ~5 ms to generate the trace
+  (the columnar generator; the event loop of other workload models
+  costs ~19 us per event).  An entry that fails the check -- damaged, or
   written in an older trace format -- is evicted and regenerated, so
   a stale entry costs one miss.
 

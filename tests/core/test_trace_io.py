@@ -215,6 +215,182 @@ def test_npz_members_keep_numpy_names_and_order(tmp_path):
     assert {i.compress_type for i in infos} == {zipfile.ZIP_STORED}
 
 
+# -- narrow stored columns -------------------------------------------------
+
+
+def _one_message(msg_id):
+    """A send and its receive carrying *msg_id*: every other column
+    fits one byte, the msg_id column is *msg_id* twice."""
+    return build_trace(
+        2, 2,
+        [(1.0, EventType.SEND, 0, msg_id, 1), (2.0, EventType.RECEIVE, 1, msg_id, 0)],
+    )
+
+
+@pytest.mark.parametrize(
+    "msg_id,width",
+    [(127, "<i1"), (128, "<i2"), (300, "<i2"), (40000, "<i4"), (2**40, "<i8")],
+)
+def test_integer_columns_are_stored_at_their_narrowest_width(
+    tmp_path, msg_id, width
+):
+    trace = _one_message(msg_id)
+    path = tmp_path / "t.npz"
+    save_trace(trace, path)
+    with np.load(path) as data:
+        stored = {name: data[name].dtype for name in trace_io._COLUMNS}
+    assert stored == {
+        "time": np.dtype("<f8"),
+        "etype": np.dtype("<i1"),
+        "host": np.dtype("<i1"),
+        "msg_id": np.dtype(width),
+        "peer": np.dtype("<i1"),
+        "cell": np.dtype("<i1"),
+        "slot": np.dtype("<i1"),
+    }
+    loaded = load_trace(path, verify=True)
+    cols = array_columns(loaded)
+    assert cols.msg_id.dtype == np.dtype("int64")
+    assert cols.msg_id.tolist() == [msg_id, msg_id]
+    assert loaded.events == trace.events
+
+
+def test_empty_columns_are_stored_one_byte_wide(tmp_path):
+    save_trace(build_trace(2, 2, []), tmp_path / "t.npz")
+    with np.load(tmp_path / "t.npz") as data:
+        assert {data[n].dtype for n in trace_io._COLUMNS[1:]} == {np.dtype("<i1")}
+
+
+def _member_data(path, name):
+    """(offset, size) of member ``<name>.npy``'s bytes in the zip."""
+    with zipfile.ZipFile(path) as zf:
+        info = zf.getinfo(f"{name}.npy")
+    with open(path, "rb") as fh:
+        fh.seek(info.header_offset + 26)
+        name_len, extra_len = np.frombuffer(fh.read(4), "<u2")
+    start = info.header_offset + 30 + int(name_len) + int(extra_len)
+    return start, info.compress_size
+
+
+def _flip(path, offset, bit):
+    raw = bytearray(path.read_bytes())
+    raw[offset] ^= 1 << bit
+    path.write_bytes(bytes(raw))
+
+
+def test_flipped_byte_in_a_narrow_column_is_an_integrity_error(tmp_path):
+    trace = generate_trace(GENERATED[0])
+    path = tmp_path / "t.npz"
+    save_trace(trace, path)
+    with np.load(path) as data:
+        assert data["host"].dtype == np.dtype("<i1")
+    start, size = _member_data(path, "host")
+    _flip(path, start + size - 1, 0)  # the last host id
+    with pytest.raises(trace_io.TraceIntegrityError):
+        load_trace(path, verify=True)
+
+
+def test_flipped_byte_in_a_npy_header_is_an_integrity_error(tmp_path):
+    """The digest covers the column data; the member headers (the
+    dtypes) are covered by the zip CRC that ``np.load`` checks."""
+    trace = generate_trace(GENERATED[0])
+    path = tmp_path / "t.npz"
+    save_trace(trace, path)
+    start, size = _member_data(path, "msg_id")
+    with open(path, "rb") as fh:
+        fh.seek(start)
+        member = fh.read(size)
+    at = member.index(b"'<i2'")
+    _flip(path, start + at + 1, 1)  # '<i2' -> '>i2': one bit
+    with pytest.raises(trace_io.TraceIntegrityError, match="CRC"):
+        load_trace(path, verify=True)
+
+
+def test_flipped_value_with_a_consistent_zip_fails_the_digest(tmp_path):
+    path = tmp_path / "t.npz"
+    save_trace(generate_trace(GENERATED[0]), path)
+    with np.load(path) as data:
+        arrays = {k: data[k] for k in data.files}
+    arrays["host"] = arrays["host"].copy()
+    arrays["host"][-1] ^= 1
+    np.savez(path, **arrays)
+    with pytest.raises(trace_io.TraceIntegrityError, match="checksum"):
+        load_trace(path, verify=True)
+
+
+def _savez_with_digest(path, header_json, columns):
+    """An npz trace holding *columns* as given, with a digest over
+    exactly those bytes."""
+    digest = trace_io._column_digest(
+        header_json, [columns[name] for name in trace_io._COLUMNS]
+    )
+    np.savez(
+        path,
+        header=np.frombuffer(header_json.encode("utf-8"), dtype=np.uint8),
+        digest=np.frombuffer(digest.encode("ascii"), dtype=np.uint8),
+        **columns,
+    )
+
+
+@pytest.mark.parametrize(
+    "name,dtype", [("host", np.float64), ("cell", np.uint8), ("slot", np.uint64)]
+)
+def test_non_signed_integer_column_is_an_integrity_error(tmp_path, name, dtype):
+    """A column that would load silently truncated or wrapped is
+    rejected, even under a digest that matches its bytes."""
+    path = tmp_path / "t.npz"
+    save_trace(ALL_TYPES, path)
+    with np.load(path) as data:
+        header_json = bytes(data["header"]).decode("utf-8")
+        columns = {n: data[n] for n in trace_io._COLUMNS}
+    columns[name] = columns[name].astype(dtype)
+    _savez_with_digest(path, header_json, columns)
+    for verify in (True, False):
+        with pytest.raises(
+            trace_io.TraceIntegrityError, match=f"{name} column.*signed integer"
+        ):
+            load_trace(path, validate=False, verify=verify)
+
+
+@pytest.mark.parametrize("deflated", [False, True], ids=["stored", "deflated"])
+def test_int64_entry_still_verifies_and_hits(tmp_path, deflated):
+    """An entry whose integer columns are all ``int64`` -- the layout
+    written before columns were narrowed -- loads, verifies, is a disk
+    hit served as it is, and replays to the same counters."""
+    cfg = GENERATED[2]
+    trace = generate_trace(cfg)
+    cols = array_columns(trace)
+    entry = tmp_path / f"{config_key(cfg)}.npz"
+    save_trace(trace, entry)
+    with np.load(entry) as data:
+        header_json = bytes(data["header"]).decode("utf-8")
+    wide = {name: getattr(cols, name) for name in trace_io._COLUMNS}
+    assert {wide[n].dtype for n in trace_io._COLUMNS[1:]} == {np.dtype("int64")}
+    _savez_with_digest(entry, header_json, wide)
+    if deflated:
+        with np.load(entry) as data:
+            arrays = {k: data[k] for k in data.files}
+        _write_deflated(entry, arrays, 1)
+    with np.load(entry) as data:
+        digest = bytes(data["digest"])
+        assert data["msg_id"].dtype == np.dtype("int64")
+
+    loaded = array_columns(load_trace(entry, verify=True))
+    for name in trace_io._COLUMNS:
+        assert getattr(loaded, name).tobytes() == wide[name].tobytes(), name
+
+    cache = TraceCache(max_entries=0, disk_dir=tmp_path)
+    hit = cache.get_or_generate(cfg)
+    stats = cache.stats()
+    assert stats["disk_hits"] == 1
+    assert stats["corrupt_evictions"] == stats["misses"] == 0
+    with np.load(entry) as data:  # served as it is, not rewritten
+        assert bytes(data["digest"]) == digest
+    expected = _counters(trace, "fused")
+    assert _counters(hit, "fused") == expected
+    assert _counters(hit, "vectorized") == expected
+
+
 # -- column-backed disk hits: a loaded trace is the generated one ----------
 
 PAPER_PROTOCOLS = ("TP", "BCS", "QBC")

@@ -4,7 +4,8 @@ Covers the pieces the equivalence suites take for granted:
 
 * compiled columns are lowered at pinned platform-independent dtypes
   (``int64`` / ``float64``) and cached per trace;
-* the npz cache tier stores those columns natively -- a disk hit seeds
+* the npz cache tier stores those columns natively (each integer
+  column at its narrowest signed width) -- a disk hit seeds
   the per-trace array cache, and a format-v1 entry is evicted and
   rewritten in place at the current format on first read;
 * protocols without kernels are rejected with a typed error;
@@ -71,9 +72,22 @@ def test_saved_trace_stores_pinned_array_columns(tmp_path):
         assert header["format_version"] == trace_io.FORMAT_VERSION
         assert header["n_sends"] == array_columns(trace).n_sends
         assert header["n_receives"] == array_columns(trace).n_receives
-        assert data["time"].dtype == np.dtype(FLOAT_DTYPE)
+        assert data["time"].dtype == np.dtype("<f8")
         for name in ("etype", "host", "msg_id", "peer", "cell", "slot"):
-            assert data[name].dtype == np.dtype(INT_DTYPE), name
+            # Each integer column at the narrowest signed width that
+            # holds its range.
+            stored = data[name]
+            narrowest = next(
+                np.dtype(f"<i{n}") for n in (1, 2, 4, 8)
+                if np.iinfo(f"<i{n}").min <= stored.min()
+                and stored.max() <= np.iinfo(f"<i{n}").max
+            )
+            assert stored.dtype == narrowest, name
+    # A load widens them back to the pinned in-memory dtypes.
+    cols = array_columns(trace_io.load_trace(path))
+    assert cols.time.dtype == np.dtype(FLOAT_DTYPE)
+    for name in ("etype", "host", "msg_id", "peer", "cell", "slot"):
+        assert getattr(cols, name).dtype == np.dtype(INT_DTYPE), name
 
 
 def test_loaded_trace_feeds_vectorized_replay_without_relowering(tmp_path):
