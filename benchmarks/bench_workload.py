@@ -1,18 +1,21 @@
 """Workload-layer benchmarks: streaming-compile memory and throughput,
 and how often generation leaves the columnar path.
 
-The streaming trace compiler (:mod:`repro.core.streamed`) exists so
-compilation does not require the whole event list in memory; this bench
-*gates* that claim.  Both pipelines consume the same synthetic
-1M-event schedule:
+The streaming trace compiler
+(:class:`~repro.core.compiled.StreamingCompiler`) exists so compilation
+does not require the whole event list in memory; this bench *gates*
+that claim.  Both pipelines consume the same synthetic 1M-event
+schedule:
 
 * **materialized** -- build the full ``TraceEvent`` list, then lower
   it into python-list columns with :func:`_materialized_compile` (the
   classic path, kept here as the reference: peak = event objects + the
   list columns);
 * **streaming** -- feed events one at a time into a
-  :class:`~repro.core.streamed.StreamingCompiler` (peak = one staging
-  block + the numpy slabs, 56 bytes/event).
+  ``StreamingCompiler`` and ``finish()`` it into ``ArrayColumns``
+  (peak = the 56 bytes/event output columns plus what is still staged
+  while the last one widens: the narrow parts are 33 bytes/event, and
+  ``etype``, 1 byte/event, widens last).
 
 Peaks are measured with ``tracemalloc`` (numpy allocations register
 with it), and the gate requires the streaming peak under 25% of the
@@ -49,15 +52,15 @@ from repro.core.compiled import (
     INTERNAL,
     RECEIVE,
     SEND,
+    StreamingCompiler,
     array_columns,
     compile_trace,
 )
-from repro.core.streamed import StreamingCompiler
 from repro.core.trace import EventType, Trace, TraceError, TraceEvent
 from repro.experiments.figures import FIGURE_PARAMS, figure_sweep_config
 from repro.obs.metrics import registry
 from repro.workload.config import WorkloadConfig
-from repro.workload.driver import _Driver, generate_streamed, generate_trace
+from repro.workload.driver import _Driver, generate_trace
 from repro.workload.scenarios import T_SWITCH_SWEEP
 
 N_EVENTS = int(os.environ.get("REPRO_BENCH_WORKLOAD_EVENTS", "1000000"))
@@ -143,7 +146,7 @@ def _materialized_compile(events: list[TraceEvent]) -> dict:
     receive counts.  The library compiles events through a
     ``StreamingCompiler`` instead; this is the reference it replaced,
     kept as the gate's denominator (and checked against the library in
-    :func:`test_generate_streamed_matches_and_records`)."""
+    :func:`test_driver_columns_match_and_record`)."""
     n = len(events)
     etype: list[int] = [0] * n
     time: list[float] = [0.0] * n
@@ -218,7 +221,8 @@ def _materialized_peak(n: int) -> tuple[int, int]:
 
 
 def _streaming_peak(n: int) -> tuple[int, int]:
-    """(peak bytes, n_events) of the StreamingCompiler path."""
+    """(peak bytes, n_events) of the StreamingCompiler path, through
+    ``finish()`` and its widened ``ArrayColumns``."""
     tracemalloc.start()
     try:
         compiler = StreamingCompiler(
@@ -226,9 +230,9 @@ def _streaming_peak(n: int) -> tuple[int, int]:
         )
         for t, et, h, m, p, c in _synthetic_events(n):
             compiler.feed(t, et, h, m, p, c)
-        streamed = compiler.finish()
+        columns = compiler.finish()
         _, peak = tracemalloc.get_traced_memory()
-        return peak, streamed.n_events
+        return peak, columns.n_events
     finally:
         tracemalloc.stop()
 
@@ -268,24 +272,25 @@ def test_streaming_throughput(benchmark):
             compiler.feed(t, et, h, m, p, c)
         return compiler.finish()
 
-    streamed = benchmark.pedantic(_run, rounds=3, iterations=1)
-    rate = streamed.n_events / benchmark.stats.stats.mean
+    columns = benchmark.pedantic(_run, rounds=3, iterations=1)
+    rate = columns.n_events / benchmark.stats.stats.mean
     _record(
         "streaming_throughput",
-        {"n_events": streamed.n_events, "events_per_s": round(rate)},
+        {"n_events": columns.n_events, "events_per_s": round(rate)},
     )
-    assert streamed.n_events == n
+    assert columns.n_events == n
 
 
-def test_generate_streamed_matches_and_records():
-    """Driver-level identity on a real (small) simulation: the streamed
-    columns and the fused lowering equal the materialized reference
-    over the generated trace's events; plus bookkeeping."""
+def test_driver_columns_match_and_record():
+    """Driver-level identity on a real (small) simulation: the columns
+    the event loop compiles as it runs and the fused lowering equal the
+    materialized reference over the generated trace's events; plus
+    bookkeeping."""
     cfg = WorkloadConfig(sim_time=500.0).validate()
-    streamed = generate_streamed(cfg)
+    looped = _Driver(cfg).run()
     trace = generate_trace(cfg)
     reference = _materialized_compile(trace.events)
-    cols = streamed.array_columns()
+    cols = array_columns(looped)
     for name in ("etype", "time", "host", "msg_id", "peer", "cell", "slot"):
         np.testing.assert_array_equal(
             getattr(cols, name), reference[name], err_msg=name
@@ -299,10 +304,10 @@ def test_generate_streamed_matches_and_records():
     for lowered in (compile_trace(trace), compile_trace(events)):
         for name in ("n_events", "n_sends", "n_receives", "etype", "slot", "argv"):
             assert getattr(lowered, name) == reference[name], name
-    assert array_columns(events).n_sends == streamed.n_sends
+    assert array_columns(events).n_sends == cols.n_sends
     _record(
-        "generate_streamed_identity",
-        {"sim_time": cfg.sim_time, "n_events": streamed.n_events, "ok": True},
+        "driver_columns_identity",
+        {"sim_time": cfg.sim_time, "n_events": cols.n_events, "ok": True},
     )
 
 

@@ -10,9 +10,9 @@
   which this package imports so they are registered from the start.
 * :func:`~repro.workload.driver.generate_trace` -- run the full mobile
   system simulation and emit a protocol-independent
-  :class:`~repro.core.trace.Trace`.
-* :func:`~repro.workload.driver.generate_streamed` -- same simulation,
-  compiled into SoA blocks on the fly (bounded staging memory).
+  :class:`~repro.core.trace.Trace` (its columns computed in numpy
+  passes for eligible paper-model configs, otherwise compiled on the
+  fly as the event loop runs, in bounded staging memory).
 * :func:`~repro.workload.driver.run_online` -- same workload with a
   checkpointing protocol embedded in the simulation (supports
   non-negligible checkpoint latency).
@@ -26,7 +26,6 @@ from repro.workload.cache import TraceCache, config_key, shared_cache
 from repro.workload.config import WorkloadConfig
 from repro.workload.driver import (
     OnlineResult,
-    generate_streamed,
     generate_trace,
     run_online,
 )
@@ -62,7 +61,6 @@ __all__ = [
     "check_workload",
     "config_key",
     "figure_config",
-    "generate_streamed",
     "generate_trace",
     "get_workload",
     "make_workload",

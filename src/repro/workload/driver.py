@@ -28,13 +28,12 @@ delays, destination choice, residence scaling.  The default ``"paper"``
 model reproduces the hard-coded behaviour above bit-identically.
 
 Every event goes straight into the run's
-:class:`~repro.core.streamed.StreamingCompiler` as a ``(time, etype,
-host, msg_id, peer, cell)`` row; no per-event object is built.  The
-returned trace is column-backed (:meth:`Trace.from_columns`), the same
-form a disk-cache hit has.  A third entry point,
-:func:`generate_streamed`, runs the same simulation and returns the
-compiler's flushed blocks without concatenating them, so its staging
-memory stays O(block).
+:class:`~repro.core.compiled.StreamingCompiler` as a ``(time, etype,
+host, msg_id, peer, cell)`` row; no per-event object is built, and the
+compiler's staging stays O(block) python values.  The returned trace
+is column-backed (:meth:`Trace.from_columns` of the compiler's
+:class:`~repro.core.compiled.ArrayColumns`), the same form a
+disk-cache hit has.
 
 For an eligible paper-model config :func:`generate_trace` does not run
 the loop at all: :mod:`repro.workload.columnar` computes the same
@@ -53,13 +52,9 @@ from repro.core.compiled import (
     RECEIVE,
     RECONNECT,
     SEND,
-)
-from repro.core.metrics import CheckpointStats, ProtocolRunMetrics
-from repro.core.streamed import (
-    DEFAULT_BLOCK_EVENTS,
-    StreamedTrace,
     StreamingCompiler,
 )
+from repro.core.metrics import CheckpointStats, ProtocolRunMetrics
 from repro.core.trace import Trace
 from repro.des.core import Environment
 from repro.des.rng import RandomStreams
@@ -127,7 +122,6 @@ class _Driver:
         protocol: Optional[CheckpointingProtocol] = None,
         ckpt_latency: float = 0.0,
         gc_interval: Optional[float] = None,
-        block_events: int = DEFAULT_BLOCK_EVENTS,
     ):
         config.validate()
         if ckpt_latency < 0:
@@ -178,7 +172,6 @@ class _Driver:
             n_hosts=config.n_hosts,
             n_mss=config.n_mss,
             sim_time=config.sim_time,
-            block_events=block_events,
         )
         self._feed = self.compiler.feed
         self._app_paused = [False] * config.n_hosts
@@ -398,8 +391,8 @@ class _Driver:
         self.env.call_later(self.gc_interval, self._gc_tick)
 
     # ------------------------------------------------------------------
-    def _run_sim(self) -> None:
-        """Schedule the per-host loops and run the DES to the horizon."""
+    def run(self) -> Trace:
+        """Simulate to the horizon; return the column-backed trace."""
         for host in range(self.config.n_hosts):
             self._schedule_app(host)
             self._enter_cell(host)
@@ -411,12 +404,7 @@ class _Driver:
                 )
             self.env.call_later(self.gc_interval, self._gc_tick)
         self.env.run(until=self.config.sim_time)
-
-    def run(self) -> Trace:
-        """Simulate to the horizon; return the column-backed trace."""
-        self._run_sim()
-        columns = self.compiler.finish().array_columns()
-        return Trace.from_columns(columns, self.config.meta())
+        return Trace.from_columns(self.compiler.finish(), self.config.meta())
 
 
 def _count_path(path: str, reason: str) -> None:
@@ -450,22 +438,6 @@ def generate_trace(config: WorkloadConfig) -> Trace:
     trace = _Driver(config).run()
     _count_path("loop", reason)
     return trace
-
-
-def generate_streamed(
-    config: WorkloadConfig,
-    block_events: int = DEFAULT_BLOCK_EVENTS,
-) -> StreamedTrace:
-    """Simulate the mobile system and return its compiled blocks.
-
-    The same run as :func:`generate_trace`, minus the final
-    concatenation of the blocks into one set of columns: peak staging
-    memory is O(*block_events*) python values plus the compact numpy
-    blocks.
-    """
-    driver = _Driver(config, block_events=block_events)
-    driver._run_sim()
-    return driver.compiler.finish()
 
 
 def run_online(

@@ -1,10 +1,13 @@
-"""Streaming trace compilation: blocks, dtypes and bit-identity.
+"""The events-to-columns compiler, ``repro.core.compiled.StreamingCompiler``:
+staging, dtypes, validation and bit-identity.
 
-The driver writes every trace through a ``StreamingCompiler`` as it
-simulates.  The identity checks below compare those columns with the
-columns of an event-backed copy of the generated trace, which
-``array_columns`` compiles from its ``TraceEvent`` list after the fact
-(the per-event reference of both is
+The event-loop driver writes every trace through a ``StreamingCompiler``
+as it simulates, and ``array_columns`` feeds an event-backed trace's
+``TraceEvent`` list through one after the fact.  The identity checks
+below compare the driver's columns with the columns of an event-backed
+copy of the generated trace, and the compiler's output at small block
+sizes (so feeds cross many flushes) with ``array_columns`` (the
+per-event reference of both is
 ``tests/core/test_engine_equivalence_properties.py``).
 """
 
@@ -12,21 +15,19 @@ import numpy as np
 import pytest
 
 from repro.core.compiled import (
+    DEFAULT_BLOCK_EVENTS,
     FLOAT_DTYPE,
     INT_DTYPE,
     SEND,
+    ArrayColumns,
+    StreamingCompiler,
     array_columns,
     compile_trace,
     lower_columns,
 )
-from repro.core.streamed import (
-    DEFAULT_BLOCK_EVENTS,
-    StreamingCompiler,
-    StreamedTrace,
-)
 from repro.core.trace import EventType, Trace, TraceError
 from repro.workload.config import WorkloadConfig
-from repro.workload.driver import generate_streamed, generate_trace
+from repro.workload.driver import _Driver, generate_trace
 
 
 _COLUMNS = ("etype", "time", "host", "msg_id", "peer", "cell", "slot")
@@ -43,8 +44,20 @@ def _event_backed(trace: Trace) -> Trace:
     )
 
 
-def _assert_identical(streamed: StreamedTrace, trace: Trace) -> None:
-    cols, ref = streamed.array_columns(), array_columns(trace)
+def _feed(trace: Trace, block_events: int) -> StreamingCompiler:
+    """A compiler fed every event of *trace*, not yet finished."""
+    compiler = StreamingCompiler(
+        trace.n_hosts, trace.n_mss, trace.sim_time, block_events=block_events
+    )
+    for ev in trace.events:
+        compiler.feed(
+            ev.time, int(ev.etype), ev.host, ev.msg_id, ev.peer, ev.cell
+        )
+    return compiler
+
+
+def _assert_identical(cols: ArrayColumns, trace: Trace) -> None:
+    ref = array_columns(trace)
     # Field-by-field, so a failure names the diverging column.
     for name in (
         "n_hosts", "n_mss", "sim_time", "n_events", "n_sends", "n_receives",
@@ -65,9 +78,12 @@ def _paper_cfgs():
 
 @pytest.mark.parametrize("cfg", list(_paper_cfgs()), ids=lambda c: "")
 def test_streamed_equals_materialized_paper(cfg):
+    # The loop's columns (compiled as it simulates) equal the columns
+    # compiled from the columnar generator's events, at any block size.
     cfg = cfg.validate()
-    streamed = generate_streamed(cfg, block_events=257)
-    _assert_identical(streamed, _event_backed(generate_trace(cfg)))
+    trace = _event_backed(generate_trace(cfg))
+    _assert_identical(array_columns(_Driver(cfg).run()), trace)
+    _assert_identical(_feed(trace, 257).finish(), trace)
 
 
 @pytest.mark.parametrize(
@@ -83,50 +99,64 @@ def test_streamed_equals_materialized_models(workload, params):
     cfg = WorkloadConfig(
         sim_time=200.0, workload=workload, workload_params=params
     ).validate()
-    streamed = generate_streamed(cfg, block_events=100)
-    _assert_identical(streamed, _event_backed(generate_trace(cfg)))
+    trace = _event_backed(generate_trace(cfg))
+    _assert_identical(array_columns(_Driver(cfg).run()), trace)
+    _assert_identical(_feed(trace, 100).finish(), trace)
 
 
 def test_block_boundaries_do_not_change_content():
-    cfg = WorkloadConfig(sim_time=200.0).validate()
-    reference = generate_streamed(cfg, block_events=10_000_000).array_columns()
-    for block_events in (1, 7, 64, 1000):
-        cols = generate_streamed(cfg, block_events=block_events).array_columns()
-        for name in _COLUMNS:
-            np.testing.assert_array_equal(
-                getattr(cols, name), getattr(reference, name), err_msg=name
-            )
+    trace = _event_backed(generate_trace(WorkloadConfig(sim_time=200.0)))
+    for block_events in (1, 7, 64, 100, 257, 1000):
+        _assert_identical(_feed(trace, block_events).finish(), trace)
 
 
 def test_blocks_respect_block_events():
-    cfg = WorkloadConfig(sim_time=200.0).validate()
-    streamed = generate_streamed(cfg, block_events=64)
-    assert len(streamed.blocks) == -(-streamed.n_events // 64)  # ceil div
-    assert all(len(b) == 64 for b in streamed.blocks[:-1])
-    assert sum(len(b) for b in streamed.blocks) == streamed.n_events
+    # Staging is bounded: every block_events feeds become one narrow
+    # part per column, and the python lists hold only the remainder.
+    trace = _event_backed(generate_trace(WorkloadConfig(sim_time=200.0)))
+    compiler = _feed(trace, 64)
+    n = len(trace)
+    assert n > 64
+    for name in _COLUMNS:
+        parts = compiler._parts[name]
+        assert len(parts) == n // 64, name
+        assert all(len(part) == 64 for part in parts), name
+        assert len(getattr(compiler, "_" + name)) == n % 64, name
 
 
 def test_storage_dtypes_and_nbytes():
-    cfg = WorkloadConfig(sim_time=150.0).validate()
-    streamed = generate_streamed(cfg)
-    block = streamed.blocks[0]
-    # Narrow storage dtypes (the memory-bound claim of the module)...
-    assert block.etype.dtype == np.dtype("int8")
-    assert block.time.dtype == np.dtype(FLOAT_DTYPE)
-    assert block.msg_id.dtype == np.dtype(INT_DTYPE)
-    assert block.host.dtype == np.dtype("int32")
-    assert block.slot.dtype == np.dtype("int32")
-    # ... 1+8+4+8+4+4+4 = 33 bytes per event.
-    assert streamed.nbytes == 33 * streamed.n_events
-    # ... widened back to the engine's pinned lowering dtypes.
-    cols = streamed.array_columns()
-    assert cols.etype.dtype == np.dtype(INT_DTYPE)
-    assert cols.time.dtype == np.dtype(FLOAT_DTYPE)
-    assert cols.slot.dtype == np.dtype(INT_DTYPE)
+    trace = _event_backed(generate_trace(WorkloadConfig(sim_time=150.0)))
+    compiler = _feed(trace, 64)
+    parts = {name: compiler._parts[name][0] for name in _COLUMNS}
+    # Narrow staging dtypes (the memory bound of the compiler)...
+    assert parts["etype"].dtype == np.dtype("int8")
+    assert parts["time"].dtype == np.dtype(FLOAT_DTYPE)
+    assert parts["msg_id"].dtype == np.dtype(INT_DTYPE)
+    for name in ("host", "peer", "cell", "slot"):
+        assert parts[name].dtype == np.dtype("int32"), name
+    # ... 1+8+4+8+4+4+4 = 33 bytes per staged event.
+    flushed = len(trace) // 64 * 64
+    staged = sum(p.nbytes for ps in compiler._parts.values() for p in ps)
+    assert staged == 33 * flushed
+
+
+def test_finish_returns_array_columns_and_keeps_no_parts():
+    trace = _event_backed(generate_trace(WorkloadConfig(sim_time=150.0)))
+    compiler = _feed(trace, 64)
+    cols = compiler.finish()
+    assert isinstance(cols, ArrayColumns)
+    # Widened to the engine's pinned dtypes...
+    for name in _COLUMNS:
+        expected = FLOAT_DTYPE if name == "time" else INT_DTYPE
+        assert getattr(cols, name).dtype == np.dtype(expected), name
+    # ... and the compiler keeps nothing of what it staged.
+    assert compiler._parts == {}
+    for name in _COLUMNS:
+        assert getattr(compiler, "_" + name) == [], name
 
 
 def test_out_of_range_feed_raises_not_wraps():
-    # int8/int32 storage must never silently wrap: numpy raises at the
+    # int8/int32 staging must never silently wrap: numpy raises at the
     # block flush if a value exceeds its column's range.
     compiler = StreamingCompiler(
         n_hosts=2, n_mss=2, sim_time=10.0, block_events=1
@@ -136,24 +166,25 @@ def test_out_of_range_feed_raises_not_wraps():
 
 
 def test_array_columns_matches_compiled_lowering():
-    cfg = WorkloadConfig(sim_time=200.0).validate()
-    streamed = generate_streamed(cfg, block_events=128)
-    direct = streamed.array_columns()
+    trace = _event_backed(generate_trace(WorkloadConfig(sim_time=200.0)))
+    compiler = _feed(trace, 128)
+    direct = compiler.finish()
     lowered = lower_columns(direct)
     assert lowered.etype == direct.etype.tolist()
     assert lowered.slot == direct.slot.tolist()
     assert (lowered.n_events, lowered.n_sends, lowered.n_receives) == (
-        streamed.n_events, streamed.n_sends, streamed.n_receives
+        compiler.n_events, compiler.n_sends, compiler.n_receives
     )
-    assert direct.n_events == streamed.n_events
+    assert direct.n_events == len(trace)
 
 
 def test_empty_stream():
-    streamed = StreamingCompiler(n_hosts=2, n_mss=2, sim_time=1.0).finish()
-    assert len(streamed) == 0
-    assert streamed.blocks == ()
-    assert streamed.array_columns().n_events == 0
-    assert lower_columns(streamed.array_columns()).n_events == 0
+    cols = StreamingCompiler(n_hosts=2, n_mss=2, sim_time=1.0).finish()
+    assert len(cols) == 0
+    for name in _COLUMNS:
+        assert getattr(cols, name).shape == (0,), name
+    assert cols.etype.dtype == np.dtype(INT_DTYPE)
+    assert lower_columns(cols).n_events == 0
 
 
 def test_duplicate_send_raises_like_compile_trace():
@@ -187,16 +218,16 @@ def test_slot_assignment_matches_send_order():
     compiler.feed(2.0, SEND, 1, msg_id=11, peer=2)
     compiler.feed(3.0, int(EventType.RECEIVE), 2, msg_id=11, peer=1)
     compiler.feed(4.0, int(EventType.RECEIVE), 1, msg_id=10, peer=0)
-    streamed = compiler.finish()
-    assert streamed.n_sends == 2 and streamed.n_receives == 2
-    assert streamed.blocks[0].slot.tolist() == [0, 1, 1, 0]
+    cols = compiler.finish()
+    assert cols.n_sends == 2 and cols.n_receives == 2
+    assert cols.slot.tolist() == [0, 1, 1, 0]
 
 
 def test_in_flight_sends_at_horizon_are_fine():
     compiler = StreamingCompiler(n_hosts=2, n_mss=2, sim_time=10.0)
     compiler.feed(1.0, SEND, 0, msg_id=1, peer=1)
-    streamed = compiler.finish()
-    assert streamed.n_sends == 1 and streamed.n_receives == 0
+    cols = compiler.finish()
+    assert cols.n_sends == 1 and cols.n_receives == 0
 
 
 def test_default_block_events_is_sane():

@@ -3,9 +3,9 @@ engines with identical counters, and streams bit-identically.
 
 This is the local twin of the CI ``workload-smoke`` step: a model that
 registers but cannot actually drive a run (or diverges between the
-fused and vectorized engines, or between the columns the driver streams
-and the columns compiled from its event list) fails here before any
-figure uses it.
+fused and vectorized engines, or between the columns the event loop
+compiles as it runs and the columns compiled from the generated
+trace's event list) fails here before any figure uses it.
 """
 
 import json
@@ -18,7 +18,7 @@ from repro.core.trace import Trace
 from repro.engine import RunSpec, execute
 from repro.testing import loop_factories
 from repro.workload.config import WorkloadConfig
-from repro.workload.driver import generate_streamed, generate_trace
+from repro.workload.driver import _Driver, generate_trace
 from repro.workload.registry import workload_names
 
 PROTOCOLS = ("TP", "BCS", "QBC")
@@ -75,7 +75,7 @@ def test_workload_runs_on_both_engines(name, smoke_params):
 @pytest.mark.parametrize("name", workload_names())
 def test_workload_streams_bit_identically(name, smoke_params):
     cfg = _smoke_config(name, smoke_params)
-    streamed = generate_streamed(cfg, block_events=128)
+    looped = _Driver(cfg).run()
     trace = generate_trace(cfg)
     # The columns compiled from an event-backed copy's TraceEvent list.
     events = Trace(
@@ -84,7 +84,7 @@ def test_workload_streams_bit_identically(name, smoke_params):
         events=list(trace.events),
         sim_time=trace.sim_time,
     )
-    cols, ref = streamed.array_columns(), array_columns(events)
+    cols, ref = array_columns(looped), array_columns(events)
     for column in ("etype", "time", "host", "msg_id", "peer", "cell", "slot"):
         np.testing.assert_array_equal(
             getattr(cols, column), getattr(ref, column), err_msg=column
