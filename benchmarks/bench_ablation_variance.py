@@ -12,7 +12,7 @@ with 4 seeds and reports the relative spread per protocol.
 import os
 
 from repro.analysis import relative_spread
-from repro.experiments import SweepConfig, run_point
+from repro.experiments import SweepConfig, run_sweep
 from repro.workload import WorkloadConfig
 
 
@@ -28,7 +28,7 @@ def _run():
         t_switch_values=(1000.0,),
         seeds=(0, 1, 2, 3),
     )
-    return run_point(cfg, 1000.0)
+    return run_sweep(cfg).points[0]
 
 
 def test_seed_agreement_within_paper_band(benchmark):

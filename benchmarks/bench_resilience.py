@@ -75,22 +75,12 @@ def test_supervision_overhead(benchmark, tmp_path):
     config = _sweep_config(tmp_path)
     run_sweep(config)  # warm the trace cache so both sides replay only
 
-    tasks = [
-        (
-            config.base,
-            t,
-            seed,
-            tuple(config.protocols),
-            config.use_cache,
-            config.cache_dir,
-            config.audit,
-        )
-        for t in config.t_switch_values
-        for seed in config.seeds
+    cells = [
+        (t, seed) for t in config.t_switch_values for seed in config.seeds
     ]
 
     def bare():
-        return [_evaluate_task(*task) for task in tasks]
+        return [_evaluate_task(config, t, seed) for t, seed in cells]
 
     bare_time, _ = _best(bare, rounds=5)
     sup_time, result = benchmark.pedantic(

@@ -85,8 +85,9 @@ def _pooled(config):
     outcome tuples in grid order."""
     with ProcessPoolExecutor(2, mp_context=get_context("spawn")) as pool:
         futures = [
-            pool.submit(runner._evaluate_task, *task)
-            for task in runner._tasks(config)
+            pool.submit(runner._evaluate_task, config, t, seed)
+            for t in config.t_switch_values
+            for seed in config.seeds
         ]
         return [f.result() for f in futures]
 

@@ -87,16 +87,19 @@ SWEEP_RSS_RATIO_GATE = 1.25
 #: the peak (~85k events in the largest cell).
 SWEEP_RSS_SIM_TIME = 10_000.0
 
-#: One sweep in a fresh interpreter; prints its peak RSS in MiB.
+#: One sweep in a fresh interpreter; prints its peak RSS in MiB.  It
+#: reads ``VmHWM``, the high-water mark of this process's own memory:
+#: ``ru_maxrss`` keeps the forking process's peak across ``exec``.
 _SWEEP_RSS_CHILD = """
-import resource, sys
+import sys
 from repro.experiments.figures import figure_sweep_config
 from repro.experiments.runner import run_sweep
 run_sweep(figure_sweep_config(
     3, sim_time=float(sys.argv[1]), seeds=(0, 1, 2),
     use_cache=sys.argv[2] == "cached", progress=False,
 ))
-print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
+with open("/proc/self/status") as fh:
+    print(next(int(l.split()[1]) for l in fh if l.startswith("VmHWM:")) / 1024)
 """
 
 

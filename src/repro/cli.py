@@ -558,9 +558,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--spread-tolerance", type=float, default=0.5)
     p.add_argument(
-        "--engine", choices=("auto", "fused", "vectorized"), default="fused",
+        "--engine", choices=("auto", "fused", "vectorized"), default="auto",
         help="replay strategy per (point, seed) task (bit-identical "
-        "results; 'fused' and 'auto' run the batch kernels when every "
+        "results; 'auto' and 'fused' run the batch kernels when every "
         "protocol ships them and the per-event loop otherwise, "
         "'vectorized' requires the kernels)",
     )

@@ -66,7 +66,6 @@ from repro.engine.registry import (
 )
 from repro.engine.spec import (
     ENGINE_KINDS,
-    SPEC_WIRE_VERSION,
     ExecutionPlan,
     RunSpec,
     plan,
@@ -75,7 +74,6 @@ from repro.engine.spec import (
 __all__ = [
     "ENGINES",
     "ENGINE_KINDS",
-    "SPEC_WIRE_VERSION",
     "AuditObserver",
     "Capabilities",
     "CapabilityError",

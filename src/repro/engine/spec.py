@@ -51,15 +51,6 @@ from repro.engine.registry import (
 #: The engine kinds :func:`plan` can select.
 ENGINE_KINDS = ("auto", "reference", "fused", "vectorized", "online")
 
-#: Version tag of the :meth:`RunSpec.to_wire` dict format (bumped on
-#: breaking shape changes; :meth:`RunSpec.from_wire` refuses others).
-#: v2: the workload dict carries the registry fields ``workload`` /
-#: ``workload_params`` (name + params travel, never a materialized
-#: schedule), so a v1 peer must not silently drop them.
-#: v3: ``run_id`` is gone (it is applied when a sweep's exports are
-#: rendered, never by the engine).
-SPEC_WIRE_VERSION = 3
-
 
 @dataclass(frozen=True)
 class RunSpec:
@@ -115,101 +106,6 @@ class RunSpec:
         object.__setattr__(self, "observers", tuple(self.observers))
         if self.protocols is not None:
             object.__setattr__(self, "protocols", tuple(self.protocols))
-
-    # -- serialization across a process / network boundary -------------
-    def to_wire(self) -> dict:
-        """Plain-dict form of this spec for a serialized boundary.
-
-        The sharded sweep service ships specs to worker processes as
-        version-tagged frames; only the *declarative* fields travel.
-        Process-local state cannot: a pre-built trace (regenerate or
-        cache it on the far side), observers (attach them worker-side)
-        and factory overrides (plain callables don't name themselves)
-        all raise :class:`~repro.engine.errors.PlanError`, and so does
-        ``keep_trace=False``: a sweep decides it per grid and its
-        shard hello carries it beside the spec.
-
-        The result is JSON-compatible as long as ``workload.extra``
-        is, so it survives json/pickle round-trips identically.
-        """
-        if self.trace is not None:
-            raise PlanError(
-                "a pre-built trace does not serialize with the spec; "
-                "send the workload and let the far side hit the trace "
-                "cache (or regenerate)"
-            )
-        if self.observers:
-            raise PlanError(
-                "observers are process-local; attach them on the "
-                "executing side, not through the wire"
-            )
-        if self.factories:
-            raise PlanError(
-                "factory overrides are process-local callables and do "
-                "not serialize; register the protocol on the far side"
-            )
-        if not self.keep_trace:
-            raise PlanError(
-                "keep_trace is decided per sweep grid; the shard hello's "
-                "task dict carries it, not the spec"
-            )
-        from dataclasses import asdict
-
-        return {
-            "version": SPEC_WIRE_VERSION,
-            "protocols": (
-                list(self.protocols) if self.protocols is not None else None
-            ),
-            "workload": (
-                asdict(self.workload) if self.workload is not None else None
-            ),
-            "engine": self.engine,
-            "counters_only": bool(self.counters_only),
-            "audit": bool(self.audit),
-            "seed": self.seed,
-            "use_cache": bool(self.use_cache),
-            "cache_dir": self.cache_dir,
-            "ckpt_latency": self.ckpt_latency,
-            "gc_interval": self.gc_interval,
-            "snapshot_interval": self.snapshot_interval,
-        }
-
-    @classmethod
-    def from_wire(cls, wire: Mapping) -> "RunSpec":
-        """Rebuild a spec from :meth:`to_wire` output.
-
-        Raises :class:`~repro.engine.errors.PlanError` on an unknown
-        wire version or a malformed payload, so a coordinator/worker
-        version skew fails loudly instead of mis-running a sweep.
-        """
-        version = wire.get("version")
-        if version != SPEC_WIRE_VERSION:
-            raise PlanError(
-                f"cannot decode spec wire version {version!r} "
-                f"(this side speaks {SPEC_WIRE_VERSION})"
-            )
-        workload = wire.get("workload")
-        if workload is not None:
-            from repro.workload.config import WorkloadConfig
-
-            try:
-                workload = WorkloadConfig(**workload)
-            except TypeError as exc:
-                raise PlanError(f"malformed workload on the wire: {exc}")
-        protocols = wire.get("protocols")
-        return cls(
-            protocols=tuple(protocols) if protocols is not None else None,
-            workload=workload,
-            engine=wire.get("engine", "auto"),
-            counters_only=bool(wire.get("counters_only", False)),
-            audit=bool(wire.get("audit", False)),
-            seed=wire.get("seed"),
-            use_cache=bool(wire.get("use_cache", False)),
-            cache_dir=wire.get("cache_dir"),
-            ckpt_latency=wire.get("ckpt_latency", 0.0),
-            gc_interval=wire.get("gc_interval"),
-            snapshot_interval=wire.get("snapshot_interval", 500.0),
-        )
 
 
 @dataclass(frozen=True)

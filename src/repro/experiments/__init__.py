@@ -1,8 +1,8 @@
 """Experiment harness: the paper's Section 5 performance study.
 
 * :mod:`repro.experiments.config` -- sweep configuration.
-* :mod:`repro.experiments.runner` -- single points and full sweeps,
-  serial or fanned out over shard worker processes.
+* :mod:`repro.experiments.runner` -- full sweeps, serial or fanned
+  out over shard worker processes.
 * :mod:`repro.experiments.figures` -- one entry per paper figure.
 * :mod:`repro.experiments.report` -- paper-style tables, gains, plots.
 * :mod:`repro.experiments.resilience` -- fault-tolerant execution:
@@ -24,12 +24,7 @@ from repro.experiments.resilience import (
     TaskError,
     sweep_config_hash,
 )
-from repro.experiments.runner import (
-    PointResult,
-    SweepResult,
-    run_point,
-    run_sweep,
-)
+from repro.experiments.runner import PointResult, SweepResult, run_sweep
 from repro.experiments.validation import (
     validate_audit,
     validate_figure,
@@ -49,7 +44,6 @@ __all__ = [
     "gains_table",
     "points_table",
     "run_figure",
-    "run_point",
     "run_sweep",
     "sweep_config_hash",
     "validate_audit",

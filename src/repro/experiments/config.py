@@ -29,12 +29,12 @@ class SweepConfig:
         replay engine, so every name must satisfy the chosen
         ``engine``'s capability gate.
     engine:
-        Replay engine per (point, seed) task: ``"fused"`` (default:
-        one shared pass -- the batch kernels when every protocol ships
-        them, as for the paper's TP/BCS/QBC, the per-event loop
-        otherwise), ``"vectorized"`` (batch kernels; every protocol
-        must declare ``vectorizable``) or ``"auto"`` (the same choice
-        as ``"fused"`` on a sweep's replayable set).  Results are
+        Replay engine per (point, seed) task: ``"auto"`` (default) or
+        ``"fused"`` (one shared pass -- the batch kernels when every
+        protocol ships them, as for the paper's TP/BCS/QBC, the
+        per-event loop otherwise; the two plan alike on a sweep's
+        replayable set), or ``"vectorized"`` (batch kernels; every
+        protocol must declare ``vectorizable``).  Results are
         bit-identical across the three; this only trades execution
         strategy.
     workload:
@@ -43,10 +43,9 @@ class SweepConfig:
         (:mod:`repro.workload.registry`).  :meth:`validate` folds the
         parsed name and coerced parameters into ``base`` --
         ``base.workload`` / ``base.workload_params`` -- so the model
-        rides every execution path (serial, sharded wire)
-        identically.  ``None`` (default) leaves ``base`` alone (the
-        paper model unless ``base`` already names another).  Unknown
-        names raise
+        rides every execution path (serial, sharded) identically.
+        ``None`` (default) leaves ``base`` alone (the paper model
+        unless ``base`` already names another).  Unknown names raise
         :class:`~repro.workload.registry.UnknownWorkloadError` with
         did-you-mean suggestions, like unknown protocols.
     seeds:
@@ -91,11 +90,8 @@ class SweepConfig:
     retry_backoff_s:
         Base delay before a retry; attempt ``k`` waits
         ``retry_backoff_s * 2**(k-1)`` seconds, scaled by up to
-        ``retry_jitter`` of random jitter so retries of many tasks
-        don't stampede.
-    retry_jitter:
-        Relative jitter (0..1) applied on top of the exponential
-        backoff.
+        :data:`~repro.experiments.resilience.RETRY_JITTER` of random
+        jitter so retries of many tasks don't stampede.
     journal_path:
         Append-only JSONL ledger of completed tasks (fsynced per
         entry).  A sweep that crashes or is interrupted keeps every
@@ -161,7 +157,7 @@ class SweepConfig:
     base: WorkloadConfig = field(default_factory=WorkloadConfig)
     t_switch_values: Sequence[float] = T_SWITCH_SWEEP
     protocols: Sequence[str] = DEFAULT_PROTOCOLS
-    engine: str = "fused"
+    engine: str = "auto"
     workload: Optional[str] = None
     seeds: Sequence[int] = (0, 1, 2)
     workers: int = 0
@@ -171,7 +167,6 @@ class SweepConfig:
     task_timeout_s: Optional[float] = None
     max_task_retries: int = 2
     retry_backoff_s: float = 0.05
-    retry_jitter: float = 0.1
     journal_path: Optional[str] = None
     resume_from: Optional[str] = None
     progress: Optional[bool] = None
@@ -198,6 +193,11 @@ class SweepConfig:
         """
         from repro.engine import resolve_protocols
 
+        # The grid axes and the protocol set are tuples from here on,
+        # whatever sequence the caller passed.
+        self.t_switch_values = tuple(self.t_switch_values)
+        self.protocols = tuple(self.protocols)
+        self.seeds = tuple(self.seeds)
         if self.workload is not None:
             from repro.workload.registry import resolve_workload_spec
 
@@ -206,8 +206,8 @@ class SweepConfig:
                                   self.base.workload_params):
                 # Fold the spec into the base config once (idempotent:
                 # re-validation sees the values already applied), so
-                # the journal hash, the task grid and the sharded wire
-                # all carry the resolved model.
+                # the journal hash, the cells and the shard hello all
+                # carry the resolved model.
                 self.base = self.base.with_(
                     workload=name, workload_params=params
                 )
@@ -239,8 +239,6 @@ class SweepConfig:
             raise ValueError("max_task_retries must be >= 0")
         if self.retry_backoff_s < 0:
             raise ValueError("retry_backoff_s must be >= 0")
-        if not 0 <= self.retry_jitter <= 1:
-            raise ValueError("retry_jitter must be in [0, 1]")
         if self.shard_listen is not None:
             from repro.experiments.sharded import parse_address
 

@@ -18,12 +18,9 @@ figure  P_switch    H
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
-
-from repro.experiments.config import DEFAULT_PROTOCOLS, SweepConfig
+from repro.experiments.config import SweepConfig
 from repro.experiments.runner import SweepResult, run_sweep
 from repro.workload.config import WorkloadConfig
-from repro.workload.scenarios import T_SWITCH_SWEEP
 
 #: figure -> (p_switch, heterogeneity)
 FIGURE_PARAMS: dict[int, tuple[float, float]] = {
@@ -37,31 +34,13 @@ FIGURE_PARAMS: dict[int, tuple[float, float]] = {
 
 
 def figure_sweep_config(
-    figure: int,
-    sim_time: float,
-    seeds: Sequence[int] = (0, 1, 2),
-    t_switch_values: Sequence[float] = T_SWITCH_SWEEP,
-    protocols: Sequence[str] = DEFAULT_PROTOCOLS,
-    engine: str = "fused",
-    workload: Optional[str] = None,
-    workers: int = 0,
-    use_cache: bool = True,
-    cache_dir: Optional[str] = None,
-    audit: bool = False,
-    task_timeout_s: Optional[float] = None,
-    max_task_retries: int = 2,
-    journal_path: Optional[str] = None,
-    resume_from: Optional[str] = None,
-    progress: Optional[bool] = None,
-    trace_spans: bool = False,
-    trace_path: Optional[str] = None,
-    shard_listen: Optional[str] = None,
-    shard_size: Optional[int] = None,
-    run_id: Optional[str] = None,
-    prom_path: Optional[str] = None,
-    otlp_path: Optional[str] = None,
+    figure: int, sim_time: float, **settings
 ) -> SweepConfig:
     """Sweep configuration reproducing one paper figure.
+
+    *settings* are any :class:`~repro.experiments.config.SweepConfig`
+    fields (``seeds``, ``t_switch_values``, ``engine``, ``workers``,
+    ``journal_path``, ...); the figure supplies ``base``.
 
     ``sim_time`` is explicit because the paper-scale horizon (1e5) takes
     minutes per sweep in pure Python; benches use a shorter horizon and
@@ -81,93 +60,20 @@ def figure_sweep_config(
         heterogeneity=heterogeneity,
         sim_time=sim_time,
     )
-    return SweepConfig(
-        base=base,
-        t_switch_values=tuple(t_switch_values),
-        protocols=tuple(protocols),
-        engine=engine,
-        workload=workload,
-        seeds=tuple(seeds),
-        workers=workers,
-        use_cache=use_cache,
-        cache_dir=cache_dir,
-        audit=audit,
-        task_timeout_s=task_timeout_s,
-        max_task_retries=max_task_retries,
-        journal_path=journal_path,
-        resume_from=resume_from,
-        progress=progress,
-        trace_spans=trace_spans,
-        trace_path=trace_path,
-        shard_listen=shard_listen,
-        shard_size=shard_size,
-        run_id=run_id,
-        prom_path=prom_path,
-        otlp_path=otlp_path,
-    ).validate()
+    return SweepConfig(base=base, **settings).validate()
 
 
 def run_figure(
-    figure: int,
-    sim_time: float = 20_000.0,
-    seeds: Sequence[int] = (0, 1, 2),
-    t_switch_values: Optional[Sequence[float]] = None,
-    engine: str = "fused",
-    workload: Optional[str] = None,
-    workers: int = 0,
-    use_cache: bool = True,
-    cache_dir: Optional[str] = None,
-    audit: bool = False,
-    task_timeout_s: Optional[float] = None,
-    max_task_retries: int = 2,
-    journal_path: Optional[str] = None,
-    resume_from: Optional[str] = None,
-    progress: Optional[bool] = None,
-    trace_spans: bool = False,
-    trace_path: Optional[str] = None,
-    shard_listen: Optional[str] = None,
-    shard_size: Optional[int] = None,
-    run_id: Optional[str] = None,
-    prom_path: Optional[str] = None,
-    otlp_path: Optional[str] = None,
+    figure: int, sim_time: float = 20_000.0, **settings
 ) -> SweepResult:
     """Run one paper figure end to end and return the sweep result.
 
-    ``audit=True`` arms the per-task invariant audit (violations land
-    on the result).  ``journal_path`` / ``resume_from`` make the sweep
-    crash-safe and resumable (see docs/resilience.md); the journal is
-    also the sweep's record for ``repro tail`` / ``repro dash``.
-    ``progress`` / ``trace_spans`` / ``trace_path`` are the
-    observability taps (see docs/observability.md).  ``workers`` /
-    ``shard_listen`` route the grid through the fault-tolerant sharded
-    dispatch service (:mod:`repro.experiments.sharded`; see
-    docs/resilience.md).
-    ``prom_path`` / ``otlp_path`` export the sweep's merged metrics
-    (and, for OTLP, its spans) once at sweep end, labelled ``run_id``
-    (see docs/observability.md).
+    *settings* are :class:`~repro.experiments.config.SweepConfig`
+    fields, as for :func:`figure_sweep_config`: ``audit=True`` arms the
+    per-task invariant audit, ``journal_path`` / ``resume_from`` make
+    the sweep crash-safe and resumable (docs/resilience.md),
+    ``workers`` / ``shard_listen`` route the grid through the sharded
+    dispatch service, and ``progress`` / ``trace_path`` / ``prom_path``
+    / ``otlp_path`` are the observability taps (docs/observability.md).
     """
-    cfg = figure_sweep_config(
-        figure,
-        sim_time=sim_time,
-        seeds=seeds,
-        t_switch_values=tuple(t_switch_values or T_SWITCH_SWEEP),
-        engine=engine,
-        workload=workload,
-        workers=workers,
-        use_cache=use_cache,
-        cache_dir=cache_dir,
-        audit=audit,
-        task_timeout_s=task_timeout_s,
-        max_task_retries=max_task_retries,
-        journal_path=journal_path,
-        resume_from=resume_from,
-        progress=progress,
-        trace_spans=trace_spans,
-        trace_path=trace_path,
-        shard_listen=shard_listen,
-        shard_size=shard_size,
-        run_id=run_id,
-        prom_path=prom_path,
-        otlp_path=otlp_path,
-    )
-    return run_sweep(cfg)
+    return run_sweep(figure_sweep_config(figure, sim_time, **settings))

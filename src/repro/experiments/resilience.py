@@ -46,7 +46,7 @@ import tempfile
 import threading
 import time
 from dataclasses import asdict, dataclass, field
-from typing import Any, Optional, Sequence
+from typing import Any, Optional
 
 from repro.experiments.progress import ProgressReporter
 
@@ -485,18 +485,22 @@ class _SignalDrain:
 # ----------------------------------------------------------------------
 # the supervisor
 # ----------------------------------------------------------------------
+#: Relative jitter (0..1) on top of the exponential retry backoff, so
+#: retries of many tasks don't stampede.
+RETRY_JITTER = 0.1
+
+
 @dataclass(slots=True)
 class _TaskSpec:
     index: int
     t_switch: float
     seed: int
-    args: tuple
 
 
 def _backoff(config, attempt: int, rng: random.Random) -> float:
     """Delay before re-dispatching a task that failed *attempt* times."""
     base = config.retry_backoff_s * (2 ** max(0, attempt - 1))
-    return base * (1.0 + config.retry_jitter * rng.random())
+    return base * (1.0 + RETRY_JITTER * rng.random())
 
 
 def _resumes(journal_path, resume_from) -> bool:
@@ -506,9 +510,10 @@ def _resumes(journal_path, resume_from) -> bool:
     )
 
 
-def execute(config, tasks: Sequence[tuple]) -> ExecutionReport:
-    """Run the sweep's task grid with supervision, healing, journaling
-    and resumption; the runner assembles the report into a
+def execute(config) -> ExecutionReport:
+    """Run the validated sweep *config*'s (point, seed) grid with
+    supervision, healing, journaling and resumption; the runner
+    assembles the report into a
     :class:`~repro.experiments.runner.SweepResult`.
 
     ``config.workers == 0`` (and no ``shard_listen``) runs the grid
@@ -516,9 +521,8 @@ def execute(config, tasks: Sequence[tuple]) -> ExecutionReport:
     dispatches it to ``config.workers`` local shard workers plus any
     external ones that join on ``shard_listen``.
 
-    *tasks* is the point-major list of ``_evaluate_task`` argument
-    tuples (``tasks[i][1]`` / ``tasks[i][2]`` are the task's t_switch
-    and seed).
+    Outcomes are indexed point-major: ``outcomes[i]`` is the cell of
+    ``t_switch_values[i // len(seeds)]`` and ``seeds[i % len(seeds)]``.
 
     With a journal and progress on, the reporter journals heartbeats
     and the sweep closes the journal with its summary line.  An
@@ -527,7 +531,10 @@ def execute(config, tasks: Sequence[tuple]) -> ExecutionReport:
     any cell runs.
     """
     started = time.perf_counter()
-    specs = [_TaskSpec(i, t[1], t[2], tuple(t)) for i, t in enumerate(tasks)]
+    cells = [
+        (t, seed) for t in config.t_switch_values for seed in config.seeds
+    ]
+    specs = [_TaskSpec(i, t, seed) for i, (t, seed) in enumerate(cells)]
     report = ExecutionReport(outcomes=[None] * len(specs))
     config_hash = sweep_config_hash(config)
 
@@ -622,7 +629,7 @@ def _run_serial(config, pending, report, journal, drain, rng, reporter) -> None:
             attempts += 1
             try:
                 with _deadline(config.task_timeout_s):
-                    outcome = _evaluate_task(*spec.args)
+                    outcome = _evaluate_task(config, spec.t_switch, spec.seed)
                 _complete(spec, outcome, attempts, report, journal, reporter)
                 break
             except KeyboardInterrupt:

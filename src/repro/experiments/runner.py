@@ -2,10 +2,10 @@
 
 One *task* = one ``(t_switch, seed)`` pair, executed through the
 unified engine layer (:mod:`repro.engine`): a counters-only
-:class:`~repro.engine.spec.RunSpec` on the fused replay engine, which
-fetches that pair's trace (from the content-addressed cache, else
-generates it) and drives every protocol over it in a single pass (the
-paper's common-random-numbers comparison -- all protocols see
+:class:`~repro.engine.spec.RunSpec` on the sweep's replay engine,
+which fetches that pair's trace (from the content-addressed cache,
+else generates it) and drives every protocol over it in a single pass
+(the paper's common-random-numbers comparison -- all protocols see
 identical schedules).  A *point* aggregates the tasks of one
 ``t_switch`` value; a *sweep* runs all points of a figure.  Only a
 grid that fits in the trace cache's memory tier keeps its traces
@@ -47,7 +47,7 @@ from __future__ import annotations
 import csv
 import time
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.analysis.stats import SampleSummary, summarize
 from repro.engine import (
@@ -61,7 +61,6 @@ from repro.experiments.config import SweepConfig
 from repro.obs.telemetry import TaskTelemetry, TelemetrySummary
 from repro.obs.telemetry import summarize as summarize_telemetry
 from repro.workload.cache import DEFAULT_MAX_ENTRIES
-from repro.workload.config import WorkloadConfig
 
 
 @dataclass(slots=True)
@@ -206,37 +205,29 @@ class SweepResult:
 
 
 def _evaluate_task(
-    base: WorkloadConfig,
-    t_switch: float,
-    seed: int,
-    protocols: Sequence[str],
-    use_cache: bool,
-    cache_dir: Optional[str],
-    audit: bool = False,
-    trace_spans: bool = False,
-    engine: str = "fused",
-    keep_trace: bool = True,
+    config: SweepConfig, t_switch: float, seed: int
 ) -> tuple[float, int, list[RunOutcome], TaskTelemetry, list]:
-    """Worker body: one (point, seed) pair, all protocols, one replay
-    pass over one trace -- routed through the execution engine
-    (:mod:`repro.engine`) with the task's telemetry and -- in audit
-    mode -- the invariant audit attached as observers.  ``engine``
-    picks the replay strategy (fused / vectorized / auto); results are
+    """Worker body: one (point, seed) cell of the validated *config*,
+    all protocols, one replay pass over one trace -- routed through the
+    execution engine (:mod:`repro.engine`) with the task's telemetry
+    and -- in audit mode -- the invariant audit attached as observers.
+    ``config.engine`` picks the replay strategy; results are
     bit-identical either way.
 
-    ``trace_spans`` attaches a :class:`~repro.engine.TimingObserver`
-    and ships its phase spans home on the telemetry record.
-    ``keep_trace=False`` leaves the trace out of the cache's memory
-    tier (:func:`_keeps_traces`)."""
-    cfg = base.with_(t_switch=t_switch, seed=seed)
+    A ``trace_spans`` or ``trace_path`` config attaches a
+    :class:`~repro.engine.TimingObserver` and ships its phase spans
+    home on the telemetry record.  A grid larger than the trace
+    cache's memory tier leaves the trace out of it
+    (:func:`_keeps_traces`)."""
     telemetry_obs = TelemetryObserver(t_switch=t_switch, seed=seed)
     # The audit observer goes first so the telemetry record sees the
     # final violation count on run end.
     observers = (telemetry_obs,)
-    if audit:
+    if config.audit:
         observers = (AuditObserver(t_switch=t_switch),) + observers
     timing = None
-    if trace_spans:
+    # A trace-file destination implies span recording.
+    if config.trace_spans or config.trace_path:
         # First in the stack: the engine discovers the tracer before
         # any phase opens, and other observers' on_run_end work is
         # itself timed under observer:* spans.
@@ -244,15 +235,15 @@ def _evaluate_task(
         observers = (timing,) + observers
     result = execute(
         RunSpec(
-            protocols=tuple(protocols),
-            workload=cfg,
-            engine=engine,
+            protocols=config.protocols,
+            workload=config.base.with_(t_switch=t_switch, seed=seed),
+            engine=config.engine,
             counters_only=True,  # counters are all a sweep needs
-            audit=audit,
+            audit=config.audit,
             seed=seed,
-            use_cache=use_cache,
-            cache_dir=cache_dir,
-            keep_trace=keep_trace,
+            use_cache=config.use_cache,
+            cache_dir=config.cache_dir,
+            keep_trace=_keeps_traces(config),
             observers=observers,
         )
     )
@@ -317,49 +308,6 @@ def _keeps_traces(config: SweepConfig) -> bool:
     return n_cells <= DEFAULT_MAX_ENTRIES
 
 
-def _tasks(config: SweepConfig) -> list[tuple]:
-    """The sweep's (point, seed) task grid, point-major."""
-    # A trace-file destination implies span recording.
-    trace_spans = bool(config.trace_spans or config.trace_path)
-    keep_trace = _keeps_traces(config)
-    return [
-        (
-            config.base,
-            t,
-            seed,
-            tuple(config.protocols),
-            config.use_cache,
-            config.cache_dir,
-            config.audit,
-            trace_spans,
-            config.engine,
-            keep_trace,
-        )
-        for t in config.t_switch_values
-        for seed in config.seeds
-    ]
-
-
-def run_point(config: SweepConfig, t_switch: float) -> PointResult:
-    """Evaluate a single ``t_switch`` point of *config* (serially)."""
-    config.validate()
-    point = PointResult(t_switch=t_switch)
-    for seed in config.seeds:
-        _, _, runs, telemetry, _ = _evaluate_task(
-            config.base,
-            t_switch,
-            seed,
-            tuple(config.protocols),
-            config.use_cache,
-            config.cache_dir,
-            config.audit,
-            engine=config.engine,
-        )
-        point.runs.extend(runs)
-        point.telemetry.append(telemetry)
-    return point
-
-
 def _export(config: SweepConfig, result: SweepResult, spans: list) -> None:
     """Write ``--prom`` / ``--otlp`` from the sweep's task records.
 
@@ -422,7 +370,7 @@ def run_sweep(config: SweepConfig) -> SweepResult:
 
     config.validate()
     started = time.perf_counter()
-    report = execute(config, _tasks(config))
+    report = execute(config)
     result = _assemble(config, report.outcomes)
     result.errors = report.errors
     result.resumed_cells = frozenset(report.resumed_cells)

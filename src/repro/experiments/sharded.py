@@ -115,7 +115,9 @@ __all__ = [
 #: (:attr:`~repro.obs.telemetry.TaskTelemetry.metrics`).
 #: v5: the hello frame's task settings carry ``keep_trace`` (whether
 #: the sweep's grid fits in the trace cache's memory tier).
-PROTOCOL_VERSION = 5
+#: v6: the hello frame carries the validated ``SweepConfig`` itself in
+#: place of a ``RunSpec`` wire dict and a task-settings dict.
+PROTOCOL_VERSION = 6
 
 #: Hex-encoded connection authkey for *external* workers
 #: (``repro shard-worker``); locally spawned workers inherit a random
@@ -356,8 +358,10 @@ def worker_main(
     code 0) or the connection is lost (exit code 3).  Used both by the
     locally spawned worker processes and the ``repro shard-worker``
     CLI subcommand (*authkey* then defaults to :data:`AUTHKEY_ENV`).
+    The coordinator's hello frame carries the sweep's validated
+    ``SweepConfig``; each leased cell runs as
+    ``_evaluate_task(config, t_switch, seed)``.
     """
-    from repro.engine import RunSpec
     from repro.experiments.runner import _evaluate_task
     from repro.obs.metrics import registry
 
@@ -379,12 +383,12 @@ def worker_main(
         raise ShardProtocolError(
             f"expected a hello frame, got {hello.get('kind')!r}"
         )
-    spec = RunSpec.from_wire(hello["spec"])
-    task = hello["task"]
-    timeout_s = task.get("timeout_s")
-    stall_s = task["lease_timeout_s"] + 2 * task["heartbeat_interval_s"] + 0.5
+    config = hello["config"]
+    stall_s = (
+        config.shard_lease_timeout_s + 2 * config.shard_heartbeat_s + 0.5
+    )
     metrics = registry()
-    pump = _HeartbeatPump(conn, lock, task["heartbeat_interval_s"])
+    pump = _HeartbeatPump(conn, lock, config.shard_heartbeat_s)
     pump.start()
     try:
         while True:
@@ -400,19 +404,8 @@ def worker_main(
                         break
                     try:
                         _worker_chaos(t_switch, seed, conn, pump, stall_s)
-                        with _deadline(timeout_s):
-                            outcome = _evaluate_task(
-                                spec.workload,
-                                t_switch,
-                                seed,
-                                tuple(spec.protocols),
-                                spec.use_cache,
-                                spec.cache_dir,
-                                spec.audit,
-                                task["trace_spans"],
-                                spec.engine,
-                                task["keep_trace"],
-                            )
+                        with _deadline(config.task_timeout_s):
+                            outcome = _evaluate_task(config, t_switch, seed)
                     except (Exception, SystemExit) as exc:
                         send_frame(conn, {
                             "kind": "task-error",
@@ -651,43 +644,12 @@ class _Coordinator:
             worker_id=wid, conn=conn, process=process, last_seen=now
         )
         try:
-            send_frame(conn, self._hello_payload())
+            send_frame(conn, {"kind": "hello", "config": self.config})
         except (OSError, ValueError):
             self._close_quietly(conn)
             return
         self.workers[wid] = worker
         self._workers_alive_changed()
-
-    def _hello_payload(self) -> dict:
-        from repro.engine import RunSpec
-        from repro.experiments.runner import _keeps_traces
-
-        config = self.config
-        spec = RunSpec(
-            protocols=tuple(config.protocols),
-            workload=config.base,
-            engine=config.engine,
-            counters_only=True,
-            audit=config.audit,
-            use_cache=config.use_cache,
-            cache_dir=config.cache_dir,
-        )
-        trace_spans = bool(
-            getattr(config, "trace_spans", False)
-            or getattr(config, "trace_path", None)
-        )
-        return {
-            "kind": "hello",
-            "version": PROTOCOL_VERSION,
-            "spec": spec.to_wire(),
-            "task": {
-                "timeout_s": config.task_timeout_s,
-                "trace_spans": trace_spans,
-                "keep_trace": _keeps_traces(config),
-                "heartbeat_interval_s": config.shard_heartbeat_s,
-                "lease_timeout_s": config.shard_lease_timeout_s,
-            },
-        }
 
     @staticmethod
     def _close_quietly(conn: Connection) -> None:

@@ -205,74 +205,3 @@ def test_observer_order_preserved():
     a, b = RunObserver(), RunObserver()
     p = plan(RunSpec(protocols=("BCS",), workload=cfg(), observers=(a, b)))
     assert p.observers == (a, b)
-
-
-# -- wire serialization (sharded dispatch) ---------------------------------
-
-
-def test_spec_wire_roundtrip():
-    from repro.engine import SPEC_WIRE_VERSION
-
-    spec = RunSpec(
-        protocols=("TP", "BCS"),
-        workload=cfg(),
-        engine="fused",
-        counters_only=True,
-        audit=True,
-        seed=7,
-        use_cache=True,
-        cache_dir="/tmp/cache",
-        ckpt_latency=1.5,
-        gc_interval=200.0,
-        snapshot_interval=100.0,
-    )
-    wire = spec.to_wire()
-    assert wire["version"] == SPEC_WIRE_VERSION
-    back = RunSpec.from_wire(wire)
-    assert back.protocols == spec.protocols
-    assert back.workload == spec.workload
-    assert back.engine == spec.engine
-    assert back.counters_only == spec.counters_only
-    assert back.audit == spec.audit
-    assert back.seed == spec.seed
-    assert back.use_cache == spec.use_cache
-    assert back.cache_dir == spec.cache_dir
-    assert back.ckpt_latency == spec.ckpt_latency
-    assert back.gc_interval == spec.gc_interval
-    assert back.snapshot_interval == spec.snapshot_interval
-    # The wire form is plain JSON-able data (no pickled objects).
-    import json
-
-    json.dumps(wire)
-
-
-def test_spec_wire_rejects_process_local_state():
-    trace = generate_trace(cfg())
-    with pytest.raises(PlanError, match="pre-built trace"):
-        RunSpec(protocols=("TP",), trace=trace).to_wire()
-    with pytest.raises(PlanError, match="observers"):
-        RunSpec(
-            protocols=("TP",), workload=cfg(), observers=(RunObserver(),)
-        ).to_wire()
-    with pytest.raises(PlanError, match="keep_trace"):
-        RunSpec(protocols=("TP",), workload=cfg(), keep_trace=False).to_wire()
-    with pytest.raises(PlanError, match="factory"):
-        RunSpec(
-            protocols=("TP",),
-            workload=cfg(),
-            factories={"TP": lambda h, m: BCSProtocol(h, m)},
-        ).to_wire()
-
-
-def test_spec_wire_rejects_version_skew():
-    wire = RunSpec(protocols=("TP",), workload=cfg()).to_wire()
-    wire["version"] = 999
-    with pytest.raises(PlanError, match="wire version 999"):
-        RunSpec.from_wire(wire)
-
-
-def test_spec_wire_rejects_malformed_workload():
-    wire = RunSpec(protocols=("TP",), workload=cfg()).to_wire()
-    wire["workload"]["no_such_field"] = 1
-    with pytest.raises(PlanError, match="malformed workload"):
-        RunSpec.from_wire(wire)

@@ -1,5 +1,7 @@
 """Tests for the experiment harness (repro.experiments)."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.experiments import (
@@ -9,7 +11,6 @@ from repro.experiments import (
     gains_table,
     points_table,
     run_figure,
-    run_point,
     run_sweep,
     validate_figure,
     validate_paper_claims,
@@ -43,9 +44,14 @@ def test_sweep_config_validation():
         small_sweep_config(seeds=()).validate()
 
 
+def _point(config, t_switch):
+    """The one point of *config* narrowed to ``t_switch``."""
+    return run_sweep(replace(config, t_switch_values=(t_switch,))).points[0]
+
+
 def test_run_point_covers_all_protocols_and_seeds():
     cfg = small_sweep_config()
-    point = run_point(cfg, 100.0)
+    point = _point(cfg, 100.0)
     assert len(point.runs) == len(cfg.protocols) * len(cfg.seeds)
     for name in cfg.protocols:
         assert len(point.totals(name)) == len(cfg.seeds)
@@ -55,7 +61,7 @@ def test_run_point_covers_all_protocols_and_seeds():
 def test_point_basic_counts_identical_across_protocols():
     """All protocols replay the same trace: the trace-mandated basic
     checkpoints must agree exactly per seed."""
-    point = run_point(small_sweep_config(), 200.0)
+    point = _point(small_sweep_config(), 200.0)
     by_seed = {}
     for run in point.runs:
         by_seed.setdefault(run.seed, set()).add(run.n_basic)

@@ -501,7 +501,7 @@ def test_drained_failure_with_retries_left_is_a_hole_not_an_error(
         {"task_timeout_s": -1.0},
         {"max_task_retries": -1},
         {"retry_backoff_s": -0.1},
-        {"retry_jitter": 1.5},
+        {"shard_lease_timeout_s": 1.0},  # == the default heartbeat
     ],
 )
 def test_resilience_knobs_are_validated(bad):

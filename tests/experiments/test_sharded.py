@@ -215,7 +215,7 @@ def test_late_results_from_revoked_lease_are_fenced():
 
     registry().reset()
     cfg = sweep_config(shard_size=1)
-    specs = [_TaskSpec(0, 100.0, 0, ()), _TaskSpec(1, 800.0, 0, ())]
+    specs = [_TaskSpec(0, 100.0, 0), _TaskSpec(1, 800.0, 0)]
     report = ExecutionReport(outcomes=[None, None])
     coord = _Coordinator(
         cfg,

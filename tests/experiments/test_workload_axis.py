@@ -1,52 +1,29 @@
-"""The workload sweep axis: folding, wire transport, end-to-end runs."""
+"""The workload sweep axis: folding, shard transport, end-to-end runs."""
 
-import pytest
-
-from repro.engine.errors import PlanError
-from repro.engine.spec import SPEC_WIRE_VERSION, RunSpec
 from repro.experiments.config import SweepConfig
 from repro.experiments.figures import figure_sweep_config, run_figure
 from repro.experiments.runner import run_sweep
 from repro.workload.config import WorkloadConfig
 
 
-def test_wire_version_is_3():
-    # v2 added the workload registry fields to the workload dict; a v1
-    # peer silently dropping them would run the wrong model.  v3
-    # dropped ``run_id``.
-    assert SPEC_WIRE_VERSION == 3
-
-
 def test_wire_roundtrip_carries_workload_fields():
-    cfg = WorkloadConfig(
-        sim_time=100.0, workload="zipf", workload_params={"alpha": 1.1}
-    )
-    spec = RunSpec(protocols=("TP",), workload=cfg, seed=3)
-    wire = spec.to_wire()
-    assert wire["version"] == SPEC_WIRE_VERSION
-    assert wire["workload"]["workload"] == "zipf"
-    assert wire["workload"]["workload_params"] == {"alpha": 1.1}
-    back = RunSpec.from_wire(wire)
-    assert back.workload == cfg
-    assert back == spec
+    """The shard hello frame ships the validated ``SweepConfig``; the
+    folded model name and parameters arrive equal on the far side."""
+    import multiprocessing
 
+    from repro.experiments.sharded import recv_frame, send_frame
 
-def test_wire_refuses_other_versions():
-    cfg = WorkloadConfig(sim_time=100.0)
-    wire = RunSpec(protocols=("TP",), workload=cfg).to_wire()
-    wire["version"] = 1
-    with pytest.raises(PlanError, match="wire version 1"):
-        RunSpec.from_wire(wire)
-
-
-def test_wire_survives_json():
-    import json
-
-    cfg = WorkloadConfig(
-        sim_time=100.0, workload="hotspot", workload_params={"n_hot": 2}
-    )
-    wire = json.loads(json.dumps(RunSpec(protocols=("TP",), workload=cfg).to_wire()))
-    assert RunSpec.from_wire(wire).workload == cfg
+    cfg = _small_sweep(workload="zipf:alpha=1.1").validate()
+    a, b = multiprocessing.Pipe()
+    try:
+        send_frame(a, {"kind": "hello", "config": cfg})
+        back = recv_frame(b)["config"]
+    finally:
+        a.close()
+        b.close()
+    assert back == cfg
+    assert back.base.workload == "zipf"
+    assert back.base.workload_params == {"alpha": 1.1}
 
 
 def test_figure_sweep_config_threads_workload():
@@ -100,3 +77,14 @@ def test_run_figure_accepts_workload(tmp_path):
     )
     assert not result.errors
     assert result.config.base.workload == "daynight"
+
+
+def test_sharded_workload_sweep_is_value_identical_to_serial():
+    """The model's name and parameters reach the shard workers: two
+    workers on a zipf sweep compute exactly the serial result."""
+    serial = run_sweep(_small_sweep(workload="zipf:alpha=1.2"))
+    sharded = run_sweep(_small_sweep(workload="zipf:alpha=1.2", workers=2))
+    assert sharded.complete and not sharded.errors
+    assert [p.runs for p in sharded.points] == [p.runs for p in serial.points]
+    paper = run_sweep(_small_sweep())
+    assert [p.runs for p in paper.points] != [p.runs for p in serial.points]
