@@ -16,10 +16,11 @@ Quickstart
 >>> for outcome in run.outcomes:
 ...     print(outcome.name, outcome.n_total)  # doctest: +SKIP
 
-:func:`repro.engine.execute` is the unified entry point: it resolves
-protocol names against the capability-aware registry, picks the right
-engine (fused replay here; online DES for coordinated baselines) and
-drives every protocol over the identical schedule.  The raw
+:func:`repro.engine.execute` is the one run path: it resolves
+protocol names against the capability-aware registry, picks the run
+kind (the vectorized replay kernels here; the online DES for
+coordinated baselines) and drives every protocol over the identical
+schedule.  The raw
 :func:`replay` / :func:`run_online` drivers stay exported for direct
 low-level use.
 

@@ -255,9 +255,10 @@ def _cmd_compare(args) -> int:
     from repro.engine import RunSpec, execute
 
     cfg = _workload_from(args)
-    # Replay engines only: compare is the paper's common-schedule
-    # comparison, so a coordinated baseline (or any unknown name) is a
-    # plan-time EngineError that main() turns into exit code 2.
+    # compare is the paper's common-schedule comparison: on a replay
+    # engine a coordinated baseline (or any unknown name) is a
+    # plan-time EngineError that main() turns into exit code 2.  Only
+    # --engine auto plans a coordinated baseline, on the online engine.
     result = execute(
         RunSpec(protocols=args.protocols, workload=cfg, engine=args.engine)
     )
@@ -266,10 +267,17 @@ def _cmd_compare(args) -> int:
         f"{'pg ints/msg':>12}"
     )
     for outcome in result.outcomes:
-        s = outcome.metrics.stats
+        if outcome.coordinated is not None:
+            # A coordinated baseline piggybacks nothing; its snapshot
+            # checkpoints fill the forced column.
+            c = outcome.coordinated
+            n_total, basic, forced, pg = c.n_total, c.n_basic, c.n_snapshot, 0
+        else:
+            s = outcome.metrics.stats
+            n_total, basic, forced = s.n_total, s.n_basic, s.n_forced
+            pg = outcome.protocol.piggyback_ints
         print(
-            f"{outcome.name:>9} {s.n_total:>8} {s.n_basic:>7} {s.n_forced:>7} "
-            f"{outcome.protocol.piggyback_ints:>12}"
+            f"{outcome.name:>9} {n_total:>8} {basic:>7} {forced:>7} {pg:>12}"
         )
     return 0
 

@@ -8,29 +8,21 @@ The entry point consumers use::
 
 A :class:`~repro.engine.spec.RunSpec` is resolved against the
 capability-aware registry (:mod:`repro.engine.registry`) into an
-:class:`~repro.engine.spec.ExecutionPlan`, then run on the replay or
-the online engine (:mod:`repro.engine.engines`) with a uniform
-observer stack (:mod:`repro.engine.observers`) and typed failure
-modes (:mod:`repro.engine.errors`).
+:class:`~repro.engine.spec.ExecutionPlan`, then run by
+:func:`~repro.engine.engines.execute` -- the one run path, which
+drives the replay passes or the online simulation the plan picked --
+with a uniform observer stack (:mod:`repro.engine.observers`) and
+typed failure modes (:mod:`repro.engine.errors`).
 
 This package is the *only* sanctioned call site of the low-level run
 primitives (``replay`` / ``replay_fused`` / ``run_online`` /
 ``run_coordinated``) outside their home modules and direct unit tests
 -- enforced by ``tests/test_import_contracts.py``.  Conversely,
 ``repro.protocols`` never imports this package: protocols declare
-capabilities, engines interpret them.
+capabilities, the planner and :func:`execute` interpret them.
 """
 
-from repro.engine.engines import (
-    ENGINES,
-    Engine,
-    OnlineEngine,
-    ProtocolOutcome,
-    ReplayEngine,
-    RunResult,
-    engine_for,
-    execute,
-)
+from repro.engine.engines import ProtocolOutcome, RunResult, execute
 from repro.engine.errors import (
     CapabilityError,
     EngineError,
@@ -72,18 +64,15 @@ from repro.engine.spec import (
 )
 
 __all__ = [
-    "ENGINES",
     "ENGINE_KINDS",
     "AuditObserver",
     "Capabilities",
     "CapabilityError",
-    "Engine",
     "EngineError",
     "ExecutionPlan",
     "MetricsObserver",
     "ObserverError",
     "ObserverReuseError",
-    "OnlineEngine",
     "PlanError",
     "PluginCollisionError",
     "PluginError",
@@ -91,7 +80,6 @@ __all__ = [
     "PluginProtocolError",
     "ProtocolOrigin",
     "ProtocolOutcome",
-    "ReplayEngine",
     "ResolvedProtocol",
     "RunObserver",
     "RunResult",
@@ -100,7 +88,6 @@ __all__ = [
     "TimingObserver",
     "UnknownProtocolError",
     "discover_plugins",
-    "engine_for",
     "execute",
     "known_names",
     "known_protocols",

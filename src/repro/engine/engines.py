@@ -1,35 +1,36 @@
-"""The two execution engines behind one interface.
+"""The one run path: :func:`execute` takes a spec to a result.
 
 Every way this repository evaluates a protocol -- reference replay,
 fused single-pass replay, vectorized numpy kernels, online
 discrete-event simulation (CIC protocols in the loop *and* the
-coordinated baselines) -- is an :class:`Engine` driving a validated
-:class:`~repro.engine.spec.ExecutionPlan`:
+coordinated baselines) -- is one :func:`execute` call over a validated
+:class:`~repro.engine.spec.ExecutionPlan`.  The plan's kind picks one
+of two bodies:
 
-* :class:`ReplayEngine` -- the three replay kinds, which differ only
-  in the pass they run over the shared schedule: ``reference`` (one
+* :func:`_run_replay` -- the three replay kinds, which differ only in
+  the pass they run over the shared schedule: ``reference`` (one
   :func:`repro.core.replay.replay` per protocol, the semantic
   baseline), ``fused`` (one compiled-trace pass,
   :func:`repro.core.replay.replay_fused`) and ``vectorized`` (numpy
   kernels over the trace's array columns,
   :func:`repro.core.replay.replay_vectorized`, for protocols that
   declare ``vectorizable``).  All three are bit-identical.
-* :class:`OnlineEngine` -- :func:`repro.workload.driver.run_online`
-  for replayable protocols that need checkpoint latency / GC
-  modelling, :func:`repro.core.online.run_coordinated` for the
-  coordinated baselines.
+* :func:`_run_online` -- :func:`repro.workload.driver.run_online` for
+  replayable protocols that need checkpoint latency / GC modelling,
+  :func:`repro.core.online.run_coordinated` for the coordinated
+  baselines.
 
-:meth:`Engine.run` is a template: observers are notified uniformly
-(run start, trace known, each outcome, run end), trace acquisition is
-shared (pre-built trace, content-addressed cache with tier detection,
-or fresh generation), and the result shape
-(:class:`RunResult` of :class:`ProtocolOutcome`) is identical across
-engines.  :func:`execute` is the one-call entry point: spec in,
-result out.
+Around either body, :func:`execute` notifies observers uniformly (run
+start, trace known, each outcome, run end), opens the ``run`` and
+``observer:<Name>`` spans and records the ``repro_engine_*{kind}``
+metrics; trace acquisition is shared (pre-built trace,
+content-addressed cache with tier detection, or fresh generation), and
+the result shape (:class:`RunResult` of :class:`ProtocolOutcome`) is
+the same for every kind.
 
 The hot loops stay in :mod:`repro.core.replay` untouched; this layer
-adds dispatch and bookkeeping only, so fused throughput through the
-engine matches the raw call (benchmarked in
+adds dispatch and bookkeeping only, so fused throughput through
+:func:`execute` matches the raw call (benchmarked in
 ``benchmarks/bench_engine.py``).
 """
 
@@ -37,12 +38,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Optional, Union
 
 from repro.core.online import CoordinatedResult, run_coordinated
 from repro.core.replay import replay, replay_fused, replay_vectorized
-from repro.engine.errors import PlanError
 from repro.engine.observers import ObserverError
 from repro.engine.spec import ExecutionPlan, RunSpec, plan as _plan
 # repro.obs.metrics is a dependency-free leaf (the repro.obs package
@@ -80,12 +79,12 @@ class ProtocolOutcome:
 
 @dataclass(slots=True)
 class RunResult:
-    """The uniform outcome every engine produces."""
+    """The uniform outcome of every run, whatever its kind."""
 
     engine_kind: str
     outcomes: list[ProtocolOutcome]
-    #: The run's schedule.  Replay engines: the replayed trace.  Online
-    #: engine: the trace emitted by the (first) online run; None when
+    #: The run's schedule.  Replay kinds: the replayed trace.  Online
+    #: kind: the trace emitted by the (first) online run; None when
     #: only coordinated baselines ran.
     trace: Optional[object] = None
     #: Where the trace came from: a cache tier ("memory"/"disk"/
@@ -145,13 +144,13 @@ def _acquire_trace(spec: RunSpec):
 
 
 class _NullSpan:
-    """Context-manager stand-in when no tracer is attached: accepts
-    tag writes, times nothing, costs one allocation."""
+    """Context-manager stand-in for ``Tracer.span`` when no tracer is
+    attached: accepts tag writes, times nothing, costs one allocation."""
 
     __slots__ = ("tags",)
 
-    def __init__(self):
-        self.tags: dict = {}
+    def __init__(self, name: str, **tags):
+        self.tags = tags
 
     def __enter__(self):
         return self
@@ -171,161 +170,114 @@ def _find_tracer(observers):
     return None
 
 
-class Engine:
-    """Common interface: a validated plan in, a :class:`RunResult` out.
+def _notify(p: ExecutionPlan, errors: list, callback: str, *args) -> None:
+    """Fan a mid-run *callback* (``on_trace`` / ``on_outcome``) out to
+    every observer, absorbing failures into *errors*."""
+    for obs in p.observers:
+        try:
+            getattr(obs, callback)(p, *args)
+        except Exception as exc:
+            errors.append(ObserverError(type(obs).__name__, callback, repr(exc)))
 
-    ``run`` is a template method -- timing, span tracing, observer
-    fan-out and result assembly live here; subclasses implement
-    ``_execute`` and call ``_notify`` (``on_trace`` / ``on_outcome``)
-    as the run unfolds.
+
+def execute(spec: Union[RunSpec, ExecutionPlan]) -> RunResult:
+    """Plan *spec* if needed, then run it: the one way a spec runs.
+
+    Timing, the ``run`` and ``observer:<Name>`` spans, observer
+    fan-out and the ``repro_engine_*{kind}`` metrics live here; the
+    plan's kind picks the body (:func:`_run_replay` or
+    :func:`_run_online`).
 
     Observer failure isolation: ``on_run_start`` exceptions propagate
     (nothing ran yet; the single-run reuse guards depend on failing
     fast), but mid-run callbacks (``on_trace`` / ``on_outcome``) and
-    ``on_run_end`` are absorbed into
-    :attr:`RunResult.observer_errors` -- a broken dashboard tap must
-    not cost a finished run its result.
+    ``on_run_end`` are absorbed into :attr:`RunResult.observer_errors`
+    -- a broken dashboard tap must not cost a finished run its result.
     """
-
-    #: The :attr:`ExecutionPlan.engine_kind` this engine accepts.
-    kind: str = "abstract"
-
-    def run(self, target: Union[ExecutionPlan, RunSpec]) -> RunResult:
-        """Execute *target* (a plan, or a spec planned on the spot)."""
-        p = _plan(target) if isinstance(target, RunSpec) else target
-        if p.engine_kind != self.kind:
-            raise PlanError(
-                f"plan selected the {p.engine_kind!r} engine; "
-                f"this is the {self.kind!r} engine"
-            )
-        self._plan = p
-        self._tracer = _find_tracer(p.observers)
-        self._observer_errors: list[ObserverError] = []
-        started = time.perf_counter()
-        with self._span("run", engine=self.kind):
-            for obs in p.observers:
-                obs.on_run_start(p)
-            result = self._execute(p)
-            result.wall_time_s = time.perf_counter() - started
-            result.observer_errors.extend(self._observer_errors)
-            for obs in p.observers:
-                with self._span(f"observer:{type(obs).__name__}"):
-                    try:
-                        obs.on_run_end(p, result)
-                    except Exception as exc:
-                        result.observer_errors.append(
-                            ObserverError(
-                                type(obs).__name__, "on_run_end", repr(exc)
-                            )
-                        )
-        reg = _metrics_registry()
-        reg.counter("repro_engine_runs_total", kind=self.kind).inc()
-        reg.histogram("repro_engine_run_seconds", kind=self.kind).observe(
-            result.wall_time_s
-        )
-        reg.counter("repro_engine_outcomes_total", kind=self.kind).inc(
-            len(result.outcomes)
-        )
-        if result.observer_errors:
-            reg.counter("repro_observer_errors_total").inc(
-                len(result.observer_errors)
-            )
-        return result
-
-    # -- subclass protocol -------------------------------------------------
-    def _execute(self, p: ExecutionPlan) -> RunResult:
-        raise NotImplementedError
-
-    def _span(self, name: str, **tags):
-        """A tracing span when the run carries a tracer, else a no-op."""
-        if self._tracer is None:
-            return _NullSpan()
-        return self._tracer.span(name, **tags)
-
-    def _notify(self, callback: str, *args) -> None:
-        """Fan a mid-run *callback* (``on_trace`` / ``on_outcome``) out
-        to every observer, absorbing failures."""
-        for obs in self._plan.observers:
-            try:
-                getattr(obs, callback)(self._plan, *args)
-            except Exception as exc:
-                self._observer_errors.append(
-                    ObserverError(type(obs).__name__, callback, repr(exc))
-                )
+    p = _plan(spec) if isinstance(spec, RunSpec) else spec
+    kind = p.engine_kind
+    tracer = _find_tracer(p.observers)
+    span = _NullSpan if tracer is None else tracer.span
+    errors: list[ObserverError] = []
+    body = _run_online if kind == "online" else _run_replay
+    started = time.perf_counter()
+    with span("run", engine=kind):
+        for obs in p.observers:
+            obs.on_run_start(p)
+        result = body(p, span, errors)
+        result.wall_time_s = time.perf_counter() - started
+        result.observer_errors = errors
+        for obs in p.observers:
+            with span(f"observer:{type(obs).__name__}"):
+                try:
+                    obs.on_run_end(p, result)
+                except Exception as exc:
+                    errors.append(
+                        ObserverError(type(obs).__name__, "on_run_end", repr(exc))
+                    )
+    reg = _metrics_registry()
+    reg.counter("repro_engine_runs_total", kind=kind).inc()
+    reg.histogram("repro_engine_run_seconds", kind=kind).observe(
+        result.wall_time_s
+    )
+    reg.counter("repro_engine_outcomes_total", kind=kind).inc(
+        len(result.outcomes)
+    )
+    if errors:
+        reg.counter("repro_observer_errors_total").inc(len(errors))
+    return result
 
 
 #: Replay kind -> the pass driving all of a run's instances at once.
 #: The reference kind has no shared pass: it replays each instance
 #: alone (one ``replay`` span per protocol).
-_PASSES = {
-    "reference": None,
-    "fused": replay_fused,
-    "vectorized": replay_vectorized,
-}
+_PASSES = {"fused": replay_fused, "vectorized": replay_vectorized}
 
 
-class ReplayEngine(Engine):
+def _run_replay(p: ExecutionPlan, span, errors: list) -> RunResult:
     """Every replay kind: acquire the trace, build fresh instances, run
-    the kind's pass, wrap the outcomes.
+    the kind's pass, wrap the outcomes."""
+    kind = p.engine_kind
+    with span("trace-acquire") as sp:
+        trace, source = _acquire_trace(p.spec)
+        sp.tags["source"] = source
+    _notify(p, errors, "on_trace", trace, source)
+    seed = _resolve_seed(p.spec)
 
-    * ``reference`` -- one :func:`~repro.core.replay.replay` per
-      protocol, the semantic baseline the audit compares against;
-    * ``fused`` -- all instances over one compiled trace in a single
-      pass (:func:`~repro.core.replay.replay_fused`);
-    * ``vectorized`` -- all instances as batch kernels over the
-      trace's array columns
-      (:func:`~repro.core.replay.replay_vectorized`); the plan layer
-      guarantees every entry declared ``vectorizable``.
-    """
+    def fresh(entry):
+        # Building the instances is replay work: it runs inside the
+        # pass's span.
+        instance = entry.make(trace.n_hosts, trace.n_mss)
+        if p.spec.counters_only:
+            instance.log_checkpoints = False
+        return instance
 
-    def __init__(self, kind: str):
-        if kind not in _PASSES:
-            raise PlanError(
-                f"no replay engine of kind {kind!r}; known: {sorted(_PASSES)}"
-            )
-        self.kind = kind
-
-    def _execute(self, p: ExecutionPlan) -> RunResult:
-        with self._span("trace-acquire") as sp:
-            trace, source = _acquire_trace(p.spec)
-            sp.tags["source"] = source
-        self._notify("on_trace", trace, source)
-        seed = _resolve_seed(p.spec)
-
-        def fresh(entry):
-            # Building the instances is replay work: it runs inside
-            # the pass's span.
-            instance = entry.make(trace.n_hosts, trace.n_mss)
-            if p.spec.counters_only:
-                instance.log_checkpoints = False
-            return instance
-
-        if self.kind == "reference":
-            results = []
-            for entry in p.entries:
-                with self._span("replay", protocol=entry.name):
-                    results.append(replay(trace, fresh(entry), seed=seed))
-        else:
-            with self._span(f"{self.kind}-pass", protocols=len(p.entries)):
-                instances = [fresh(entry) for entry in p.entries]
-                results = _PASSES[self.kind](trace, instances, seed=seed)
-        outcomes = []
-        for entry, rr in zip(p.entries, results):
-            outcome = ProtocolOutcome(
-                name=entry.name, protocol=rr.protocol, metrics=rr.metrics
-            )
-            self._notify("on_outcome", outcome)
-            outcomes.append(outcome)
-        return RunResult(
-            engine_kind=self.kind,
-            outcomes=outcomes,
-            trace=trace,
-            trace_source=source,
-            seed=seed,
+    if kind == "reference":
+        results = []
+        for entry in p.entries:
+            with span("replay", protocol=entry.name):
+                results.append(replay(trace, fresh(entry), seed=seed))
+    else:
+        with span(f"{kind}-pass", protocols=len(p.entries)):
+            instances = [fresh(entry) for entry in p.entries]
+            results = _PASSES[kind](trace, instances, seed=seed)
+    outcomes = []
+    for entry, rr in zip(p.entries, results):
+        outcome = ProtocolOutcome(
+            name=entry.name, protocol=rr.protocol, metrics=rr.metrics
         )
+        _notify(p, errors, "on_outcome", outcome)
+        outcomes.append(outcome)
+    return RunResult(
+        engine_kind=kind,
+        outcomes=outcomes,
+        trace=trace,
+        trace_source=source,
+        seed=seed,
+    )
 
 
-class OnlineEngine(Engine):
+def _run_online(p: ExecutionPlan, span, errors: list) -> RunResult:
     """Protocol-in-the-loop simulation, one run per entry.
 
     Replayable entries go through
@@ -336,74 +288,41 @@ class OnlineEngine(Engine):
     replay there is no shared schedule once checkpoint latency or
     control messages perturb timing.
     """
-
-    kind = "online"
-
-    def _execute(self, p: ExecutionPlan) -> RunResult:
-        spec = p.spec
-        cfg = spec.workload
-        seed = _resolve_seed(spec)
-        outcomes = []
-        first_trace = None
-        for entry in p.entries:
-            if entry.capabilities.coordinated:
-                with self._span("coordinated-run", protocol=entry.name):
-                    res = run_coordinated(
-                        cfg, entry.scheme, spec.snapshot_interval
-                    )
-                outcome = ProtocolOutcome(
-                    name=entry.name,
-                    protocol=None,
-                    metrics=None,
-                    coordinated=res,
+    spec = p.spec
+    cfg = spec.workload
+    outcomes = []
+    first_trace = None
+    for entry in p.entries:
+        if entry.capabilities.coordinated:
+            with span("coordinated-run", protocol=entry.name):
+                res = run_coordinated(cfg, entry.scheme, spec.snapshot_interval)
+            outcome = ProtocolOutcome(
+                name=entry.name, protocol=None, metrics=None, coordinated=res
+            )
+        else:
+            instance = entry.make(cfg.n_hosts, cfg.n_mss)
+            with span("online-run", protocol=entry.name):
+                res = _driver.run_online(
+                    cfg,
+                    instance,
+                    ckpt_latency=spec.ckpt_latency,
+                    gc_interval=spec.gc_interval,
                 )
-            else:
-                instance = entry.make(cfg.n_hosts, cfg.n_mss)
-                with self._span("online-run", protocol=entry.name):
-                    res = _driver.run_online(
-                        cfg,
-                        instance,
-                        ckpt_latency=spec.ckpt_latency,
-                        gc_interval=spec.gc_interval,
-                    )
-                if first_trace is None:
-                    first_trace = res.trace
-                    self._notify("on_trace", res.trace, "online")
-                outcome = ProtocolOutcome(
-                    name=entry.name,
-                    protocol=instance,
-                    metrics=res.metrics,
-                    online=res,
-                )
-            self._notify("on_outcome", outcome)
-            outcomes.append(outcome)
-        return RunResult(
-            engine_kind=self.kind,
-            outcomes=outcomes,
-            trace=first_trace,
-            trace_source="online",
-            seed=seed,
-        )
-
-
-#: kind -> engine factory, the dispatch table of :func:`engine_for`.
-ENGINES = {
-    **{kind: partial(ReplayEngine, kind) for kind in _PASSES},
-    OnlineEngine.kind: OnlineEngine,
-}
-
-
-def engine_for(kind: str) -> Engine:
-    """A fresh engine instance for a concrete *kind*."""
-    try:
-        return ENGINES[kind]()
-    except KeyError:
-        raise PlanError(
-            f"no engine of kind {kind!r}; known: {sorted(ENGINES)}"
-        ) from None
-
-
-def execute(spec: Union[RunSpec, ExecutionPlan]) -> RunResult:
-    """Plan (if needed) and run *spec* on the engine it selects."""
-    p = _plan(spec) if isinstance(spec, RunSpec) else spec
-    return engine_for(p.engine_kind).run(p)
+            if first_trace is None:
+                first_trace = res.trace
+                _notify(p, errors, "on_trace", res.trace, "online")
+            outcome = ProtocolOutcome(
+                name=entry.name,
+                protocol=instance,
+                metrics=res.metrics,
+                online=res,
+            )
+        _notify(p, errors, "on_outcome", outcome)
+        outcomes.append(outcome)
+    return RunResult(
+        engine_kind="online",
+        outcomes=outcomes,
+        trace=first_trace,
+        trace_source="online",
+        seed=_resolve_seed(spec),
+    )

@@ -8,7 +8,7 @@ a property of *any* engine run instead: attach them to a
 :class:`~repro.engine.spec.RunSpec` and every engine honours them
 through the same four callbacks.
 
-Lifecycle (driven by :meth:`repro.engine.engines.Engine.run`):
+Lifecycle (driven by :func:`repro.engine.engines.execute`):
 
 1. :meth:`RunObserver.on_run_start` -- the plan is final, nothing ran.
 2. :meth:`RunObserver.on_trace` -- the run's trace is known (replay

@@ -10,8 +10,8 @@ incoherent specs fail fast with the typed errors of
 :mod:`repro.engine.errors`, identically from every consumer (CLI,
 sweep config, library code).
 
-Engine selection
-----------------
+Selecting the engine kind
+-------------------------
 
 ``engine="auto"`` (the default) picks the cheapest sound engine:
 

@@ -1,16 +1,9 @@
-"""Engine execution tests: the replay and online engines behind one
-interface."""
+"""Execution tests: the replay passes and the online simulation behind
+the one run path, ``execute``."""
 
 import pytest
 
-from repro.engine import (
-    ReplayEngine,
-    RunSpec,
-    engine_for,
-    execute,
-    plan,
-)
-from repro.engine.errors import PlanError
+from repro.engine import RunSpec, execute
 from repro.testing import loop_factories
 from repro.workload import WorkloadConfig, generate_trace
 
@@ -86,29 +79,6 @@ def test_cache_tiers_are_detected(tmp_path):
         assert execute(spec).trace_source == "disk"
     finally:
         cache_mod._shared.pop(resolved, None)
-
-
-def test_engine_kind_mismatch_is_a_plan_error():
-    p = plan(RunSpec(protocols=("BCS",), workload=cfg(), engine="fused"))
-    with pytest.raises(PlanError, match="'reference' engine"):
-        ReplayEngine("reference").run(p)
-
-
-def test_engine_accepts_spec_directly():
-    result = ReplayEngine("fused").run(
-        RunSpec(
-            protocols=("BCS",),
-            workload=cfg(),
-            engine="fused",
-            factories=loop_factories(("BCS",)),
-        )
-    )
-    assert result.engine_kind == "fused"
-
-
-def test_engine_for_unknown_kind():
-    with pytest.raises(PlanError, match="no engine of kind"):
-        engine_for("warp")
 
 
 def test_counters_only_skips_checkpoint_logs():

@@ -302,6 +302,44 @@ def test_timing_observer_records_fused_phases():
     assert "run" in timing.phase_table()
 
 
+def test_timing_observer_records_vectorized_phases(tmp_path):
+    """The spans every sweep cell records (and perfbench attributes):
+    a cached TP/BCS/QBC run plans the kernels."""
+    from pathlib import Path
+
+    from repro.workload import cache as cache_mod
+
+    timing = TimingObserver()
+    protocols = ("TP", "BCS", "QBC")
+    try:
+        for _ in range(2):
+            execute(
+                RunSpec(
+                    protocols=protocols,
+                    workload=cfg(),
+                    use_cache=True,
+                    cache_dir=str(tmp_path),
+                    observers=(timing, TelemetryObserver()),
+                )
+            )
+    finally:
+        cache_mod._shared.pop(str(Path(str(tmp_path)).resolve()), None)
+    runs = [sp for sp in timing.spans if sp.name == "run"]
+    assert [sp.tags["engine"] for sp in runs] == ["vectorized"] * 2
+    acquires = [sp for sp in timing.spans if sp.name == "trace-acquire"]
+    assert [sp.path for sp in acquires] == ["run/trace-acquire"] * 2
+    assert [sp.tags["source"] for sp in acquires] == ["generated", "memory"]
+    passes = [sp for sp in timing.spans if sp.name == "vectorized-pass"]
+    assert [sp.path for sp in passes] == ["run/vectorized-pass"] * 2
+    assert [sp.tags["protocols"] for sp in passes] == [len(protocols)] * 2
+    observer_spans = [
+        sp for sp in timing.spans if sp.name == "observer:TelemetryObserver"
+    ]
+    assert [sp.path for sp in observer_spans] == [
+        "run/observer:TelemetryObserver"
+    ] * 2
+
+
 def test_timing_observer_records_reference_replay_per_protocol():
     timing = TimingObserver()
     execute(

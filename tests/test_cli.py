@@ -23,6 +23,27 @@ def test_compare_runs(capsys):
     assert "N_tot" in out
 
 
+def test_compare_auto_prints_coordinated_counts(capsys):
+    # --engine auto plans a coordinated baseline on the online engine,
+    # whose outcome carries coordinated counts instead of replay
+    # metrics: snapshots fill the forced column, piggyback ints are 0.
+    rc = main(
+        [
+            "compare", "--sim-time", "1100", "--protocols", "CL", "BCS",
+            "--engine", "auto",
+        ]
+    )
+    assert rc == 0
+    rows = {
+        line.split()[0]: line.split()
+        for line in capsys.readouterr().out.splitlines()[1:]
+    }
+    assert set(rows) == {"CL", "BCS"}
+    n_total, basic, forced, pg = map(int, rows["CL"][1:])
+    assert n_total == basic + forced and forced > 0 and pg == 0
+    assert int(rows["BCS"][1]) > 0
+
+
 def test_compare_unknown_protocol(capsys):
     rc = main(["compare", "--sim-time", "200", "--protocols", "NOPE"])
     assert rc == 2
